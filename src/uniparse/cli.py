@@ -76,7 +76,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--config", default=None)
 
     b = sub.add_parser("bench", help="compare the three pipeline modes")
-    b.add_argument("--compare-modes", action="store_true", default=True)
     b.add_argument("--docs", type=int, default=50)
     b.add_argument("--workers", type=int, default=4)
     b.add_argument("--seed", type=int, default=0)

@@ -172,9 +172,6 @@ class DispatchPlan:
     parent_tokens: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
     tokens_emitted: int = 0
 
-    def task_by_id(self) -> dict[str, Task]:
-        return {t.task_id: t for t in self.tasks}
-
 
 def plan_document(
     doc: DocumentIR,
@@ -234,10 +231,6 @@ class QueueState:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def oldest_age(self) -> float | None:
-        return None if not self.entries else self.entries[0][1]
 
 
 # Tolerance for clock arithmetic: an age within a nanosecond of the wait

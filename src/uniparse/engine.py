@@ -24,8 +24,8 @@ from .docmodel import DocumentIR, hull_of
 from .experts import (
     DocumentStore,
     ExpertDescriptor,
+    ExpertError,
     ExpertResponse,
-    FatalExpertError,
     MockExpert,
     RemoteExpert,
     RetryableExpertError,
@@ -133,22 +133,26 @@ def call_batch(
     """One expert call for a batch: the outcome of each of its tasks.
 
     Returns None when the call failed retryably and attempt < max_retries;
-    the caller then retries the whole batch with attempt + 1. A fatal error,
-    or a retryable one on the last attempt, becomes one TaskFailure per task.
-    The synchronous path and every simulated runtime mode go through here.
+    the caller then retries the whole batch with attempt + 1. Any other
+    expert error (fatal or protocol), a retryable one on the last attempt,
+    or a response whose task ids are not the batch's in request order
+    becomes one TaskFailure per task. The synchronous path and every
+    simulated runtime mode go through here.
     """
     try:
         responses = backend.process(batch.modality, batch.tasks, attempt=attempt)
     except RetryableExpertError as exc:
         if attempt < max_retries:
             return None
-        error = exc
-    except FatalExpertError as exc:
-        error = exc
+        reason = str(exc)
+    except ExpertError as exc:
+        reason = str(exc)
     else:
-        return {response.task_id: response for response in responses}
+        if [r.task_id for r in responses] == [t.task_id for t in batch.tasks]:
+            return {response.task_id: response for response in responses}
+        reason = "response items do not match the batch's task ids in request order"
     return {
-        task.task_id: TaskFailure(task.task_id, task.modality, task.detection_id, str(error))
+        task.task_id: TaskFailure(task.task_id, task.modality, task.detection_id, reason)
         for task in batch.tasks
     }
 

@@ -161,9 +161,6 @@ class DocumentStore:
     def document(self, doc_id: str) -> DocumentIR:
         return self._docs[doc_id]
 
-    def doc_ids(self) -> list[str]:
-        return sorted(self._docs)
-
     def detection(self, doc_id: str, detection_id: str) -> Detection:
         try:
             return self._detections[(doc_id, detection_id)]
@@ -182,9 +179,6 @@ class MockExpert:
     def __init__(self, descriptor: ExpertDescriptor, store: DocumentStore):
         self.descriptor = descriptor
         self.store = store
-
-    def batch_latency_ms(self, batch: list[ExpertRequest], attempt: int = 0) -> float:
-        return self.descriptor.latency.latency_ms(tuple(r.task_id for r in batch), attempt)
 
     def process_batch(self, batch: list[ExpertRequest], attempt: int = 0) -> list[ExpertResponse]:
         if len(batch) > self.descriptor.max_batch:

@@ -1,12 +1,23 @@
 """Pipeline execution engine and simulator.
 
-A virtual (discrete-event) clock drives three execution modes over the same
-document stream:
+A virtual (discrete-event) clock drives one driver over the document stream.
+Every mode runs the same stage workers (preprocess, layout, dispatch at a
+per-task cost, gather, consolidate, format) and the same expert pool; the
+mode sets three things:
 
-- sequential: every stage strictly serial, one document at a time;
-- parallel gather: per-document fan-out to the expert pool, then a join;
-- pipeline parallel: all stages overlap, documents stream through bounded
-  queues, experts are fed by greedy batch stacking and dynamic balancing.
+- pipeline parallel: max_in_flight_docs documents in flight, `workers`
+  expert workers; tasks stream through bounded per-modality queues into
+  greedy batch stacking (max_wait_ms timers, backpressure) and dynamic
+  balancing;
+- parallel gather: one document in flight, `workers` expert workers; a
+  document's tasks are held until its whole dispatch cost (per task times
+  tasks) has elapsed, then form_batches offers them to the pool at once;
+- sequential: as parallel gather, with one expert worker.
+
+queue_capacity, max_wait_ms and max_in_flight_docs act only in pipeline
+parallel. In sequential, a batch that failed retryably is re-offered after
+its backoff and the single worker serves other ready batches meanwhile; it
+idles only when nothing else is ready.
 
 Document outputs are byte-identical across modes and worker counts (content
 is pure); only the schedule, and therefore the metrics, differ. With failure
@@ -16,8 +27,9 @@ exhaust retries can diverge; keep failure_rate at 0 when comparing outputs.
 Batch size, in every mode, is at most min(engine max_batch, the serving
 expert's descriptor max_batch), read from the descriptor table in force;
 pipeline parallel also caps it at queue_capacity. No expert error aborts a
-run: a fatal error, or a retryable one that exhausts max_retries, becomes
-one TaskFailure per task of the batch in every mode. It counts in
+run: a fatal or protocol error, a response that does not answer the batch's
+tasks in request order, or a retryable error that exhausts max_retries,
+becomes one TaskFailure per task of the batch in every mode. It counts in
 tasks_failed, and with strict=True the run raises StrictModeFailure once it
 has finished.
 """
@@ -222,7 +234,6 @@ class _DocJob:
         self.dispatch_done = False
         self.gathering = False
         self.parsed: ParsedDocument | None = None
-        self.done_at = 0.0
 
 
 class _Collector:
@@ -320,13 +331,13 @@ class _ExpertPool:
     """
 
     def __init__(self, sim, config: PipelineConfig, backend: MockBackend, collector: _Collector,
-                 on_task_done: Callable):
+                 on_task_done: Callable, workers: int):
         self.sim = sim
         self.config = config
         self.backend = backend
         self.collector = collector
         self.on_task_done = on_task_done
-        self.free: list[int] = list(range(config.engine.workers))
+        self.free: list[int] = list(range(workers))
         self.in_flight: dict[str, int] = {m: 0 for m in backend.descriptors}
         self.ready: dict[str, deque] = {m: deque() for m in backend.descriptors}
         # invoked whenever a batch leaves the ready queue (backpressure relief)
@@ -410,12 +421,7 @@ def run_pipeline(
     sim = _Sim()
     jobs = [_DocJob(i, doc) for i, doc in enumerate(docs)]
     swap = _descriptor_swapper(config, backend)
-    drivers = {
-        Mode.SEQUENTIAL: _drive_sequential,
-        Mode.PARALLEL_GATHER: _drive_parallel_gather,
-        Mode.PIPELINE_PARALLEL: _drive_pipeline,
-    }
-    drivers[config.mode](sim, jobs, config, backend, collector, swap)
+    _drive(sim, jobs, config, backend, collector, swap)
     sim.run()
 
     wall = sim.now
@@ -459,7 +465,6 @@ def _finish_job(job: _DocJob, config: PipelineConfig, collector: _Collector, now
         tokens_failed=gathered.tokens_failed,
         failed_tasks=tuple(sorted(f.task_id for f in gathered.failures)),
     )
-    job.done_at = now
     collector.doc_latency[job.doc.doc_id] = now
 
 
@@ -467,124 +472,6 @@ def _prepare(job: _DocJob, config: PipelineConfig) -> None:
     job.analyses = analyze_pages(job.doc, config.engine)
     job.plan = plan_document(job.doc, [a.tree for a in job.analyses], config.engine)
     job.pending = len(job.plan.tasks)
-
-
-def _cpu_costs(job: _DocJob, engine: EngineConfig) -> dict[str, float]:
-    pages = max(len(job.doc.pages), 1)
-    tasks = len(job.plan.tasks) if job.plan else 0
-    return {
-        "preprocess": engine.preprocess_ms_per_page * pages,
-        "layout": engine.layout_ms_per_page * pages,
-        "dispatch": engine.dispatch_ms_per_task * tasks,
-        "gather": engine.gather_ms_per_doc + engine.gather_ms_per_task * tasks,
-        "consolidate": engine.consolidate_ms_per_doc,
-        "format": engine.format_ms_per_doc,
-    }
-
-
-def _pre_expert_stages(job: _DocJob, config: PipelineConfig, collector: _Collector) -> float:
-    """Sequential and parallel gather: analyse and plan the document, charge
-    preprocess, layout and dispatch, and return their summed cost."""
-    _prepare(job, config)
-    costs = _cpu_costs(job, config.engine)
-    for stage in ("preprocess", "layout", "dispatch"):
-        collector.charge_stage(stage, costs[stage])
-    collector.tasks_dispatched += len(job.plan.tasks)
-    return costs["preprocess"] + costs["layout"] + costs["dispatch"]
-
-
-def _post_expert_stages(sim, job: _DocJob, config: PipelineConfig, collector: _Collector,
-                        then: Callable[[], None]) -> None:
-    """Sequential and parallel gather: charge gather, consolidate and format,
-    then finish the document and call `then` once their cost has elapsed."""
-    costs = _cpu_costs(job, config.engine)
-    for stage in ("gather", "consolidate", "format"):
-        collector.charge_stage(stage, costs[stage])
-
-    def done() -> None:
-        _finish_job(job, config, collector, sim.now)
-        then()
-
-    sim.after(costs["gather"] + costs["consolidate"] + costs["format"], done)
-
-
-def _drive_sequential(sim, jobs, config, backend, collector, swap) -> None:
-    """One logical worker walks every stage of every document in order."""
-    engine = config.engine
-    queue = deque(jobs)
-
-    def next_doc() -> None:
-        if not queue:
-            return
-        job = queue.popleft()
-        swap(job.index)
-        pre = _pre_expert_stages(job, config, collector)
-        batches = deque(form_batches(job.plan.tasks, engine.max_batch,
-                                     backend_batch_caps(backend)))
-        sim.after(pre, lambda: run_batch(job, batches, 0))
-
-    def run_batch(job, batches, attempt: int) -> None:
-        if not batches:
-            _post_expert_stages(sim, job, config, collector, next_doc)
-            return
-        batch = batches[0]
-        descriptor = backend.descriptors[batch.modality]
-        latency = descriptor.latency.latency_ms(tuple(t.task_id for t in batch.tasks), attempt)
-        collector.charge_expert(0, batch.modality, latency, len(batch.tasks))
-        outcomes = call_batch(backend, batch, attempt, engine.max_retries)
-
-        def complete() -> None:
-            if outcomes is None:
-                collector.record_retry(batch.modality)
-                backoff = engine.backoff_ms * (2 ** attempt)
-                sim.after(backoff, lambda: run_batch(job, batches, attempt + 1))
-                return
-            for task in batch.tasks:
-                outcome = outcomes[task.task_id]
-                collector.record_outcome(outcome)
-                job.outcomes[task.task_id] = outcome
-            batches.popleft()
-            run_batch(job, batches, 0)
-
-        sim.after(latency, complete)
-
-    sim.at(0.0, next_doc)
-
-
-def _drive_parallel_gather(sim, jobs, config, backend, collector, swap) -> None:
-    """Per-document fan-out to the worker pool, join, then post-processing."""
-    engine = config.engine
-    queue = deque(jobs)
-    current: dict = {}
-
-    def on_task_done(task, outcome) -> None:
-        job = current["job"]
-        job.outcomes[task.task_id] = outcome
-        job.pending -= 1
-        if job.pending == 0:
-            _post_expert_stages(sim, job, config, collector, next_doc)
-
-    pool = _ExpertPool(sim, config, backend, collector, on_task_done)
-
-    def next_doc() -> None:
-        if not queue:
-            return
-        job = queue.popleft()
-        current["job"] = job
-        swap(job.index)
-        pre = _pre_expert_stages(job, config, collector)
-
-        def fan_out() -> None:
-            if not job.plan.tasks:
-                _post_expert_stages(sim, job, config, collector, next_doc)
-                return
-            for batch in form_batches(job.plan.tasks, engine.max_batch,
-                                      backend_batch_caps(backend)):
-                pool.offer(batch)
-
-        sim.after(pre, fan_out)
-
-    sim.at(0.0, next_doc)
 
 
 class _StageWorker:
@@ -622,9 +509,13 @@ class _StageWorker:
         self.sim.after(cost, complete)
 
 
-def _drive_pipeline(sim, jobs, config, backend, collector, swap) -> None:
-    """All stages overlap; documents stream through bounded queues."""
+def _drive(sim, jobs, config, backend, collector, swap) -> None:
+    """The one driver: the mode sets how many documents are in flight, how
+    many expert workers serve them, and whether tasks stream or are held."""
     engine = config.engine
+    streamed = config.mode is Mode.PIPELINE_PARALLEL
+    docs_in_flight = engine.max_in_flight_docs if streamed else 1
+    workers = 1 if config.mode is Mode.SEQUENTIAL else engine.workers
     jobs_by_doc = {j.doc.doc_id: j for j in jobs}
     admission = deque(jobs)
     state = {"in_flight": 0}
@@ -639,7 +530,7 @@ def _drive_pipeline(sim, jobs, config, backend, collector, swap) -> None:
         job.pending -= 1
         maybe_gather(job)
 
-    pool = _ExpertPool(sim, config, backend, collector, on_task_done)
+    pool = _ExpertPool(sim, config, backend, collector, on_task_done, workers)
 
     def maybe_gather(job) -> None:
         if job.dispatch_done and job.pending == 0 and not job.gathering:
@@ -693,7 +584,7 @@ def _drive_pipeline(sim, jobs, config, backend, collector, swap) -> None:
     def admit_next() -> None:
         if not admission:
             return
-        if state["in_flight"] >= engine.max_in_flight_docs:
+        if state["in_flight"] >= docs_in_flight:
             return
         job = admission.popleft()
         swap(job.index)
@@ -734,13 +625,29 @@ def _drive_pipeline(sim, jobs, config, backend, collector, swap) -> None:
         def _step(self) -> None:
             job = self.job
             if self.idx >= len(job.plan.tasks):
+                if not streamed:
+                    for batch in form_batches(job.plan.tasks, engine.max_batch,
+                                              backend_batch_caps(backend)):
+                        pool.offer(batch)
                 job.dispatch_done = True
                 self.job = None
                 maybe_gather(job)
                 self._try_next()
                 return
-            collector.charge_stage("dispatch", engine.dispatch_ms_per_task)
-            sim.after(engine.dispatch_ms_per_task, self._enqueue)
+            # A held document pays its whole dispatch cost in one step; its
+            # tasks reach the pool only after it.
+            steps = 1 if streamed else len(job.plan.tasks)
+            cost = engine.dispatch_ms_per_task * steps
+            collector.charge_stage("dispatch", cost)
+            sim.after(cost, self._enqueue if streamed else self._hold)
+
+        def _hold(self) -> None:
+            # Held tasks skip the bounded queues: nothing drains those before
+            # the flush, so a document planning more than queue_capacity
+            # tasks would wait on itself forever.
+            collector.tasks_dispatched += len(self.job.plan.tasks)
+            self.idx = len(self.job.plan.tasks)
+            self._step()
 
         def _enqueue(self) -> None:
             job = self.job
@@ -789,7 +696,7 @@ def _drive_pipeline(sim, jobs, config, backend, collector, swap) -> None:
     )
 
     def start() -> None:
-        for _ in range(engine.max_in_flight_docs):
+        for _ in range(docs_in_flight):
             admit_next()
 
     sim.at(0.0, start)

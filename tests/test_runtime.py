@@ -8,8 +8,17 @@ from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, Detection, DocumentIR, PageIR, SemanticCategory as C
 from uniparse.engine import MockBackend, StrictModeFailure, process_document
-from uniparse.experts import DocumentStore, ExpertDescriptor, LatencyModel, default_descriptors
+from uniparse.experts import (
+    DocumentStore,
+    ExpertDescriptor,
+    ExpertResponse,
+    LatencyModel,
+    ProtocolError,
+    RetryableExpertError,
+    default_descriptors,
+)
 from uniparse.formats import to_structured
+from uniparse.payloads import Text
 from uniparse.runtime import (
     Mode,
     PipelineConfig,
@@ -119,6 +128,31 @@ def test_sequential_wall_matches_oracle():
     config = PipelineConfig(mode=Mode.SEQUENTIAL, engine=engine, experts=ocr_experts())
     _outputs, metrics = run_pipeline(docs, config)
     expected = expected_sequential_wall([8, 5], engine, 10.0, 2.0)
+    assert metrics.wall_ms == pytest.approx(expected)
+
+
+def test_sequential_worker_serves_next_batch_during_backoff(monkeypatch):
+    # 8 tasks -> two batches of 4 at 18 ms; the first call fails retryably.
+    # The one worker serves the second batch while the first backs off
+    # (backoff_ms 10 < 18 ms), so the experts add exactly 3 x 18 ms.
+    real_process = MockBackend.process
+    calls = []
+
+    def flaky_first_call(self, modality, batch, attempt=0):
+        calls.append(attempt)
+        if len(calls) == 1:
+            raise RetryableExpertError("first call fails")
+        return real_process(self, modality, batch, attempt)
+
+    monkeypatch.setattr(MockBackend, "process", flaky_first_call)
+    engine = bare_engine()
+    assert engine.backoff_ms < 18.0
+    config = PipelineConfig(mode=Mode.SEQUENTIAL, engine=engine, experts=ocr_experts())
+    _outputs, metrics = run_pipeline([ocr_only_doc("a", 8)], config)
+    assert calls == [0, 0, 1]
+    assert metrics.retries == 1 and metrics.tasks_completed == 8
+    batch_ms = 10.0 + 2.0 * 4
+    expected = expected_sequential_wall([8], engine, 10.0, 2.0) + batch_ms
     assert metrics.wall_ms == pytest.approx(expected)
 
 
@@ -257,6 +291,46 @@ def test_fatal_expert_error_recorded_in_every_mode(mode):
     with pytest.raises(StrictModeFailure):
         run_pipeline(docs, PipelineConfig(mode=mode, engine=bare_engine(),
                                           experts=wrong_expert_table(), strict=True))
+
+
+def misbehaving_backend(fault: str) -> type[MockBackend]:
+    """A mock backend whose every answer breaks the wire contract by `fault`."""
+
+    class Misbehaving(MockBackend):
+        def process(self, modality, batch, attempt=0):
+            if fault == "protocol":
+                raise ProtocolError(502, "bad gateway")
+            responses = super().process(modality, batch, attempt)
+            if fault == "missing":
+                return responses[:-1]
+            if fault == "extra":
+                return [*responses, ExpertResponse("unknown/task", Text("stray"))]
+            if fault == "duplicate":
+                return [*responses, responses[0]]
+            assert fault == "reordered"
+            return responses[::-1]
+
+    return Misbehaving
+
+
+@pytest.mark.parametrize("fault", ["missing", "extra", "duplicate", "reordered", "protocol"])
+@pytest.mark.parametrize("path", ["sync", *Mode])
+def test_contract_breaking_response_fails_its_batch(monkeypatch, fault, path):
+    # two batches of 4: each bad answer fails its whole batch, no retry, and
+    # the run completes
+    doc = ocr_only_doc("a", 8)
+    engine = bare_engine()
+    backend_cls = misbehaving_backend(fault)
+    if path == "sync":
+        backend = backend_cls(DocumentStore([doc]), ocr_experts())
+        parsed = process_document(doc, engine, backend).parsed
+    else:
+        monkeypatch.setattr("uniparse.runtime.MockBackend", backend_cls)
+        config = PipelineConfig(mode=path, engine=engine, experts=ocr_experts())
+        (parsed,), metrics = run_pipeline([doc], config)
+        assert metrics.tasks_dispatched == metrics.tasks_failed == 8
+        assert metrics.tasks_completed == 0 and metrics.retries == 0
+    assert parsed.failed_tasks == tuple(sorted(f"a/{d.id}" for d in doc.pages[0].detections))
 
 
 def small_batch_table():
