@@ -6,10 +6,10 @@ drives the same primitives under a simulated clock for benchmarking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import EngineConfig
-from .consolidate import FlowItem, Partner, SectionNode, consolidate
+from .consolidate import FlowItem, Partner, consolidate
 from .dispatch import (
     Batch,
     BatchReason,
@@ -34,7 +34,6 @@ from .experts import (
 from .formats import ParsedDocument
 from .layout import LayoutTree, RelationKind, build_page_tree, relation_for
 from .ordering import OrderUnit, order_units
-from .payloads import ContentPayload
 
 
 class StrictModeFailure(Exception):
@@ -65,10 +64,7 @@ class MockBackend:
 
     def __init__(self, store: DocumentStore, descriptors: dict[str, ExpertDescriptor] | None = None):
         self.store = store
-        self.descriptors = descriptors or default_descriptors()
-        self._experts = {
-            modality: MockExpert(desc, store) for modality, desc in self.descriptors.items()
-        }
+        self.swap_descriptors(descriptors or default_descriptors())
 
     def swap_descriptors(self, descriptors: dict[str, ExpertDescriptor]) -> None:
         self.descriptors = descriptors
@@ -231,6 +227,30 @@ class ProcessResult:
     gathered: GatherResult
 
 
+def assemble_document(
+    doc: DocumentIR,
+    cfg: EngineConfig,
+    analyses: list[PageAnalysis],
+    plan: DispatchPlan,
+    outcomes: dict[str, ExpertResponse | TaskFailure],
+) -> ProcessResult:
+    """Gather, flow items and consolidation after the experts: the one place
+    a ParsedDocument is assembled, for the synchronous path and the simulator."""
+    gathered = gather(plan, outcomes)
+    items = build_flow_items(doc, analyses, gathered)
+    root = consolidate(items, doc.outline, cfg, doc.language_tag)
+    parsed = ParsedDocument(
+        doc_id=doc.doc_id,
+        root=root,
+        language_tag=doc.language_tag,
+        tokens_emitted=plan.tokens_emitted,
+        tokens_resolved=gathered.tokens_resolved,
+        tokens_failed=gathered.tokens_failed,
+        failed_tasks=tuple(sorted(f.task_id for f in gathered.failures)),
+    )
+    return ProcessResult(parsed=parsed, analyses=analyses, plan=plan, gathered=gathered)
+
+
 def process_document(
     doc: DocumentIR,
     cfg: EngineConfig | None = None,
@@ -246,18 +266,7 @@ def process_document(
     plan = plan_document(doc, [a.tree for a in analyses], cfg, only_modality=only_modality)
     batches = form_batches(plan.tasks, cfg.max_batch, backend_batch_caps(backend))
     outcomes = run_batches(batches, backend, max_retries=cfg.max_retries)
-    gathered = gather(plan, outcomes)
-    items = build_flow_items(doc, analyses, gathered)
-    root = consolidate(items, doc.outline, cfg, doc.language_tag)
-    parsed = ParsedDocument(
-        doc_id=doc.doc_id,
-        root=root,
-        language_tag=doc.language_tag,
-        tokens_emitted=plan.tokens_emitted,
-        tokens_resolved=gathered.tokens_resolved,
-        tokens_failed=gathered.tokens_failed,
-        failed_tasks=tuple(sorted(f.task_id for f in gathered.failures)),
-    )
-    if strict and parsed.failed_tasks:
-        raise StrictModeFailure(doc.doc_id, list(parsed.failed_tasks))
-    return ProcessResult(parsed=parsed, analyses=analyses, plan=plan, gathered=gathered)
+    result = assemble_document(doc, cfg, analyses, plan, outcomes)
+    if strict and result.parsed.failed_tasks:
+        raise StrictModeFailure(doc.doc_id, list(result.parsed.failed_tasks))
+    return result

@@ -262,14 +262,8 @@ def substitute_markers(text: str, placeholders: tuple[str, ...]) -> str:
     Extra markers (no token left) are dropped; extra tokens (no marker left)
     are appended, space-separated, so no inline element is ever lost.
     """
-    out: list[str] = []
     remaining = list(placeholders)
-    for ch in text:
-        if ch == INLINE_MARKER:
-            out.append(remaining.pop(0) if remaining else "")
-        else:
-            out.append(ch)
-    result = "".join(out)
+    result = _take_tokens(text, remaining)
     for token in remaining:
         result = f"{result} {token}" if result else token
     return result
@@ -280,23 +274,23 @@ def _substitute_grid_markers(grid: TableGrid, placeholders: tuple[str, ...]) -> 
     remaining = list(placeholders)
     new_cells = []
     for cell in sorted(grid.cells, key=lambda c: (c.row, c.col)):
-        content = []
-        for run in cell.content:
-            if INLINE_MARKER not in run:
-                content.append(run)
-                continue
-            parts = []
-            for ch in run:
-                if ch == INLINE_MARKER:
-                    parts.append(remaining.pop(0) if remaining else "")
-                else:
-                    parts.append(ch)
-            content.append("".join(parts))
-        new_cells.append(
-            Cell(cell.row, cell.col, cell.row_span, cell.col_span, tuple(content))
-        )
+        content = tuple(_take_tokens(run, remaining) for run in cell.content)
+        new_cells.append(Cell(cell.row, cell.col, cell.row_span, cell.col_span, content))
     new_cells.sort(key=lambda c: (c.row, c.col))
     return TableGrid(rows=grid.rows, cols=grid.cols, cells=tuple(new_cells))
+
+
+def _take_tokens(run: str, remaining: list[str]) -> str:
+    """Each inline marker in run becomes the next token taken from the front
+    of remaining, or nothing once remaining is empty."""
+    if INLINE_MARKER not in run:
+        return run
+    parts = run.split(INLINE_MARKER)
+    out = [parts[0]]
+    for part in parts[1:]:
+        out.append(remaining.pop(0) if remaining else "")
+        out.append(part)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Pipeline execution engine and simulator.
 
 A virtual (discrete-event) clock drives one driver over the document stream.
-Every mode runs the same stage workers (preprocess, layout, dispatch at a
-per-task cost, gather, consolidate, format) and the same expert pool; the
-mode sets three things:
+Every mode runs the same stage workers (preprocess, layout, dispatch, gather,
+consolidate, format) and the same expert pool, and finishes documents with
+engine.assemble_document; the mode sets three things:
 
 - pipeline parallel: max_in_flight_docs documents in flight, `workers`
   expert workers; tasks stream through bounded per-modality queues into
   greedy batch stacking (max_wait_ms timers, backpressure) and dynamic
   balancing;
-- parallel gather: one document in flight, `workers` expert workers; a
-  document's tasks are held until its whole dispatch cost (per task times
-  tasks) has elapsed, then form_batches offers them to the pool at once;
+- parallel gather: one document in flight, `workers` expert workers; the
+  dispatch stage takes a document in one step (dispatch_ms_per_task times its
+  tasks), then form_batches offers all of its tasks to the pool at once;
 - sequential: as parallel gather, with one expert worker.
 
 queue_capacity, max_wait_ms and max_in_flight_docs act only in pipeline
@@ -38,22 +38,20 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
 
 from .config import EngineConfig
-from .consolidate import consolidate
-from .dispatch import Batch, QueueState, TaskFailure, batch_stack, gather
+from .dispatch import Batch, QueueState, TaskFailure, batch_stack
 from .docmodel import DocumentIR
 from .engine import (
     MockBackend,
     StrictModeFailure,
     analyze_pages,
+    assemble_document,
     backend_batch_caps,
-    build_flow_items,
     call_batch,
     form_batches,
     plan_document,
@@ -173,7 +171,6 @@ def balance(
     queue_depths: Mapping[str, int],
     replicas: Mapping[str, int],
     in_flight: Mapping[str, int] | None = None,
-    serves: set[str] | None = None,
 ) -> str | None:
     """Pick the modality with the greatest depth/replicas ratio.
 
@@ -185,8 +182,6 @@ def balance(
     for modality in sorted(queue_depths):
         depth = queue_depths[modality]
         if depth <= 0:
-            continue
-        if serves is not None and modality not in serves:
             continue
         cap = replicas.get(modality, 1)
         if in_flight is not None and in_flight.get(modality, 0) >= cap:
@@ -452,22 +447,6 @@ def _descriptor_swapper(config: PipelineConfig, backend: MockBackend) -> Callabl
     return swap
 
 
-def _finish_job(job: _DocJob, config: PipelineConfig, collector: _Collector, now: float) -> None:
-    gathered = gather(job.plan, job.outcomes)
-    items = build_flow_items(job.doc, job.analyses, gathered)
-    root = consolidate(items, job.doc.outline, config.engine, job.doc.language_tag)
-    job.parsed = ParsedDocument(
-        doc_id=job.doc.doc_id,
-        root=root,
-        language_tag=job.doc.language_tag,
-        tokens_emitted=job.plan.tokens_emitted,
-        tokens_resolved=gathered.tokens_resolved,
-        tokens_failed=gathered.tokens_failed,
-        failed_tasks=tuple(sorted(f.task_id for f in gathered.failures)),
-    )
-    collector.doc_latency[job.doc.doc_id] = now
-
-
 def _prepare(job: _DocJob, config: PipelineConfig) -> None:
     job.analyses = analyze_pages(job.doc, config.engine)
     job.plan = plan_document(job.doc, [a.tree for a in job.analyses], config.engine)
@@ -606,6 +585,8 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
     )
 
     class _Dispatcher:
+        """Streams each task into its bounded queue, one dispatch step each."""
+
         def __init__(self):
             self.queue: deque = deque()
             self.job = None
@@ -625,29 +606,13 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
         def _step(self) -> None:
             job = self.job
             if self.idx >= len(job.plan.tasks):
-                if not streamed:
-                    for batch in form_batches(job.plan.tasks, engine.max_batch,
-                                              backend_batch_caps(backend)):
-                        pool.offer(batch)
                 job.dispatch_done = True
                 self.job = None
                 maybe_gather(job)
                 self._try_next()
                 return
-            # A held document pays its whole dispatch cost in one step; its
-            # tasks reach the pool only after it.
-            steps = 1 if streamed else len(job.plan.tasks)
-            cost = engine.dispatch_ms_per_task * steps
-            collector.charge_stage("dispatch", cost)
-            sim.after(cost, self._enqueue if streamed else self._hold)
-
-        def _hold(self) -> None:
-            # Held tasks skip the bounded queues: nothing drains those before
-            # the flush, so a document planning more than queue_capacity
-            # tasks would wait on itself forever.
-            collector.tasks_dispatched += len(self.job.plan.tasks)
-            self.idx = len(self.job.plan.tasks)
-            self._step()
+            collector.charge_stage("dispatch", engine.dispatch_ms_per_task)
+            sim.after(engine.dispatch_ms_per_task, self._enqueue)
 
         def _enqueue(self) -> None:
             job = self.job
@@ -666,7 +631,26 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
             try_form(task.modality)
             self._step()
 
-    dispatcher = _Dispatcher()
+    def dispatched(job) -> None:
+        # Held tasks skip the bounded queues: nothing drains those before
+        # this flush, so a document planning more than queue_capacity tasks
+        # would wait on itself forever.
+        collector.tasks_dispatched += len(job.plan.tasks)
+        for batch in form_batches(job.plan.tasks, engine.max_batch,
+                                  backend_batch_caps(backend)):
+            pool.offer(batch)
+        job.dispatch_done = True
+        maybe_gather(job)
+
+    if streamed:
+        dispatcher = _Dispatcher()
+    else:
+        dispatcher = _StageWorker(
+            sim, collector, "dispatch",
+            cost_fn=lambda j: engine.dispatch_ms_per_task * len(j.plan.tasks),
+            work_fn=None,
+            done_fn=dispatched,
+        )
 
     gather_worker = _StageWorker(
         sim, collector, "gather",
@@ -684,7 +668,9 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
     )
 
     def complete(job) -> None:
-        _finish_job(job, config, collector, sim.now)
+        job.parsed = assemble_document(job.doc, engine, job.analyses, job.plan,
+                                       job.outcomes).parsed
+        collector.doc_latency[job.doc.doc_id] = sim.now
         state["in_flight"] -= 1
         admit_next()
 
@@ -804,28 +790,3 @@ def compare_modes(docs: list[DocumentIR], config: PipelineConfig) -> dict:
         rows.append(bubble_report(metrics))
     return {"workload_docs": len(docs), "modes": rows}
 
-
-def run_wall_clock(docs: list[DocumentIR], config: PipelineConfig):
-    """Wall-clock mode: sequential execution with measured (real) times.
-
-    Exists for sanity checks against live backends; benchmarks and acceptance
-    use the virtual clock.
-    """
-    from .engine import process_document
-
-    store = DocumentStore(docs)
-    backend = MockBackend(store, config.resolved_experts())
-    swap = _descriptor_swapper(config, backend)
-    collector = _Collector(config.engine.workers)
-    outputs = []
-    t0 = time.perf_counter()
-    for index, doc in enumerate(docs):
-        swap(index)
-        start = time.perf_counter()
-        result = process_document(doc, config.engine, backend, strict=config.strict)
-        outputs.append(result.parsed)
-        collector.doc_latency[doc.doc_id] = (time.perf_counter() - start) * 1000.0
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    pages = sum(len(d.pages) for d in docs)
-    metrics = collector.finish(Mode.SEQUENTIAL, wall_ms, len(docs), pages)
-    return outputs, metrics

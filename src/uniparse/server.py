@@ -20,12 +20,12 @@ from .engine import analyze_pages
 from .experts import (
     DocumentStore,
     ExpertRequest,
+    ExpertResponse,
     FatalExpertError,
     MODALITIES,
     mock_payload,
     responses_to_wire,
 )
-from .payloads import payload_to_dict
 
 _PATH_RE = re.compile(r"^/v1/experts/([a-z_]+):batch$")
 
@@ -63,13 +63,8 @@ class EchoExpertService:
             )
             det = self.store.detection(request.doc_id, request.detection_id)
             payload = mock_payload(modality, det, request.placeholders)
-            responses.append((request.task_id, payload))
-        return {
-            "items": [
-                {"task_id": task_id, "payload": payload_to_dict(payload)}
-                for task_id, payload in responses
-            ]
-        }
+            responses.append(ExpertResponse(task_id=request.task_id, payload=payload))
+        return responses_to_wire(responses)
 
 
 class _Handler(BaseHTTPRequestHandler):

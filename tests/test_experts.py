@@ -5,6 +5,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import SemanticCategory as C
@@ -20,11 +21,22 @@ from uniparse.experts import (
     ProtocolError,
     RemoteExpert,
     RetryableExpertError,
+    _substitute_grid_markers,
     batch_to_wire,
     mock_payload,
     remote_expert_call,
+    substitute_markers,
 )
-from uniparse.payloads import Caption, ESmiles, Latex, Reaction, TableGrid, Text
+from uniparse.payloads import (
+    INLINE_MARKER,
+    Caption,
+    Cell,
+    ESmiles,
+    Latex,
+    Reaction,
+    TableGrid,
+    Text,
+)
 from uniparse.server import EchoServerThread
 
 from conftest import det, one_page_doc
@@ -251,3 +263,69 @@ def test_payload_kind_strings_are_pinned():
     assert ESmiles("C").kind == "e_smiles"
     assert Caption("c").kind == "caption"
     assert TableGrid(1, 1).kind == "table_grid"
+
+
+# --- inline marker substitution, against the character-loop reference -------
+
+
+def substitute_markers_by_char(text, placeholders):
+    out = []
+    remaining = list(placeholders)
+    for ch in text:
+        if ch == INLINE_MARKER:
+            out.append(remaining.pop(0) if remaining else "")
+        else:
+            out.append(ch)
+    result = "".join(out)
+    for token in remaining:
+        result = f"{result} {token}" if result else token
+    return result
+
+
+def substitute_grid_markers_by_char(grid, placeholders):
+    remaining = list(placeholders)
+    new_cells = []
+    for cell in sorted(grid.cells, key=lambda c: (c.row, c.col)):
+        content = []
+        for run in cell.content:
+            if INLINE_MARKER not in run:
+                content.append(run)
+                continue
+            parts = []
+            for ch in run:
+                if ch == INLINE_MARKER:
+                    parts.append(remaining.pop(0) if remaining else "")
+                else:
+                    parts.append(ch)
+            content.append("".join(parts))
+        new_cells.append(Cell(cell.row, cell.col, cell.row_span, cell.col_span, tuple(content)))
+    new_cells.sort(key=lambda c: (c.row, c.col))
+    return TableGrid(rows=grid.rows, cols=grid.cols, cells=tuple(new_cells))
+
+
+marked_text = st.text(alphabet=st.sampled_from(["a", " ", "é", "x", INLINE_MARKER]), max_size=12)
+tokens = st.lists(st.sampled_from(["[[F:0]]", "[[F:1]]", "[[T:2]]", ""]), max_size=5)
+
+
+@st.composite
+def marked_grids(draw):
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    cells = [Cell(r, c, content=tuple(draw(st.lists(marked_text, max_size=3))))
+             for r in range(rows) for c in range(cols)]
+    return TableGrid(rows=rows, cols=cols, cells=tuple(draw(st.permutations(cells))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_text, tokens)
+def test_substitute_markers_matches_character_loop(text, placeholders):
+    placeholders = tuple(placeholders)
+    assert substitute_markers(text, placeholders) == substitute_markers_by_char(text, placeholders)
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_grids(), tokens)
+def test_grid_substitution_matches_character_loop(grid, placeholders):
+    placeholders = tuple(placeholders)
+    assert (_substitute_grid_markers(grid, placeholders)
+            == substitute_grid_markers_by_char(grid, placeholders))

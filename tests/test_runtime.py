@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from uniparse.config import EngineConfig
@@ -27,11 +25,10 @@ from uniparse.runtime import (
     compare_modes,
     contention_free_config,
     run_pipeline,
-    run_wall_clock,
     simulate_scaling,
 )
 
-from conftest import det
+from conftest import det, one_page_doc
 
 
 def ocr_only_doc(doc_id: str, n_paragraphs: int) -> DocumentIR:
@@ -100,10 +97,6 @@ def test_balance_respects_replica_cap():
     assert balance(depths, replicas, in_flight={"ocr": 2, "formula": 1}) is None
 
 
-def test_balance_serves_filter():
-    assert balance({"ocr": 5, "chart": 1}, {"ocr": 1, "chart": 1}, serves={"chart"}) == "chart"
-
-
 # --- hand-computed makespans (discrete-event oracle) ---------------------------
 
 
@@ -154,6 +147,33 @@ def test_sequential_worker_serves_next_batch_during_backoff(monkeypatch):
     batch_ms = 10.0 + 2.0 * 4
     expected = expected_sequential_wall([8], engine, 10.0, 2.0) + batch_ms
     assert metrics.wall_ms == pytest.approx(expected)
+
+
+def header_only_doc(doc_id: str) -> DocumentIR:
+    # a running header is never sent to an expert: the plan has no tasks
+    return one_page_doc([det(f"{doc_id}h", (0.1, 0.02, 0.9, 0.05), C.HEADER,
+                             truth_text="running head")], doc_id=doc_id)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_document_without_tasks_between_ocr_documents(mode):
+    docs = [ocr_only_doc("a", 6), header_only_doc("z"), ocr_only_doc("b", 5),
+            header_only_doc("z2")]
+    engine = bare_engine()
+    experts = ocr_experts()
+    outs, metrics = run_pipeline(docs, PipelineConfig(mode=mode, engine=engine, experts=experts))
+    assert metrics.tasks_dispatched == metrics.tasks_completed == 11
+    assert metrics.tasks_failed == 0
+    backend = MockBackend(DocumentStore(docs), experts)
+    expected = [to_structured(process_document(d, engine, backend).parsed) for d in docs]
+    assert [to_structured(p) for p in outs] == expected
+    if mode is not Mode.PIPELINE_PARALLEL:
+        # one document in flight: the task-less one pays preprocess 4 +
+        # layout 10 + dispatch 0 + gather 2 + consolidate 3 + format 3
+        done = metrics.doc_latency_ms
+        assert done["z"] - done["a"] == pytest.approx(22.0)
+        assert done["z2"] - done["b"] == pytest.approx(22.0)
+        assert metrics.wall_ms == pytest.approx(done["z2"])
 
 
 def test_parallel_gather_wall_matches_oracle():
@@ -515,21 +535,15 @@ def test_descriptor_hot_swap_between_documents():
     assert m_swapped.wall_ms < m_slow.wall_ms
 
 
-def test_wall_clock_mode_runs():
-    docs = [ocr_only_doc("a", 4)]
-    outs, metrics = run_wall_clock(docs, PipelineConfig(engine=bare_engine()))
-    assert len(outs) == 1 and outs[0].doc_id == "a"
-    assert metrics.wall_ms > 0.0
-
-
-def test_wall_clock_mode_applies_descriptor_updates():
-    # updates due at the same document apply in the order given
+@pytest.mark.parametrize("mode", [Mode.SEQUENTIAL, Mode.PARALLEL_GATHER])
+def test_descriptor_updates_sharing_an_index_apply_in_order(mode):
+    # both updates are due at doc "b"; the later one, which misroutes ocr,
+    # is the one in force
     docs = [ocr_only_doc("a", 4), ocr_only_doc("b", 4)]
-    config = PipelineConfig(engine=bare_engine(), experts=ocr_experts(),
+    config = PipelineConfig(mode=mode, engine=bare_engine(), experts=ocr_experts(),
                             descriptor_updates=((1, ocr_experts(base=5.0)),
                                                 (1, wrong_expert_table())))
-    outs, _metrics = run_wall_clock(docs, config)
+    outs, metrics = run_pipeline(docs, config)
     assert outs[0].failed_tasks == ()
     assert len(outs[1].failed_tasks) == 4
-    simulated, _m = run_pipeline(docs, dataclasses.replace(config, mode=Mode.SEQUENTIAL))
-    assert [p.failed_tasks for p in simulated] == [p.failed_tasks for p in outs]
+    assert metrics.tasks_dispatched == metrics.tasks_completed + metrics.tasks_failed == 8
