@@ -20,7 +20,7 @@ from .dispatch import (
     gather,
     plan_document,
 )
-from .docmodel import DocumentIR, hull_of
+from .docmodel import PARTNER_CATEGORIES, DocumentIR
 from .experts import (
     DocumentStore,
     ExpertDescriptor,
@@ -199,7 +199,7 @@ def build_flow_items(
                     item_id=anchor_id,
                     page_index=analysis.tree.page_index,
                     category=anchor.category,
-                    box=hull_of(unit.boxes),
+                    box=unit.hull,
                     payload=gathered.resolved.get(anchor_id),
                     partners=tuple(partners),
                     group_hint=detections[anchor_id].group_hint,
@@ -212,8 +212,6 @@ def _relation_between(anchor, member) -> RelationKind:
     for kind, other in anchor.group_links:
         if other == member.id:
             return kind
-    from .docmodel import PARTNER_CATEGORIES
-
     if member.category in PARTNER_CATEGORIES:
         return relation_for(member.category, anchor.category)
     return RelationKind.CAPTION

@@ -9,6 +9,7 @@ nearest-partner fallback. Functional page furniture is filtered out last.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -127,22 +128,46 @@ def assign_children(
     A child maps to the parent maximizing intersection-over-child-area (IoA),
     requiring IoA >= ioa_threshold; ties break by smaller parent area, then
     lexicographic parent id. Everything unassigned is an orphan.
+
+    Only parents whose boxes overlap the child's are scored: they lie in a
+    bisect window of the y0-sorted parents, at most the tallest parent's
+    height above the child. Every other parent has IoA 0, which qualifies
+    only when ioa_threshold <= 0; then the smallest parent by (area, id)
+    stands for all of them.
     """
     cfg = cfg or EngineConfig()
     bottoms = [d for d in detections if d.layer is Layer.BOTTOM]
+    solid = sorted(
+        (d for d in bottoms if d.box.x0 < d.box.x1 and d.box.y0 < d.box.y1),
+        key=lambda d: d.box.y0,
+    )
+    ys = [d.box.y0 for d in solid]
+    tallest = max((d.box.height for d in solid), default=0.0)
+    zero_ioa_best: tuple[float, float, str] | None = None
+    if bottoms and not cfg.ioa_threshold > 0:
+        smallest = min(bottoms, key=lambda d: (d.box.area, d.id))
+        zero_ioa_best = (-0.0, smallest.box.area, smallest.id)
+
     parent_map: dict[str, str] = {}
     orphans: set[str] = set()
     for det in detections:
         if det.layer is not Layer.TOP:
             continue
-        child_area = det.box.area
+        box = det.box
+        child_area = box.area
         best: tuple[float, float, str] | None = None
         if child_area > 0.0:
-            for parent in bottoms:
-                ioa = det.box.intersection_area(parent.box) / child_area
+            best = zero_ioa_best
+            # The margin dwarfs rounding in y1 - height, so no overlap is missed.
+            lo = bisect_left(ys, box.y0 - tallest - 1e-9 * (1.0 + abs(box.y0) + tallest))
+            for parent in solid[lo:bisect_left(ys, box.y1)]:
+                pbox = parent.box
+                if pbox.y1 <= box.y0 or pbox.x1 <= box.x0 or pbox.x0 >= box.x1:
+                    continue  # no overlap: IoA 0, accounted for above
+                ioa = box.intersection_area(pbox) / child_area
                 if ioa < cfg.ioa_threshold:
                     continue
-                key = (-ioa, parent.box.area, parent.id)
+                key = (-ioa, pbox.area, parent.id)
                 if best is None or key < best:
                     best = key
         if best is None:

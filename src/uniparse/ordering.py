@@ -4,11 +4,20 @@ and a gap/alignment fallback for regions the cuts cannot separate.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from typing import Union
 
 from .config import EngineConfig
-from .docmodel import BoundingBox, SemanticCategory, hull_of
+from .docmodel import (
+    ANCHOR_CATEGORIES,
+    PARTNER_CATEGORIES,
+    BoundingBox,
+    SemanticCategory,
+    hull_of,
+)
 from .layout import LayoutNode, LayoutTree
 
 PAGE_REGION = BoundingBox(0.0, 0.0, 1.0, 1.0)
@@ -24,7 +33,7 @@ class OrderUnit:
     boxes: tuple[BoundingBox, ...]
     member_ids: tuple[str, ...]
 
-    @property
+    @cached_property
     def hull(self) -> BoundingBox:
         return hull_of(self.boxes)
 
@@ -65,13 +74,15 @@ def group_cluster(tree: LayoutTree) -> list[OrderUnit]:
             if _is_anchor_side(node, other_node):
                 partner_of[other] = node.id
 
+    partners_of: dict[str, list[LayoutNode]] = {}
+    for pid, aid in partner_of.items():
+        partners_of.setdefault(aid, []).append(nodes[pid])
+
     units: list[OrderUnit] = []
     for node in tree.top_items():
         if node.id in partner_of:
             continue
-        member_nodes = [node] + [
-            nodes[pid] for pid, aid in partner_of.items() if aid == node.id
-        ]
+        member_nodes = [node, *partners_of.get(node.id, ())]
         member_nodes.sort(key=lambda n: (n.box.y0, n.box.x0, n.id))
         units.append(
             OrderUnit(
@@ -86,8 +97,6 @@ def group_cluster(tree: LayoutTree) -> list[OrderUnit]:
 
 
 def _is_anchor_side(node: LayoutNode, other: LayoutNode) -> bool:
-    from .docmodel import ANCHOR_CATEGORIES, PARTNER_CATEGORIES
-
     if node.category in ANCHOR_CATEGORIES and other.category in PARTNER_CATEGORIES:
         return True
     if node.category in PARTNER_CATEGORIES and other.category in ANCHOR_CATEGORIES:
@@ -185,64 +194,186 @@ def gap_tree_order(
     when both share a band (vertical overlap) and u starts clearly further
     left. The precedence graph is topologically sorted; ties and cycles break
     by (y0, x0, id).
+
+    Candidate pairs come from sweeps over the y0-sorted hulls, so the cost
+    grows with candidates plus edges rather than with all pairs; the rule is
+    evaluated on the candidates only, so the edges are exactly the rule's.
     """
     cfg = cfg or EngineConfig()
     n = len(units)
     if n <= 1:
         return [u.unit_id for u in units]
 
-    hulls = [u.hull for u in units]
-    succ: list[set[int]] = [set() for _ in range(n)]
+    units = sorted(units, key=lambda u: u.hull.y0)
+    succ = _precedence_edges([u.hull for u in units], cfg)
     indeg = [0] * n
-
-    def add_edge(i: int, j: int) -> None:
-        if j not in succ[i]:
-            succ[i].add(j)
+    for targets in succ:
+        for j in targets:
             indeg[j] += 1
 
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = hulls[i], hulls[j]
-            overlap_x = min(a.x1, b.x1) - max(a.x0, b.x0)
-            min_w = min(a.width, b.width)
-            if a.y1 <= b.y0 and min_w > 0 and overlap_x / min_w >= cfg.h_overlap:
-                add_edge(i, j)
-                continue
-            overlap_y = min(a.y1, b.y1) - max(a.y0, b.y0)
-            min_h = min(a.height, b.height)
-            same_band = min_h > 0 and overlap_y / min_h >= cfg.v_overlap
-            if same_band and (b.x0 - a.x0) >= cfg.align_tol:
-                add_edge(i, j)
-
-    def sort_key(i: int):
-        return (hulls[i].y0, hulls[i].x0, units[i].unit_id)
-
-    remaining = set(range(n))
-    ready = sorted((i for i in remaining if indeg[i] == 0), key=sort_key)
+    # Unit ids are unique, so the key is a total order and the heap pops
+    # exactly what a re-sorted ready list would.
+    key_of = [(u.hull.y0, u.hull.x0, u.unit_id, i) for i, u in enumerate(units)]
+    by_key = sorted(key_of)
+    ready = [k for k in by_key if indeg[k[3]] == 0]
+    placed = [False] * n
+    first = 0  # every unit before by_key[first] is placed
     order: list[int] = []
-    while remaining:
+    while len(order) < n:
         if not ready:
             # Cycle: release the visually first node and drop its in-edges.
-            victim = min(remaining, key=sort_key)
-            indeg[victim] = 0
-            ready = [victim]
-        i = ready.pop(0)
-        if i not in remaining:
-            continue
-        remaining.discard(i)
+            while placed[by_key[first][3]]:
+                first += 1
+            ready = [by_key[first]]
+            indeg[by_key[first][3]] = 0
+        i = heappop(ready)[3]
+        placed[i] = True
         order.append(i)
-        changed = False
         for j in succ[i]:
-            if j in remaining:
+            if not placed[j]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
-                    ready.append(j)
-                    changed = True
-        if changed:
-            ready.sort(key=sort_key)
+                    heappush(ready, key_of[j])
     return [units[i].unit_id for i in order]
+
+
+Geometry = tuple[float, float, float, float, float, float]  # x0, y0, x1, y1, width, height
+
+
+def _precedes(a: Geometry, b: Geometry, cfg: EngineConfig) -> bool:
+    """The fallback's rule: a fully above b with enough horizontal overlap,
+    or both in one band with b starting clearly further right."""
+    ax0, ay0, ax1, ay1, aw, ah = a
+    bx0, by0, bx1, by1, bw, bh = b
+    overlap_x = min(ax1, bx1) - max(ax0, bx0)
+    min_w = min(aw, bw)
+    if ay1 <= by0 and min_w > 0 and overlap_x / min_w >= cfg.h_overlap:
+        return True
+    overlap_y = min(ay1, by1) - max(ay0, by0)
+    min_h = min(ah, bh)
+    return min_h > 0 and overlap_y / min_h >= cfg.v_overlap and (bx0 - ax0) >= cfg.align_tol
+
+
+def _pad(*values: float) -> float:
+    """A margin far above the rounding error of sums of these values, so
+    that a window widened by it never misses a pair the rule admits."""
+    return 1e-9 * (1.0 + sum(abs(v) for v in values))
+
+
+def _precedence_edges(hulls: list[BoundingBox], cfg: EngineConfig) -> list[list[int]]:
+    """Successor lists of the precedence rule over hulls sorted by y0.
+
+    Two sweeps find the candidates. The band pass tests every pair the band
+    rule can admit: those whose y-intervals overlap, widened by the gap that
+    a v_overlap <= 0 tolerates. The above pass tests the remaining units
+    below, those starting at or after a.y1, whose x-interval meets a's,
+    widened by the gap that an h_overlap <= 0 tolerates. Each pair is tested
+    at most once, so the lists hold no duplicates.
+    """
+    geo = [(h.x0, h.y0, h.x1, h.y1, h.width, h.height) for h in hulls]
+    n = len(geo)
+    h_overlap, v_overlap = cfg.h_overlap, cfg.v_overlap
+    ys = [g[1] for g in geo]
+    tallest = max((g[5] for g in geo if g[5] > 0), default=0.0)
+    succ: list[list[int]] = [[] for _ in range(n)]
+
+    band_end = [0] * n  # units before band_end[i] were tested by the band pass
+    for i, a in enumerate(geo):
+        ay0, ay1, ah = a[1], a[3], a[5]
+        if not ah > 0:
+            continue  # the band rule needs both heights positive
+        reach = -v_overlap * ah if v_overlap <= 0 else 0.0
+        pad = _pad(ay0, ay1, tallest, reach)
+        band_end[i] = bisect_right(ys, ay1 + reach + pad)
+        for j in range(bisect_left(ys, ay0 - reach - tallest - pad), band_end[i]):
+            if j != i and _precedes(a, geo[j], cfg):
+                succ[i].append(j)
+
+    # Sources by descending first unit below them; units are indexed as they
+    # enter that suffix, so each query sees exactly the units below.
+    sources = sorted(
+        ((bisect_left(ys, g[3]), i) for i, g in enumerate(geo) if g[4] > 0), reverse=True
+    )
+    starts: list[int] = []  # the indexed units by ascending x0
+    start_x0: list[float] = []
+    covering = _StabIndex(g[0] for g in geo if g[4] > 0)
+    added = n
+    for below, i in sources:
+        while added > below:
+            added -= 1
+            b = geo[added]
+            if b[4] > 0:  # the above rule needs both widths positive
+                at = bisect_right(start_x0, b[0])
+                start_x0.insert(at, b[0])
+                starts.insert(at, added)
+                covering.add(b[0], b[2], added)
+        ax0, _, ax1, _, aw, _ = geo[i]
+        reach = -h_overlap * aw if h_overlap <= 0 else 0.0
+        pad = _pad(ax0, ax1, reach)
+        lo, hi = ax0 - reach - pad, ax1 + reach + pad
+        candidates = covering.stab(lo) + starts[bisect_left(start_x0, lo):bisect_right(start_x0, hi)]
+        skip = band_end[i]
+        for j in candidates:
+            if j < skip or j == i:
+                continue
+            bx0, _, bx1, _, bw, _ = geo[j]
+            # _precedes' above test, with a.y1 <= b.y0 and both widths > 0 known
+            overlap_x = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+            if overlap_x / (bw if bw < aw else aw) >= h_overlap:
+                succ[i].append(j)
+    return succ
+
+
+class _StabIndex:
+    """Intervals [x0, x1] added over time and stabbed at a point.
+
+    A centred interval tree over fixed centres, which must include every x0
+    that is added. An interval sits at the first node on its root path whose
+    centre it contains, in one list sorted by x0 and one by descending x1, so
+    a stab walks one root path and reads only what it reports.
+    """
+
+    def __init__(self, centres):
+        self._centres = sorted(set(centres))
+        self._by_x0: dict[int, list[tuple[float, int]]] = {}
+        self._by_x1: dict[int, list[tuple[float, int]]] = {}
+
+    def add(self, x0: float, x1: float, item: int) -> None:
+        lo, hi = 0, len(self._centres)
+        while True:
+            mid = (lo + hi) // 2
+            centre = self._centres[mid]
+            if x1 < centre:
+                hi = mid
+            elif x0 > centre:
+                lo = mid + 1
+            else:
+                break
+        insort(self._by_x0.setdefault(mid, []), (x0, item))
+        insort(self._by_x1.setdefault(mid, []), (-x1, item))
+
+    def stab(self, q: float) -> list[int]:
+        """Items whose interval has x0 < q <= x1."""
+        out: list[int] = []
+        lo, hi = 0, len(self._centres)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            centre = self._centres[mid]
+            if q <= centre:
+                for x0, item in self._by_x0.get(mid, ()):
+                    if x0 >= q:
+                        break
+                    out.append(item)
+                if q == centre:
+                    break
+                hi = mid
+            else:
+                for neg_x1, item in self._by_x1.get(mid, ()):
+                    if -neg_x1 < q:
+                        break
+                    out.append(item)
+                lo = mid + 1
+        return out
 
 
 def order_units(tree: LayoutTree, cfg: EngineConfig | None = None) -> list[OrderUnit]:

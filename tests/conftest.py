@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import strategies as st
 
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, Detection, DocumentIR, PageIR, SemanticCategory
+
+# The benchmark's seeded workloads (perfbench/workloads.py) double as test inputs.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 def det(
@@ -42,3 +49,34 @@ def cfg() -> EngineConfig:
 def small_corpus():
     spec = CorpusSpec(seed=11, n_docs=6, pages_min=1, pages_max=3)
     return gen_corpus(spec)
+
+
+# Degenerate geometry for oracle comparisons (in-memory documents skip IR
+# validation). "grid" boxes take both corners from a coarse grid, so shared
+# edges (a.y1 == b.y0, a.x1 == b.x0) and zero widths or heights are common;
+# "free" corners give inverted boxes too.
+GRID = [0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0]
+grid = st.sampled_from(GRID)
+coords = st.one_of(grid, st.floats(0.0, 1.0))
+
+
+@st.composite
+def boxes(draw):
+    shape = draw(st.sampled_from(["grid", "grid", "sized", "free"]))
+    if shape == "grid":
+        x0, x1 = sorted((draw(grid), draw(grid)))
+        y0, y1 = sorted((draw(grid), draw(grid)))
+        return BoundingBox(x0, y0, x1, y1)
+    if shape == "free":
+        return BoundingBox(draw(coords), draw(coords), draw(coords), draw(coords))
+    x0, y0 = draw(coords), draw(coords)
+    return BoundingBox(x0, y0, x0 + draw(st.floats(0.0, 0.3)), y0 + draw(st.floats(0.0, 0.2)))
+
+
+@st.composite
+def box_lists(draw, min_size, max_size):
+    """Boxes, about a fifth of them repeating an earlier one exactly."""
+    distinct = draw(st.lists(boxes(), min_size=min_size, max_size=max_size))
+    if not distinct:
+        return []
+    return distinct + draw(st.lists(st.sampled_from(distinct), max_size=len(distinct) // 4))

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 
+import workloads
+from hypothesis import given, settings, strategies as st
+
 from uniparse.config import EngineConfig
-from uniparse.docmodel import BoundingBox, SemanticCategory as C
+from uniparse.docmodel import BoundingBox, Detection, Layer, SemanticCategory as C
 from uniparse.layout import (
     RelationKind,
     assign_children,
@@ -14,7 +17,7 @@ from uniparse.layout import (
     pair_groups,
 )
 
-from conftest import det
+from conftest import box_lists, det
 
 
 def exhaustive_parent_oracle(child, bottoms, threshold):
@@ -28,6 +31,22 @@ def exhaustive_parent_oracle(child, bottoms, threshold):
         if best is None or key < best:
             best = key
     return None if best is None else best[2]
+
+
+def all_pairs_assign_children(detections, cfg):
+    """Reference assignment: every top-layer child scored against every parent."""
+    bottoms = [d for d in detections if d.layer is Layer.BOTTOM]
+    parent_map, orphans = {}, set()
+    for d in detections:
+        if d.layer is not Layer.TOP:
+            continue
+        parent = (exhaustive_parent_oracle(d, bottoms, cfg.ioa_threshold)
+                  if d.box.area > 0.0 else None)
+        if parent is None:
+            orphans.add(d.id)
+        else:
+            parent_map[d.id] = parent
+    return parent_map, orphans
 
 
 def test_inline_formula_maps_to_paragraph():
@@ -75,6 +94,44 @@ def test_assign_matches_oracle_on_random_layouts():
                 assert child.id in orphans
             else:
                 assert parent_map[child.id] == expected
+
+
+@st.composite
+def mixed_layers(draw):
+    shapes = draw(box_lists(0, 40))
+    categories = st.sampled_from([C.PARAGRAPH, C.TABLE, C.IMAGE, C.FORMULA_INLINE, C.MOLECULE])
+    return [Detection(id=f"d{k:03d}", page_index=0, box=box, category=draw(categories),
+                      confidence=0.9)
+            for k, box in zip(draw(st.permutations(range(len(shapes)))), shapes)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_layers(), st.sampled_from([-0.5, 0.0, 0.5, 1.0]))
+def test_assign_children_matches_all_pairs_oracle(detections, threshold):
+    cfg = EngineConfig(ioa_threshold=threshold)
+    assert assign_children(detections, cfg) == all_pairs_assign_children(detections, cfg)
+
+
+def test_parent_search_scores_only_overlapping_parents(monkeypatch):
+    doc = workloads._dense_page("guard", 300, random.Random("guard"), {})
+    detections = list(doc.pages[0].detections)
+    tops = [d for d in detections if d.layer is Layer.TOP]
+    bottoms = [d for d in detections if d.layer is Layer.BOTTOM]
+    assert len(tops) > 100 and len(bottoms) > 300
+    calls = 0
+    scored = BoundingBox.intersection_area
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return scored(self, other)
+
+    monkeypatch.setattr(BoundingBox, "intersection_area", counted)
+    cfg = EngineConfig()
+    got = assign_children(detections, cfg)
+    # All pairs would score len(tops) * len(bottoms) (> 30,000) boxes.
+    assert calls < 10 * len(tops)
+    assert got == all_pairs_assign_children(detections, cfg)
 
 
 def _rand_box(rng, small=False):

@@ -3,6 +3,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import workloads
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+
+from uniparse import ordering
 from uniparse.config import EngineConfig
 from uniparse.docmodel import BoundingBox, SemanticCategory as C, hull_of
 from uniparse.layout import build_layout_tree, build_page_tree, pair_groups
@@ -11,6 +15,8 @@ from uniparse.ordering import (
     Leaf,
     OrderUnit,
     VCut,
+    _StabIndex,
+    _precedence_edges,
     cut_leaves,
     gap_tree_order,
     group_cluster,
@@ -19,7 +25,7 @@ from uniparse.ordering import (
     xy_cut,
 )
 
-from conftest import det
+from conftest import GRID, box_lists, det
 
 
 def unit(uid, box, category=C.PARAGRAPH, page=0):
@@ -88,6 +94,99 @@ def brute_force_consistent_orders(units, cfg):
         if all(pos[i] < pos[j] for i, j in must_precede):
             out.append([units[i].unit_id for i in perm])
     return out
+
+
+def all_pairs_edges(hulls, cfg):
+    """Reference precedence rule: every ordered pair of hulls tested."""
+    edges = set()
+    for i, a in enumerate(hulls):
+        for j, b in enumerate(hulls):
+            if i == j:
+                continue
+            overlap_x = min(a.x1, b.x1) - max(a.x0, b.x0)
+            min_w = min(a.width, b.width)
+            if a.y1 <= b.y0 and min_w > 0 and overlap_x / min_w >= cfg.h_overlap:
+                edges.add((i, j))
+                continue
+            overlap_y = min(a.y1, b.y1) - max(a.y0, b.y0)
+            min_h = min(a.height, b.height)
+            same_band = min_h > 0 and overlap_y / min_h >= cfg.v_overlap
+            if same_band and (b.x0 - a.x0) >= cfg.align_tol:
+                edges.add((i, j))
+    return edges
+
+
+def all_pairs_gap_tree_order(units, region=None, cfg=None):
+    """Reference fallback: the all-pairs edges, Kahn's algorithm over a ready
+    list re-sorted by (y0, x0, id) after each release, and a cycle broken at
+    the visually first remaining unit."""
+    cfg = cfg or EngineConfig()
+    n = len(units)
+    if n <= 1:
+        return [u.unit_id for u in units]
+
+    hulls = [u.hull for u in units]
+    succ: list[set[int]] = [set() for _ in range(n)]
+    indeg = [0] * n
+    for i, j in all_pairs_edges(hulls, cfg):
+        succ[i].add(j)
+        indeg[j] += 1
+
+    def sort_key(i: int):
+        return (hulls[i].y0, hulls[i].x0, units[i].unit_id)
+
+    remaining = set(range(n))
+    ready = sorted((i for i in remaining if indeg[i] == 0), key=sort_key)
+    order: list[int] = []
+    while remaining:
+        if not ready:
+            victim = min(remaining, key=sort_key)
+            indeg[victim] = 0
+            ready = [victim]
+        i = ready.pop(0)
+        if i not in remaining:
+            continue
+        remaining.discard(i)
+        order.append(i)
+        changed = False
+        for j in succ[i]:
+            if j in remaining:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    ready.append(j)
+                    changed = True
+        if changed:
+            ready.sort(key=sort_key)
+    return [units[i].unit_id for i in order]
+
+
+def _units(draw, shapes):
+    ids = draw(st.permutations(range(len(shapes))))
+    return [OrderUnit(f"u{k:03d}", 0, C.PARAGRAPH, (b,), (f"u{k:03d}",))
+            for k, b in zip(ids, shapes)]
+
+
+@st.composite
+def unit_lists(draw):
+    return _units(draw, draw(box_lists(0, 40)))
+
+
+@st.composite
+def crowded_unit_lists(draw):
+    """25-62 drawn boxes repeated on a half-page lattice: 225-558 units,
+    with copies sharing edges across the lattice."""
+    shapes = draw(box_lists(25, 50))
+    offsets = (0.0, 0.5, 1.0)
+    return _units(draw, [BoundingBox(b.x0 + dx, b.y0 + dy, b.x1 + dx, b.y1 + dy)
+                         for dx in offsets for dy in offsets for b in shapes])
+
+
+order_configs = st.builds(
+    EngineConfig,
+    h_overlap=st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]),
+    v_overlap=st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]),
+    align_tol=st.sampled_from([-0.02, 0.0, 0.02]),
+)
 
 
 # --- group clustering --------------------------------------------------------
@@ -251,6 +350,56 @@ def test_cycle_broken_deterministically():
     first = gap_tree_order(units)
     assert sorted(first) == ["a", "b", "c", "d"]
     assert gap_tree_order(list(reversed(units))) == first
+
+
+def assert_matches_all_pairs(units, cfg):
+    hulls = sorted((u.hull for u in units), key=lambda h: h.y0)
+    edges = [(i, j) for i, targets in enumerate(_precedence_edges(hulls, cfg)) for j in targets]
+    assert len(edges) == len(set(edges))
+    assert set(edges) == all_pairs_edges(hulls, cfg)
+    assert gap_tree_order(units, cfg=cfg) == all_pairs_gap_tree_order(units, cfg=cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_lists(), order_configs)
+def test_gap_tree_order_matches_all_pairs_oracle(units, cfg):
+    assert_matches_all_pairs(units, cfg)
+
+
+# No shrinking: a failing crowded page is reported as found, since shrinking
+# hundreds of units takes minutes; the small-page test shrinks its failures.
+@settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.large_base_example])
+@given(crowded_unit_lists(), order_configs)
+def test_gap_tree_order_matches_oracle_on_crowded_pages(units, cfg):
+    assert_matches_all_pairs(units, cfg)
+
+
+intervals = st.lists(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID)).map(sorted),
+                     max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(intervals, st.lists(st.sampled_from(GRID) | st.floats(-0.5, 1.5), max_size=6))
+def test_stab_index_finds_exactly_the_covering_intervals(spans, queries):
+    index = _StabIndex(x0 for x0, _ in spans)
+    for k, (x0, x1) in enumerate(spans):
+        index.add(x0, x1, k)
+    for q in queries:
+        found = index.stab(q)
+        assert len(found) == len(set(found))
+        assert set(found) == {k for k, (x0, x1) in enumerate(spans) if x0 < q <= x1}
+
+
+def test_order_units_matches_oracle_on_dense_benchmark_pages(monkeypatch, cfg):
+    trees = [build_page_tree(page.page_index, list(page.detections), cfg)
+             for seed in (0, 1, 2) for doc in workloads.build("dense", seed).docs
+             for page in doc.pages]
+    got = [[u.unit_id for u in order_units(tree, cfg)] for tree in trees]
+    monkeypatch.setattr(ordering, "gap_tree_order", all_pairs_gap_tree_order)
+    want = [[u.unit_id for u in order_units(tree, cfg)] for tree in trees]
+    assert len(trees) == 33
+    assert got == want
 
 
 # --- reading_order -----------------------------------------------------------
