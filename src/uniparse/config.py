@@ -46,7 +46,12 @@ class EngineConfig:
     backoff_ms: float = 10.0
     max_in_flight_docs: int = 8
 
-    # runtime: modeled CPU stage costs (virtual milliseconds)
+    # runtime: modeled CPU stage costs (virtual milliseconds). These are
+    # synthetic: they set the simulator's virtual clock and were not
+    # calibrated against any machine. Measured real time over modelled time
+    # (model.<stage>.measured_over_modelled in BENCH_6.json, reference
+    # workload, seed 1): layout 0.077, dispatch 0.030, gather 0.020,
+    # consolidate 0.043, format 0.614.
     preprocess_ms_per_page: float = 4.0
     layout_ms_per_page: float = 10.0
     dispatch_ms_per_task: float = 0.2

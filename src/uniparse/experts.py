@@ -339,11 +339,10 @@ def responses_to_wire(responses: list[ExpertResponse]) -> dict:
 class RemoteExpert:
     """Speaks the batch wire schema against a remote expert service."""
 
-    def __init__(self, endpoint: str, modality: str, timeout_s: float = 10.0, max_batch: int = 16):
+    def __init__(self, endpoint: str, modality: str, timeout_s: float = 10.0):
         self.endpoint = endpoint.rstrip("/")
         self.modality = modality
         self.timeout_s = timeout_s
-        self.max_batch = max_batch
         self._session = requests.Session()
 
     def process_batch(self, batch: list[ExpertRequest], attempt: int = 0) -> list[ExpertResponse]:
