@@ -21,7 +21,13 @@ from .docmodel import (
     load_document,
     save_document,
 )
-from .engine import MockBackend, RemoteBackend, StrictModeFailure, process_document
+from .engine import (
+    MockBackend,
+    RemoteBackend,
+    StrictModeFailure,
+    analyze_pages,
+    process_document,
+)
 from .experts import DocumentStore, ExpertError, default_descriptors
 from .formats import chunk, chunks_to_jsonl, to_html, to_markdown, to_structured
 from .layout import group_pairs, tree_to_dict
@@ -120,8 +126,6 @@ def _workload(seed: int, n_docs: int) -> list[DocumentIR]:
 
 
 def _emit_order_record(doc: DocumentIR, cfg: EngineConfig) -> dict:
-    from .engine import analyze_pages
-
     analyses = analyze_pages(doc, cfg)
     pages = []
     for analysis in analyses:
@@ -150,8 +154,6 @@ def cmd_parse(args) -> int:
     for input_path in args.inputs:
         doc = load_document(input_path)
         if args.emit == "layout":
-            from .engine import analyze_pages
-
             payload = canonical_json(
                 {"doc_id": doc.doc_id,
                  "pages": [tree_to_dict(a.tree) for a in analyze_pages(doc, cfg)]}
@@ -183,6 +185,9 @@ def cmd_parse(args) -> int:
             print(f"strict mode: {exc}", file=sys.stderr)
             exit_code = 2
             continue
+        finally:
+            if isinstance(backend, RemoteBackend):
+                backend.close()
         parsed = result.parsed
         if args.fmt == "structured":
             payload, ext = to_structured(parsed), "structured.json"

@@ -59,6 +59,16 @@ def analyze_pages(doc: DocumentIR, cfg: EngineConfig | None = None) -> list[Page
     return out
 
 
+def analyze_and_plan(
+    doc: DocumentIR, cfg: EngineConfig | None = None, only_modality: str | None = None
+) -> tuple[list[PageAnalysis], DispatchPlan]:
+    """Page analyses and the dispatch plan built from their layout trees:
+    everything about a document that comes before its experts."""
+    analyses = analyze_pages(doc, cfg)
+    return analyses, plan_document(doc, [a.tree for a in analyses], cfg,
+                                   only_modality=only_modality)
+
+
 class MockBackend:
     """Runs batches against in-process mock experts."""
 
@@ -91,6 +101,10 @@ class RemoteBackend:
         return self._experts[modality].process_batch(
             [t.to_request() for t in batch], attempt=attempt
         )
+
+    def close(self) -> None:
+        for expert in self._experts.values():
+            expert.close()
 
 
 def form_batches(
@@ -260,8 +274,7 @@ def process_document(
     cfg = cfg or EngineConfig()
     if backend is None:
         backend = MockBackend(DocumentStore([doc]))
-    analyses = analyze_pages(doc, cfg)
-    plan = plan_document(doc, [a.tree for a in analyses], cfg, only_modality=only_modality)
+    analyses, plan = analyze_and_plan(doc, cfg, only_modality)
     batches = form_batches(plan.tasks, cfg.max_batch, backend_batch_caps(backend))
     outcomes = run_batches(batches, backend, max_retries=cfg.max_retries)
     result = assemble_document(doc, cfg, analyses, plan, outcomes)

@@ -366,8 +366,5 @@ class RemoteExpert:
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(response.status_code, response.text) from exc
 
-
-def remote_expert_call(
-    endpoint: str, modality: str, batch: list[ExpertRequest], timeout_s: float = 10.0
-) -> list[ExpertResponse]:
-    return RemoteExpert(endpoint, modality, timeout_s=timeout_s).process_batch(batch)
+    def close(self) -> None:
+        self._session.close()

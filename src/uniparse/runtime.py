@@ -1,5 +1,11 @@
 """Pipeline execution engine and simulator.
 
+Each document is laid out and planned once, before the event loop, so the
+simulator only schedules: its layout stage charges layout_ms_per_page and
+computes nothing. Layout and planning read neither the mode, the worker count
+nor the descriptor table, so compare_modes and simulate_scaling share one set
+of plans across their runs.
+
 A virtual (discrete-event) clock drives one driver over the document stream.
 Every mode runs the same stage workers (preprocess, layout, dispatch, gather,
 consolidate, format) and the same expert pool, and finishes documents with
@@ -44,17 +50,17 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .config import EngineConfig
-from .dispatch import Batch, QueueState, TaskFailure, batch_stack
+from .dispatch import Batch, DispatchPlan, QueueState, TaskFailure, batch_stack
 from .docmodel import DocumentIR
 from .engine import (
     MockBackend,
+    PageAnalysis,
     StrictModeFailure,
-    analyze_pages,
+    analyze_and_plan,
     assemble_document,
     backend_batch_caps,
     call_batch,
     form_batches,
-    plan_document,
 )
 from .experts import DocumentStore, ExpertDescriptor, default_descriptors
 from .formats import ParsedDocument
@@ -106,7 +112,7 @@ class ExpertStageMetrics:
     batches: int
     tasks: int
     retries: int
-    utilization: float
+    utilization: float  # busy_ms / wall_ms summed over replicas, so it can exceed 1
 
 
 @dataclass
@@ -122,7 +128,7 @@ class PipelineMetrics:
     per_expert: list[ExpertStageMetrics]
     queue_depth_hist: dict[str, dict[int, int]]
     max_queue_depth: dict[str, int]
-    doc_latency_ms: dict[str, float]
+    doc_latency_ms: dict[str, float]  # completion time since t=0, not admission to done
     tasks_dispatched: int
     tasks_completed: int
     tasks_failed: int
@@ -219,13 +225,13 @@ class _Sim:
 
 
 class _DocJob:
-    def __init__(self, index: int, doc: DocumentIR):
+    def __init__(self, index: int, doc: DocumentIR, analyses: list[PageAnalysis],
+                 plan: DispatchPlan):
         self.index = index
         self.doc = doc
-        self.analyses = None
-        self.plan = None
+        self.analyses = analyses
+        self.plan = plan
         self.outcomes: dict = {}
-        self.pending = 0
         self.dispatch_done = False
         self.gathering = False
         self.parsed: ParsedDocument | None = None
@@ -326,17 +332,17 @@ class _ExpertPool:
     """
 
     def __init__(self, sim, config: PipelineConfig, backend: MockBackend, collector: _Collector,
-                 on_task_done: Callable, workers: int):
+                 on_task_done: Callable, on_drain: Callable[[], None], workers: int):
         self.sim = sim
         self.config = config
         self.backend = backend
         self.collector = collector
         self.on_task_done = on_task_done
+        # invoked whenever a batch leaves the ready queue (backpressure relief)
+        self.on_drain = on_drain
         self.free: list[int] = list(range(workers))
         self.in_flight: dict[str, int] = {m: 0 for m in backend.descriptors}
         self.ready: dict[str, deque] = {m: deque() for m in backend.descriptors}
-        # invoked whenever a batch leaves the ready queue (backpressure relief)
-        self.on_drain: Callable[[], None] | None = None
 
     @property
     def descriptors(self) -> dict[str, ExpertDescriptor]:
@@ -368,8 +374,7 @@ class _ExpertPool:
             outcomes = call_batch(self.backend, batch, batch.attempt,
                                   self.config.engine.max_retries)
             self.sim.after(latency, lambda w=worker, b=batch, o=outcomes: self._complete(w, b, o))
-            if self.on_drain is not None:
-                self.on_drain()
+            self.on_drain()
 
     def _take(self, modality: str) -> Batch:
         """Pop the head batch, re-split to the expert's current max_batch: a
@@ -406,32 +411,43 @@ class _ExpertPool:
 # ---------------------------------------------------------------------------
 
 
+_Planned = tuple[DocumentIR, list[PageAnalysis], DispatchPlan]
+
+
 def run_pipeline(
     docs: list[DocumentIR], config: PipelineConfig
 ) -> tuple[list[ParsedDocument], PipelineMetrics]:
     """Run the document stream under the configured mode and virtual clock."""
-    store = DocumentStore(docs)
+    return _simulate(_plan_docs(docs, config.engine), config)
+
+
+def _plan_docs(docs: list[DocumentIR], engine: EngineConfig) -> list[_Planned]:
+    """Every document's page analyses and dispatch plan, as _simulate takes them."""
+    return [(doc, *analyze_and_plan(doc, engine)) for doc in docs]
+
+
+def _simulate(
+    planned: list[_Planned], config: PipelineConfig
+) -> tuple[list[ParsedDocument], PipelineMetrics]:
+    """The event loop over laid-out and planned documents."""
+    store = DocumentStore([doc for doc, _analyses, _plan in planned])
     backend = MockBackend(store, config.resolved_experts())
     collector = _Collector(config.engine.workers)
     sim = _Sim()
-    jobs = [_DocJob(i, doc) for i, doc in enumerate(docs)]
-    swap = _descriptor_swapper(config, backend)
-    _drive(sim, jobs, config, backend, collector, swap)
+    jobs = [_DocJob(i, *p) for i, p in enumerate(planned)]
+    _drive(sim, jobs, config, backend, collector)
     sim.run()
 
     wall = sim.now
     pages = sum(len(j.doc.pages) for j in jobs)
     metrics = collector.finish(config.mode, wall, len(jobs), pages)
-    outputs = []
-    failed_doc = None
     for job in jobs:
         if job.parsed is None:
             raise RuntimeError(f"document {job.doc.doc_id} never completed")
-        outputs.append(job.parsed)
-        if job.parsed.failed_tasks and failed_doc is None:
-            failed_doc = job.parsed
-    if config.strict and failed_doc is not None:
-        raise StrictModeFailure(failed_doc.doc_id, list(failed_doc.failed_tasks))
+    outputs = [job.parsed for job in jobs]
+    failed = [parsed for parsed in outputs if parsed.failed_tasks]
+    if config.strict and failed:
+        raise StrictModeFailure(failed[0].doc_id, list(failed[0].failed_tasks))
     return outputs, metrics
 
 
@@ -447,21 +463,14 @@ def _descriptor_swapper(config: PipelineConfig, backend: MockBackend) -> Callabl
     return swap
 
 
-def _prepare(job: _DocJob, config: PipelineConfig) -> None:
-    job.analyses = analyze_pages(job.doc, config.engine)
-    job.plan = plan_document(job.doc, [a.tree for a in job.analyses], config.engine)
-    job.pending = len(job.plan.tasks)
-
-
 class _StageWorker:
     """Single-threaded stage with a FIFO of jobs and a modeled cost."""
 
-    def __init__(self, sim, collector, name: str, cost_fn, work_fn, done_fn):
+    def __init__(self, sim, collector, name: str, cost_fn, done_fn):
         self.sim = sim
         self.collector = collector
         self.name = name
         self.cost_fn = cost_fn
-        self.work_fn = work_fn
         self.done_fn = done_fn
         self.queue: deque = deque()
         self.busy = False
@@ -475,8 +484,6 @@ class _StageWorker:
             return
         job = self.queue.popleft()
         self.busy = True
-        if self.work_fn is not None:
-            self.work_fn(job)
         cost = self.cost_fn(job)
         self.collector.charge_stage(self.name, cost)
 
@@ -488,7 +495,7 @@ class _StageWorker:
         self.sim.after(cost, complete)
 
 
-def _drive(sim, jobs, config, backend, collector, swap) -> None:
+def _drive(sim, jobs, config, backend, collector) -> None:
     """The one driver: the mode sets how many documents are in flight, how
     many expert workers serve them, and whether tasks stream or are held."""
     engine = config.engine
@@ -497,6 +504,7 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
     workers = 1 if config.mode is Mode.SEQUENTIAL else engine.workers
     jobs_by_doc = {j.doc.doc_id: j for j in jobs}
     admission = deque(jobs)
+    swap = _descriptor_swapper(config, backend)
     state = {"in_flight": 0}
 
     task_queues: dict[str, QueueState] = {m: QueueState(m) for m in backend.descriptors}
@@ -506,17 +514,23 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
     def on_task_done(task, outcome) -> None:
         job = jobs_by_doc[task.doc_id]
         job.outcomes[task.task_id] = outcome
-        job.pending -= 1
         maybe_gather(job)
 
-    pool = _ExpertPool(sim, config, backend, collector, on_task_done, workers)
-
     def maybe_gather(job) -> None:
-        if job.dispatch_done and job.pending == 0 and not job.gathering:
+        if (job.dispatch_done and len(job.outcomes) == len(job.plan.tasks)
+                and not job.gathering):
             job.gathering = True
             gather_worker.submit(job)
 
-    pool.on_drain = lambda: wake_dispatchers()
+    def wake_dispatchers() -> None:
+        # Drain a snapshot: a still-blocked producer re-registers itself and
+        # must wait for the next wake, not spin here.
+        pending = list(waiting_dispatch)
+        waiting_dispatch.clear()
+        for resume in pending:
+            resume()
+
+    pool = _ExpertPool(sim, config, backend, collector, on_task_done, wake_dispatchers, workers)
 
     # --- batching over bounded task queues ---------------------------------
 
@@ -550,20 +564,10 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
 
         sim.at(deadline, fire)
 
-    def wake_dispatchers() -> None:
-        # Drain a snapshot: a still-blocked producer re-registers itself and
-        # must wait for the next wake, not spin here.
-        pending = list(waiting_dispatch)
-        waiting_dispatch.clear()
-        for resume in pending:
-            resume()
-
     # --- stage workers ------------------------------------------------------
 
     def admit_next() -> None:
-        if not admission:
-            return
-        if state["in_flight"] >= docs_in_flight:
+        if not admission or state["in_flight"] >= docs_in_flight:
             return
         job = admission.popleft()
         swap(job.index)
@@ -573,14 +577,12 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
     preprocess_worker = _StageWorker(
         sim, collector, "preprocess",
         cost_fn=lambda j: engine.preprocess_ms_per_page * max(len(j.doc.pages), 1),
-        work_fn=None,
         done_fn=lambda j: layout_worker.submit(j),
     )
 
     layout_worker = _StageWorker(
         sim, collector, "layout",
         cost_fn=lambda j: engine.layout_ms_per_page * max(len(j.doc.pages), 1),
-        work_fn=lambda j: _prepare(j, config),
         done_fn=lambda j: dispatcher.submit(j),
     )
 
@@ -648,7 +650,6 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
         dispatcher = _StageWorker(
             sim, collector, "dispatch",
             cost_fn=lambda j: engine.dispatch_ms_per_task * len(j.plan.tasks),
-            work_fn=None,
             done_fn=dispatched,
         )
 
@@ -656,14 +657,12 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
         sim, collector, "gather",
         cost_fn=lambda j: engine.gather_ms_per_doc
         + engine.gather_ms_per_task * len(j.plan.tasks),
-        work_fn=None,
         done_fn=lambda j: consolidate_worker.submit(j),
     )
 
     consolidate_worker = _StageWorker(
         sim, collector, "consolidate",
         cost_fn=lambda j: engine.consolidate_ms_per_doc,
-        work_fn=None,
         done_fn=lambda j: format_worker.submit(j),
     )
 
@@ -677,15 +676,11 @@ def _drive(sim, jobs, config, backend, collector, swap) -> None:
     format_worker = _StageWorker(
         sim, collector, "format",
         cost_fn=lambda j: engine.format_ms_per_doc,
-        work_fn=None,
         done_fn=complete,
     )
 
-    def start() -> None:
-        for _ in range(docs_in_flight):
-            admit_next()
-
-    sim.at(0.0, start)
+    for _ in range(docs_in_flight):
+        admit_next()
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +734,11 @@ def simulate_scaling(
     """Same seeded workload under each worker count, with a least-squares fit."""
     if not worker_counts or sorted(worker_counts) != list(worker_counts):
         raise ValueError("worker_counts must be nonempty and ascending")
+    planned = _plan_docs(docs, config.engine)
     points = []
     for n in worker_counts:
         cfg = dataclasses.replace(config, engine=config.engine.copy(workers=n))
-        _outputs, metrics = run_pipeline(docs, cfg)
+        _outputs, metrics = _simulate(planned, cfg)
         points.append(ScalingPoint(workers=n, throughput_pps=metrics.throughput_pps))
     xs = [p.workers for p in points]
     ys = [p.throughput_pps for p in points]
@@ -784,9 +780,10 @@ def bubble_report(metrics: PipelineMetrics) -> dict:
 
 def compare_modes(docs: list[DocumentIR], config: PipelineConfig) -> dict:
     """The three-way mode comparison on one workload."""
+    planned = _plan_docs(docs, config.engine)
     rows = []
     for mode in (Mode.SEQUENTIAL, Mode.PARALLEL_GATHER, Mode.PIPELINE_PARALLEL):
-        _outputs, metrics = run_pipeline(docs, dataclasses.replace(config, mode=mode))
+        _outputs, metrics = _simulate(planned, dataclasses.replace(config, mode=mode))
         rows.append(bubble_report(metrics))
     return {"workload_docs": len(docs), "modes": rows}
 

@@ -14,9 +14,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import EngineConfig
-from .dispatch import plan_document
 from .docmodel import DocumentIR
-from .engine import analyze_pages
+from .engine import analyze_and_plan
 from .experts import (
     DocumentStore,
     ExpertRequest,
@@ -38,8 +37,7 @@ class EchoExpertService:
         self.store = DocumentStore(docs)
         self._placeholders: dict[tuple[str, str], tuple[str, ...]] = {}
         for doc in docs:
-            analyses = analyze_pages(doc, self.cfg)
-            plan = plan_document(doc, [a.tree for a in analyses], self.cfg)
+            _analyses, plan = analyze_and_plan(doc, self.cfg)
             for task in plan.tasks:
                 self._placeholders[(doc.doc_id, task.detection_id)] = task.placeholders
 

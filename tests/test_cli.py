@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -160,29 +161,30 @@ def test_config_env_var_fallback(tmp_path, corpus_dir, capsys, monkeypatch):
 
 
 def test_serve_echo_subprocess_round_trip(corpus_dir):
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "uniparse.cli", "serve-echo", "--port", "0",
          "--ir", str(corpus_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        line = proc.stdout.readline()
-        match = re.search(r"on (http://[\d.]+:\d+)", line)
-        assert match, line
-        endpoint = match.group(1)
-        from uniparse.docmodel import load_document
-        from uniparse.engine import MockBackend, RemoteBackend, process_document
-        from uniparse.experts import DocumentStore
-        from uniparse.formats import to_structured
-
-        doc = load_document(corpus_dir / "d000.ir.json")
-        docs = [load_document(p) for p in sorted(corpus_dir.glob("*.ir.json"))]
-        remote = process_document(doc, backend=RemoteBackend(endpoint))
-        local = process_document(doc, backend=MockBackend(DocumentStore(docs)))
-        assert to_structured(remote.parsed) == to_structured(local.parsed)
-    finally:
-        proc.send_signal(signal.SIGINT)
+    ) as proc:
         try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+            line = proc.stdout.readline()
+            match = re.search(r"on (http://[\d.]+:\d+)", line)
+            assert match, line
+            endpoint = match.group(1)
+            from uniparse.docmodel import load_document
+            from uniparse.engine import MockBackend, RemoteBackend, process_document
+            from uniparse.experts import DocumentStore
+            from uniparse.formats import to_structured
+
+            doc = load_document(corpus_dir / "d000.ir.json")
+            docs = [load_document(p) for p in sorted(corpus_dir.glob("*.ir.json"))]
+            with closing(RemoteBackend(endpoint)) as backend:
+                remote = process_document(doc, backend=backend)
+            local = process_document(doc, backend=MockBackend(DocumentStore(docs)))
+            assert to_structured(remote.parsed) == to_structured(local.parsed)
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()

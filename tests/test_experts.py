@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -24,7 +25,6 @@ from uniparse.experts import (
     _substitute_grid_markers,
     batch_to_wire,
     mock_payload,
-    remote_expert_call,
     substitute_markers,
 )
 from uniparse.payloads import (
@@ -144,7 +144,8 @@ def test_order_preservation_conformance(small_corpus):
             mock = MockExpert(ExpertDescriptor(modality), store)
             got_mock = mock.process_batch(batch)
             assert [r.task_id for r in got_mock] == [r.task_id for r in batch]
-            got_remote = remote_expert_call(srv.endpoint, modality, batch)
+            with closing(RemoteExpert(srv.endpoint, modality)) as expert:
+                got_remote = expert.process_batch(batch)
             assert [r.task_id for r in got_remote] == [r.task_id for r in batch]
 
 
@@ -160,8 +161,8 @@ def test_echo_server_payloads_match_mock(small_corpus):
             requests.append(ExpertRequest(f"{doc.doc_id}/{d.id}", "ocr", doc.doc_id,
                                           d.page_index, d.id))
     assert requests
-    with EchoServerThread(docs) as srv:
-        remote = remote_expert_call(srv.endpoint, "ocr", requests)
+    with EchoServerThread(docs) as srv, closing(RemoteExpert(srv.endpoint, "ocr")) as expert:
+        remote = expert.process_batch(requests)
     mock = MockExpert(ExpertDescriptor("ocr"), store).process_batch(requests)
     assert [r.payload for r in remote] == [r.payload for r in mock]
 
@@ -199,40 +200,44 @@ def test_remote_503_is_retryable():
     server = _stub_server(503)
     try:
         expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with pytest.raises(RetryableExpertError):
+        with closing(expert), pytest.raises(RetryableExpertError):
             expert.process_batch([request_for("b1", "ocr")])
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_remote_400_is_fatal():
     server = _stub_server(400)
     try:
         expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with pytest.raises(FatalExpertError):
+        with closing(expert), pytest.raises(FatalExpertError):
             expert.process_batch([request_for("b1", "ocr")])
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_remote_truncated_body_is_protocol_error():
     server = _stub_server(200, body=b'{"items": [{"task_id"')
     try:
         expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with pytest.raises(ProtocolError):
+        with closing(expert), pytest.raises(ProtocolError):
             expert.process_batch([request_for("b1", "ocr")])
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_remote_unexpected_status_is_protocol_error():
     server = _stub_server(418)
     try:
         expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with pytest.raises(ProtocolError):
+        with closing(expert), pytest.raises(ProtocolError):
             expert.process_batch([request_for("b1", "ocr")])
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_timeout_is_retryable_subclass():

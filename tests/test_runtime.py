@@ -1,16 +1,23 @@
 from __future__ import annotations
 
-import pytest
+import dataclasses
+from collections import Counter
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import uniparse.engine
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, Detection, DocumentIR, PageIR, SemanticCategory as C
-from uniparse.engine import MockBackend, StrictModeFailure, process_document
+from uniparse.engine import MockBackend, StrictModeFailure, analyze_and_plan, process_document
 from uniparse.experts import (
     DocumentStore,
     ExpertDescriptor,
     ExpertResponse,
     LatencyModel,
+    MockExpert,
     ProtocolError,
     RetryableExpertError,
     default_descriptors,
@@ -413,6 +420,37 @@ def test_no_task_loss_with_failures_and_retries():
     assert metrics.tasks_dispatched == metrics.tasks_completed + metrics.tasks_failed
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    failure_rate=st.floats(0.0, 1.0),
+    max_retries=st.integers(0, 3),
+    engine_cap=st.integers(1, 8),
+    expert_cap=st.integers(1, 8),
+)
+def test_tasks_conserved_under_random_failures_in_every_mode(seed, failure_rate, max_retries,
+                                                             engine_cap, expert_cap):
+    docs, _ = gen_corpus(CorpusSpec(seed=seed, n_docs=3, pages_min=1, pages_max=2))
+    engine = EngineConfig(max_batch=engine_cap, max_retries=max_retries, backoff_ms=5.0)
+    planned = sum(len(analyze_and_plan(doc, engine)[1].tasks) for doc in docs)
+    experts = default_descriptors(max_batch=expert_cap, seed=seed + 1, failure_rate=failure_rate)
+    sizes = []
+    real_process_batch = MockExpert.process_batch
+
+    def recording(self, batch, attempt=0):
+        sizes.append((len(batch), self.descriptor.max_batch))
+        return real_process_batch(self, batch, attempt)
+
+    with mock.patch.object(MockExpert, "process_batch", recording):
+        for mode in Mode:
+            config = PipelineConfig(mode=mode, engine=engine, experts=experts, seed=seed + 1)
+            outs, metrics = run_pipeline(docs, config)
+            assert [p.doc_id for p in outs] == [d.doc_id for d in docs]
+            assert metrics.tasks_dispatched == planned
+            assert metrics.tasks_dispatched == metrics.tasks_completed + metrics.tasks_failed
+    assert all(size <= cap for size, cap in sizes)
+
+
 def test_strict_mode_raises_on_fatal_tasks():
     docs = [ocr_only_doc("a", 4)]
     config = PipelineConfig(
@@ -476,6 +514,41 @@ def test_scaling_consistent_with_single_run():
     report = simulate_scaling(docs, [1], config)
     _outs, metrics = run_pipeline(docs, config)
     assert report.points[0].throughput_pps == pytest.approx(metrics.throughput_pps)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda docs, config: compare_modes(docs, config),
+    lambda docs, config: simulate_scaling(docs, [1, 2, 4], config),
+], ids=["compare_modes", "simulate_scaling"])
+def test_sweeps_lay_out_each_document_once(monkeypatch, sweep):
+    docs, _ = gen_corpus(CorpusSpec(seed=5, n_docs=6, pages_min=1, pages_max=2))
+    calls = Counter()
+    real_analyze_pages = uniparse.engine.analyze_pages
+
+    def counting(doc, cfg=None):
+        calls[doc.doc_id] += 1
+        return real_analyze_pages(doc, cfg)
+
+    # analyze_and_plan looks analyze_pages up in uniparse.engine
+    monkeypatch.setattr(uniparse.engine, "analyze_pages", counting)
+    sweep(docs, PipelineConfig(engine=EngineConfig(), seed=0))
+    assert calls == Counter(d.doc_id for d in docs)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_sweeps_match_separate_runs(swap):
+    docs, _ = gen_corpus(CorpusSpec(seed=7, n_docs=8, pages_min=1, pages_max=3))
+    updates = ((3, default_descriptors(max_batch=3, replicas=1, seed=2)),) if swap else ()
+    config = PipelineConfig(engine=EngineConfig(), experts=default_descriptors(seed=2), seed=2,
+                            descriptor_updates=updates)
+    rows = [bubble_report(run_pipeline(docs, dataclasses.replace(config, mode=mode))[1])
+            for mode in (Mode.SEQUENTIAL, Mode.PARALLEL_GATHER, Mode.PIPELINE_PARALLEL)]
+    assert compare_modes(docs, config) == {"workload_docs": len(docs), "modes": rows}
+    counts = [1, 2, 4]
+    separate = [run_pipeline(docs, dataclasses.replace(config, engine=config.engine.copy(
+        workers=n)))[1].throughput_pps for n in counts]
+    report = simulate_scaling(docs, counts, config)
+    assert [p.throughput_pps for p in report.points] == separate
 
 
 def test_scaling_rejects_bad_counts():
