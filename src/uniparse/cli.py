@@ -150,6 +150,16 @@ def cmd_parse(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    remote = RemoteBackend(args.expert_endpoint) if args.expert_endpoint else None
+    try:
+        return _parse_inputs(args, cfg, out_dir, remote)
+    finally:
+        if remote is not None:
+            remote.close()
+
+
+def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
+                  remote: RemoteBackend | None) -> int:
     exit_code = 0
     for input_path in args.inputs:
         doc = load_document(input_path)
@@ -171,12 +181,9 @@ def cmd_parse(args) -> int:
                         print(unit_id)
             continue
 
-        if args.expert_endpoint:
-            backend = RemoteBackend(args.expert_endpoint)
-        else:
-            backend = MockBackend(
-                DocumentStore([doc]), default_descriptors(max_batch=cfg.max_batch, seed=args.seed)
-            )
+        backend = remote if remote is not None else MockBackend(
+            DocumentStore([doc]), default_descriptors(max_batch=cfg.max_batch, seed=args.seed)
+        )
         try:
             result = process_document(
                 doc, cfg, backend, only_modality=args.only_modality, strict=args.strict
@@ -185,9 +192,6 @@ def cmd_parse(args) -> int:
             print(f"strict mode: {exc}", file=sys.stderr)
             exit_code = 2
             continue
-        finally:
-            if isinstance(backend, RemoteBackend):
-                backend.close()
         parsed = result.parsed
         if args.fmt == "structured":
             payload, ext = to_structured(parsed), "structured.json"

@@ -63,9 +63,6 @@ class EngineConfig:
     def copy(self, **overrides) -> "EngineConfig":
         return dataclasses.replace(self, **overrides)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def field_names(cls) -> set[str]:
         return {f.name for f in dataclasses.fields(cls)}

@@ -66,21 +66,6 @@ class CorpusSpec:
         if not self.modality_mix or any(w < 0 for w in self.modality_mix.values()):
             raise InvalidSpec("modality_mix must be non-negative weights")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_docs": self.n_docs,
-            "pages_min": self.pages_min,
-            "pages_max": self.pages_max,
-            "columns": self.columns,
-            "modality_mix": dict(self.modality_mix),
-            "merge_prob": self.merge_prob,
-            "jitter_sigma": self.jitter_sigma,
-            "substitution_prob": self.substitution_prob,
-            "cross_page_split_prob": self.cross_page_split_prob,
-            "with_hints": self.with_hints,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
         known = {f for f in cls.__dataclass_fields__}

@@ -8,7 +8,6 @@ one. Failed tasks resolve to "[[FAILED:" + modality + ":" + id + "]]".
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,7 +17,6 @@ from .docmodel import DocumentIR, SemanticCategory
 from .experts import ExpertRequest, ExpertResponse
 from .layout import LayoutNode, LayoutTree
 from .payloads import (
-    INLINE_MARKER,
     Cell,
     ContentPayload,
     TableGrid,
@@ -27,7 +25,6 @@ from .payloads import (
 )
 
 PLACEHOLDER_PREFIX = "[[UPH:"
-PLACEHOLDER_RE = re.compile(r"\[\[UPH:([a-z_]+):([^\]\s]+)\]\]")
 
 ROUTE_TABLE: dict[SemanticCategory, str | None] = {
     SemanticCategory.DOCUMENT_TITLE: "ocr",
@@ -94,8 +91,6 @@ class Task:
     doc_id: str
     page_index: int
     detection_id: str
-    parent_id: str | None = None
-    placeholder: str | None = None
     # For text/table tasks: this detection's own children tokens, in order.
     placeholders: tuple[str, ...] = ()
 
@@ -183,15 +178,12 @@ def plan_document(
     cfg = cfg or EngineConfig()
     plan = DispatchPlan(doc_id=doc.doc_id)
 
-    def add_task(node: LayoutNode, page_index: int, parent: LayoutNode | None) -> None:
+    def add_task(node: LayoutNode, page_index: int) -> None:
         modality = route(node, cfg.captioning_enabled)
         if modality is None:
             return
         if only_modality is not None and modality != only_modality:
             return
-        placeholder = None
-        if parent is not None:
-            placeholder = placeholder_token(node.category, node.id)
         placeholders: tuple[str, ...] = ()
         if node.children:
             tokens, mapping = make_placeholders(node)
@@ -205,17 +197,15 @@ def plan_document(
                 doc_id=doc.doc_id,
                 page_index=page_index,
                 detection_id=node.id,
-                parent_id=parent.id if parent is not None else None,
-                placeholder=placeholder,
                 placeholders=placeholders,
             )
         )
 
     for tree in trees:
         for node in tree.top_items():
-            add_task(node, tree.page_index, None)
+            add_task(node, tree.page_index)
             for child in node.children:
-                add_task(child, tree.page_index, node)
+                add_task(child, tree.page_index)
     return plan
 
 

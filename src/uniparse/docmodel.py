@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .payloads import ContentPayload, payload_from_dict, payload_to_dict
+from .payloads import ContentPayload, Reaction, TableGrid, payload_from_dict, payload_to_dict
 
 IR_VERSION = "1"
 
@@ -344,8 +344,6 @@ def validate_document(doc: DocumentIR) -> ValidationReport:
 
 
 def _validate_payload(det: Detection, report: ValidationReport) -> None:
-    from .payloads import Reaction, TableGrid
-
     p = det.truth_payload
     if isinstance(p, TableGrid) and not p.spans_tile():
         report.findings.append(
@@ -502,7 +500,7 @@ def document_from_dict(data: dict) -> DocumentIR:
     language_tag = str(data.get("language_tag", "en"))
 
     outline = []
-    for i, entry in enumerate(data.get("outline") or ()):
+    for i, entry in enumerate(_list_field(data, "outline", "outline")):
         try:
             outline.append(
                 OutlineEntry(
@@ -516,29 +514,35 @@ def document_from_dict(data: dict) -> DocumentIR:
 
     pages = []
     seen: set[str] = set()
-    for i, page in enumerate(data.get("pages") or ()):
+    for i, page in enumerate(_list_field(data, "pages", "pages")):
+        try:
+            page_index = int(page["page_index"])
+            width_pt = float(page["width_pt"])
+            height_pt = float(page["height_pt"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaViolation(f"pages[{i}]", f"malformed page: {exc}") from exc
         detections = []
-        for j, det in enumerate(page.get("detections") or ()):
-            parsed = _detection_from_dict(det, f"pages[{i}].detections[{j}]")
+        for j, det in enumerate(_list_field(page, "detections", f"pages[{i}].detections")):
+            parsed = _detection_from_dict(det, page_index, f"pages[{i}].detections[{j}]")
             if parsed.id in seen:
                 raise DuplicateId(parsed.id)
             seen.add(parsed.id)
             detections.append(parsed)
-        try:
-            pages.append(
-                PageIR(
-                    page_index=int(page["page_index"]),
-                    width_pt=float(page["width_pt"]),
-                    height_pt=float(page["height_pt"]),
-                    detections=tuple(detections),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"pages[{i}]", f"malformed page: {exc}") from exc
+        pages.append(PageIR(page_index, width_pt, height_pt, tuple(detections)))
 
     return DocumentIR(
         doc_id=doc_id, pages=tuple(pages), outline=tuple(outline), language_tag=language_tag
     )
+
+
+def _list_field(data: dict, key: str, where: str) -> list:
+    """data[key] as a list; absent or null reads as empty."""
+    value = data.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise SchemaViolation(where, f"must be a list, got {type(value).__name__}")
+    return value
 
 
 def _require_str(data: dict, key: str) -> str:
@@ -548,7 +552,14 @@ def _require_str(data: dict, key: str) -> str:
     return value
 
 
-def _detection_from_dict(data: dict, where: str) -> Detection:
+def _optional_str(data: dict, key: str) -> str | None:
+    value = data.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _detection_from_dict(data: dict, page_index: int, where: str) -> Detection:
     try:
         box_raw = data["box"]
         if not isinstance(box_raw, (list, tuple)) or len(box_raw) != 4:
@@ -566,12 +577,12 @@ def _detection_from_dict(data: dict, where: str) -> Detection:
                 raise SchemaViolation(f"{where}.truth_payload", str(exc)) from exc
         return Detection(
             id=str(data["id"]),
-            page_index=int(data.get("page_index", -1)) if "page_index" in data else -1,
+            page_index=page_index,
             box=BoundingBox(*(float(v) for v in box_raw)),
             category=category,
             confidence=float(data["confidence"]),
-            group_hint=data.get("group_hint"),
-            truth_text=data.get("truth_text"),
+            group_hint=_optional_str(data, "group_hint"),
+            truth_text=_optional_str(data, "truth_text"),
             truth_payload=payload,
         )
     except SchemaViolation:
@@ -589,46 +600,12 @@ def load_document(path: str | Path) -> DocumentIR:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaViolation("document", f"not valid JSON: {exc}") from exc
-    doc = _attach_page_indices(document_from_dict(data))
+    doc = document_from_dict(data)
     report = validate_document(doc)
     if report.errors:
         first = report.errors[0]
         raise SchemaViolation(first.code, first.message)
     return doc
-
-
-def _attach_page_indices(doc: DocumentIR) -> DocumentIR:
-    # Detections inherit their page's index; the file schema does not repeat it.
-    pages = []
-    for page in doc.pages:
-        detections = tuple(
-            d if d.page_index == page.page_index else _with_page(d, page.page_index)
-            for d in page.detections
-        )
-        pages.append(
-            PageIR(
-                page_index=page.page_index,
-                width_pt=page.width_pt,
-                height_pt=page.height_pt,
-                detections=detections,
-            )
-        )
-    return DocumentIR(
-        doc_id=doc.doc_id, pages=tuple(pages), outline=doc.outline, language_tag=doc.language_tag
-    )
-
-
-def _with_page(det: Detection, page_index: int) -> Detection:
-    return Detection(
-        id=det.id,
-        page_index=page_index,
-        box=det.box,
-        category=det.category,
-        confidence=det.confidence,
-        group_hint=det.group_hint,
-        truth_text=det.truth_text,
-        truth_payload=det.truth_payload,
-    )
 
 
 def save_document(doc: DocumentIR, path: str | Path) -> None:

@@ -188,7 +188,6 @@ def build_flow_items(
     gathered: GatherResult,
 ) -> list[FlowItem]:
     """Ordered FlowItems across pages from resolved unit content."""
-    detections = doc.detection_index()
     items: list[FlowItem] = []
     for analysis in analyses:
         nodes = {n.id: n for n in analysis.tree.iter_nodes()}
@@ -216,7 +215,7 @@ def build_flow_items(
                     box=unit.hull,
                     payload=gathered.resolved.get(anchor_id),
                     partners=tuple(partners),
-                    group_hint=detections[anchor_id].group_hint,
+                    group_hint=anchor.detection.group_hint,
                 )
             )
     return items

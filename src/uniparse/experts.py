@@ -3,8 +3,12 @@ and the HTTP adapter speaking the batch wire schema.
 
 Wire schema (bit-exact): POST /v1/experts/{modality}:batch with body
 {"modality": ..., "items": [{"task_id", "detection_id", "doc_id",
-"page_index"}]}; response {"items": [{"task_id", "payload": {"kind", ...}}]}.
-HTTP 200 on success, 503 retryable, 400 fatal.
+"page_index", "placeholders"?}]}; response {"items": [{"task_id",
+"payload": {"kind", ...}}]}. HTTP 200 on success, 503 retryable, 400 fatal.
+An item carries "placeholders", a list of strings, only when its task has
+inline children: their placeholder tokens in reading order, which the expert
+writes in place of the detection's inline markers. A request thus carries
+everything the expert needs; the expert keeps no plan of its own.
 """
 
 from __future__ import annotations
@@ -148,18 +152,13 @@ class DocumentStore:
     """Registry giving experts access to ground-truth channels by reference."""
 
     def __init__(self, docs: list[DocumentIR] | None = None):
-        self._docs: dict[str, DocumentIR] = {}
         self._detections: dict[tuple[str, str], Detection] = {}
         for doc in docs or ():
             self.add(doc)
 
     def add(self, doc: DocumentIR) -> None:
-        self._docs[doc.doc_id] = doc
         for det in doc.iter_detections():
             self._detections[(doc.doc_id, det.id)] = det
-
-    def document(self, doc_id: str) -> DocumentIR:
-        return self._docs[doc_id]
 
     def detection(self, doc_id: str, detection_id: str) -> Detection:
         try:
@@ -299,26 +298,51 @@ def _take_tokens(run: str, remaining: list[str]) -> str:
 
 
 def batch_to_wire(modality: str, batch: list[ExpertRequest]) -> dict:
-    return {
-        "modality": modality,
-        "items": [
-            {
-                "task_id": r.task_id,
-                "detection_id": r.detection_id,
-                "doc_id": r.doc_id,
-                "page_index": r.page_index,
-            }
-            for r in batch
-        ],
-    }
+    items = []
+    for r in batch:
+        item = {
+            "task_id": r.task_id,
+            "detection_id": r.detection_id,
+            "doc_id": r.doc_id,
+            "page_index": r.page_index,
+        }
+        if r.placeholders:
+            item["placeholders"] = list(r.placeholders)
+        items.append(item)
+    return {"modality": modality, "items": items}
+
+
+def requests_from_wire(modality: str, body: dict) -> list[ExpertRequest]:
+    """The requests of a batch body; the inverse of batch_to_wire.
+
+    Raises ValueError, KeyError or TypeError on a malformed body.
+    """
+    out = []
+    for item in _wire_items(body, "request"):
+        if not isinstance(item, dict):
+            raise TypeError(f"item must be an object, got {type(item).__name__}")
+        placeholders = item.get("placeholders", [])
+        if not isinstance(placeholders, list) or not all(
+            isinstance(token, str) for token in placeholders
+        ):
+            raise TypeError("placeholders must be a list of strings")
+        out.append(
+            ExpertRequest(
+                task_id=str(item["task_id"]),
+                modality=modality,
+                doc_id=str(item["doc_id"]),
+                page_index=int(item["page_index"]),
+                detection_id=str(item["detection_id"]),
+                placeholders=tuple(placeholders),
+            )
+        )
+    return out
 
 
 def responses_from_wire(data: dict) -> list[ExpertResponse]:
-    items = data.get("items")
-    if not isinstance(items, list):
-        raise ValueError("response body missing items[]")
+    """Raises ValueError, KeyError or TypeError on a malformed body."""
     out = []
-    for item in items:
+    for item in _wire_items(data, "response"):
         out.append(
             ExpertResponse(
                 task_id=str(item["task_id"]),
@@ -326,6 +350,13 @@ def responses_from_wire(data: dict) -> list[ExpertResponse]:
             )
         )
     return out
+
+
+def _wire_items(body, what: str) -> list:
+    items = body.get("items") if isinstance(body, dict) else None
+    if not isinstance(items, list):
+        raise ValueError(f"{what} body missing items[]")
+    return items
 
 
 def responses_to_wire(responses: list[ExpertResponse]) -> dict:

@@ -31,25 +31,6 @@ from .payloads import (
 
 STRUCTURED_VERSION = "1"
 
-TEXTUAL_CATEGORIES = frozenset(
-    {
-        SemanticCategory.DOCUMENT_TITLE,
-        SemanticCategory.SECTION_TITLE,
-        SemanticCategory.PARAGRAPH,
-        SemanticCategory.REFERENCES,
-        SemanticCategory.TABLE_OF_CONTENTS,
-        SemanticCategory.KEY_VALUE_ITEM,
-        SemanticCategory.CODE_BLOCK,
-        SemanticCategory.FOOTNOTE,
-        SemanticCategory.CAPTION,
-        SemanticCategory.TABLE_FOOTNOTE,
-        SemanticCategory.FORMULA_ID,
-        SemanticCategory.MOLECULE_IDENTIFIER,
-        SemanticCategory.MARKUSH_DESCRIPTION,
-        SemanticCategory.FIGURE_LEGEND,
-    }
-)
-
 FIGURE_CATEGORIES = frozenset(
     {
         SemanticCategory.IMAGE,

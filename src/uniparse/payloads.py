@@ -132,7 +132,8 @@ def payload_to_dict(payload: ContentPayload) -> dict:
 
 
 def payload_from_dict(data: dict) -> ContentPayload:
-    kind = data.get("kind")
+    """Raises ValueError, KeyError or TypeError on a malformed payload."""
+    kind = _require_object(data).get("kind")
     if kind in _SCALAR_TYPES:
         return _SCALAR_TYPES[kind](value=str(data["value"]))
     if kind == "table_grid":
@@ -174,9 +175,15 @@ def _grid_from_dict(data: dict) -> TableGrid:
             col_span=int(c.get("col_span", 1)),
             content=tuple(c.get("content", ())),
         )
-        for c in data.get("cells", ())
+        for c in _require_object(data).get("cells", ())
     )
     return TableGrid(rows=int(data["rows"]), cols=int(data["cols"]), cells=cells)
+
+
+def _require_object(data) -> dict:
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {type(data).__name__}")
+    return data
 
 
 def render_inline(payload: ContentPayload) -> str:

@@ -2,8 +2,9 @@
 
 Serves POST /v1/experts/{modality}:batch over the documented wire schema,
 answering from the same deterministic mocks the in-process backend uses. The
-server loads full IR documents so it can resolve ground-truth channels and
-recompute placeholder plans by itself.
+server loads full IR documents so it can resolve ground-truth channels. It
+plans nothing: each request item carries its placeholder tokens, so the
+server answers exactly what it is sent, whatever the client's config.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .config import EngineConfig
 from .docmodel import DocumentIR
-from .engine import analyze_and_plan
 from .experts import (
     DocumentStore,
-    ExpertRequest,
     ExpertResponse,
     FatalExpertError,
     MODALITIES,
     mock_payload,
+    requests_from_wire,
     responses_to_wire,
 )
 
@@ -32,33 +31,14 @@ _PATH_RE = re.compile(r"^/v1/experts/([a-z_]+):batch$")
 class EchoExpertService:
     """Request resolver shared by every handler thread."""
 
-    def __init__(self, docs: list[DocumentIR], cfg: EngineConfig | None = None):
-        self.cfg = cfg or EngineConfig()
+    def __init__(self, docs: list[DocumentIR]):
         self.store = DocumentStore(docs)
-        self._placeholders: dict[tuple[str, str], tuple[str, ...]] = {}
-        for doc in docs:
-            _analyses, plan = analyze_and_plan(doc, self.cfg)
-            for task in plan.tasks:
-                self._placeholders[(doc.doc_id, task.detection_id)] = task.placeholders
 
     def handle(self, modality: str, body: dict) -> dict:
         if modality not in MODALITIES:
             raise FatalExpertError(f"unknown modality {modality!r}")
-        items = body.get("items")
-        if not isinstance(items, list):
-            raise FatalExpertError("missing items[]")
         responses = []
-        for item in items:
-            request = ExpertRequest(
-                task_id=str(item["task_id"]),
-                modality=modality,
-                doc_id=str(item["doc_id"]),
-                page_index=int(item["page_index"]),
-                detection_id=str(item["detection_id"]),
-                placeholders=self._placeholders.get(
-                    (str(item["doc_id"]), str(item["detection_id"])), ()
-                ),
-            )
+        for request in requests_from_wire(modality, body):
             det = self.store.detection(request.doc_id, request.detection_id)
             payload = mock_payload(modality, det, request.placeholders)
             responses.append(ExpertResponse(task_id=request.task_id, payload=payload))
@@ -99,10 +79,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_echo_server(
-    docs: list[DocumentIR], host: str = "127.0.0.1", port: int = 0,
-    cfg: EngineConfig | None = None,
+    docs: list[DocumentIR], host: str = "127.0.0.1", port: int = 0
 ) -> ThreadingHTTPServer:
-    service = EchoExpertService(docs, cfg)
+    service = EchoExpertService(docs)
     handler = type("BoundHandler", (_Handler,), {"service": service})
     return ThreadingHTTPServer((host, port), handler)
 
@@ -110,8 +89,8 @@ def make_echo_server(
 class EchoServerThread:
     """Context manager running the echo server on a daemon thread."""
 
-    def __init__(self, docs: list[DocumentIR], cfg: EngineConfig | None = None):
-        self.server = make_echo_server(docs, cfg=cfg)
+    def __init__(self, docs: list[DocumentIR]):
+        self.server = make_echo_server(docs)
         self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     @property

@@ -160,7 +160,38 @@ def test_config_env_var_fallback(tmp_path, corpus_dir, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_serve_echo_subprocess_round_trip(corpus_dir):
+def test_parse_builds_one_remote_backend_per_call(corpus_dir, tmp_path, monkeypatch, capsys):
+    import uniparse.cli
+    from uniparse.docmodel import load_document
+    from uniparse.engine import RemoteBackend
+    from uniparse.server import EchoServerThread
+
+    built = []
+
+    class CountingBackend(RemoteBackend):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(uniparse.cli, "RemoteBackend", CountingBackend)
+    inputs = [str(p) for p in sorted(corpus_dir.glob("*.ir.json"))]
+    assert len(inputs) == 3
+    docs = [load_document(p) for p in inputs]
+    with EchoServerThread(docs) as srv:
+        assert main(["parse", *inputs, "--expert-endpoint", srv.endpoint,
+                     "--out", str(tmp_path / "remote")]) == 0
+    assert main(["parse", *inputs, "--out", str(tmp_path / "mock")]) == 0
+    assert len(built) == 1
+    remote = _files(tmp_path / "remote")
+    assert len(remote) == 3 and remote == _files(tmp_path / "mock")
+    capsys.readouterr()
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_serve_echo_subprocess_round_trip(corpus_dir, tmp_path):
     with subprocess.Popen(
         [sys.executable, "-m", "uniparse.cli", "serve-echo", "--port", "0",
          "--ir", str(corpus_dir)],
@@ -182,6 +213,17 @@ def test_serve_echo_subprocess_round_trip(corpus_dir):
                 remote = process_document(doc, backend=backend)
             local = process_document(doc, backend=MockBackend(DocumentStore(docs)))
             assert to_structured(remote.parsed) == to_structured(local.parsed)
+
+            # The server was started without --config: a client config that
+            # plans other placeholders must still parse as the mocks do.
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"ioa_threshold": 1.01}', encoding="utf-8")
+            inputs = [str(p) for p in sorted(corpus_dir.glob("*.ir.json"))]
+            common = ["parse", *inputs, "--config", str(cfg)]
+            assert main([*common, "--expert-endpoint", endpoint,
+                         "--out", str(tmp_path / "remote")]) == 0
+            assert main([*common, "--out", str(tmp_path / "mock")]) == 0
+            assert _files(tmp_path / "remote") == _files(tmp_path / "mock")
         finally:
             proc.send_signal(signal.SIGINT)
             try:

@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from uniparse.cli import main
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.dispatch import ROUTE_TABLE
 from uniparse.docmodel import (
@@ -90,6 +91,41 @@ def test_unknown_category_rejected(tmp_path):
     with pytest.raises(SchemaViolation) as err:
         load_document(write_ir(tmp_path, data))
     assert "category" in err.value.field
+
+
+def _detection(**fields) -> dict:
+    return {"id": "b1", "box": [0.1, 0.1, 0.5, 0.2], "category": "paragraph",
+            "confidence": 0.9, **fields}
+
+
+def _on_page(**fields):
+    return lambda data: data["pages"][0].update(detections=[_detection(**fields)])
+
+
+# Each edits minimal_ir() into a shape the loader must reject.
+MALFORMED_SHAPES = {
+    "page_not_object": lambda data: data.update(pages=[1]),
+    "pages_object": lambda data: data.update(pages={"a": 1}),
+    "pages_int": lambda data: data.update(pages=5),
+    "detections_int": lambda data: data["pages"][0].update(detections=5),
+    "outline_int": lambda data: data.update(outline=5),
+    "payload_int": _on_page(category="chart", truth_payload=5),
+    "chart_grid_int": _on_page(category="chart",
+                               truth_payload={"kind": "chart_table", "grid": 5}),
+    "truth_text_int": _on_page(truth_text=5),
+    "group_hint_list": _on_page(group_hint=["g"]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_SHAPES))
+def test_malformed_shape_is_a_schema_violation(tmp_path, capsys, shape):
+    data = minimal_ir()
+    MALFORMED_SHAPES[shape](data)
+    path = write_ir(tmp_path, data)
+    with pytest.raises(SchemaViolation):
+        load_document(path)
+    assert main(["parse", path]) == 1
+    assert "uniparse: error:" in capsys.readouterr().err
 
 
 def test_wrong_version_rejected(tmp_path):

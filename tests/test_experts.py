@@ -6,10 +6,15 @@ from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
+import uniparse.engine
+from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
+from uniparse.dispatch import route
 from uniparse.docmodel import SemanticCategory as C
+from uniparse.engine import MockBackend, RemoteBackend, process_document
 from uniparse.experts import (
     DocumentStore,
     ExpertDescriptor,
@@ -25,8 +30,10 @@ from uniparse.experts import (
     _substitute_grid_markers,
     batch_to_wire,
     mock_payload,
+    requests_from_wire,
     substitute_markers,
 )
+from uniparse.formats import to_structured
 from uniparse.payloads import (
     INLINE_MARKER,
     Caption,
@@ -150,27 +157,59 @@ def test_order_preservation_conformance(small_corpus):
 
 
 def test_echo_server_payloads_match_mock(small_corpus):
+    """The echo server answers with the placeholders each request carries,
+    as the in-process mock does, whatever plan made them."""
     docs, _ = small_corpus
     store = DocumentStore(docs)
-    doc = docs[0]
-    requests = []
-    for d in list(doc.iter_detections())[:10]:
-        from uniparse.dispatch import route
-
-        if route(d.category) == "ocr" and not _has_children(doc, d):
-            requests.append(ExpertRequest(f"{doc.doc_id}/{d.id}", "ocr", doc.doc_id,
-                                          d.page_index, d.id))
-    assert requests
+    plain, inline = [], []
+    for doc in docs:
+        for d in doc.iter_detections():
+            if route(d.category) != "ocr":
+                continue
+            markers = (d.truth_text or "").count(INLINE_MARKER)
+            # Hand-written tokens, unlike any a default-config plan emits.
+            tokens = tuple(f"<<hand:{d.id}:{k}>>" for k in range(markers))
+            (inline if markers else plain).append(
+                ExpertRequest(f"{doc.doc_id}/{d.id}", "ocr", doc.doc_id, d.page_index, d.id,
+                              tokens))
+    batch = plain[:8] + inline[:8]
+    assert plain and inline
     with EchoServerThread(docs) as srv, closing(RemoteExpert(srv.endpoint, "ocr")) as expert:
-        remote = expert.process_batch(requests)
-    mock = MockExpert(ExpertDescriptor("ocr"), store).process_batch(requests)
+        remote = expert.process_batch(batch)
+    mock = MockExpert(ExpertDescriptor("ocr"), store).process_batch(batch)
     assert [r.payload for r in remote] == [r.payload for r in mock]
+    assert sum("<<hand:" in r.payload.value for r in mock) == len(inline[:8])
 
 
-def _has_children(doc, d):
-    from uniparse.payloads import INLINE_MARKER
+@pytest.mark.parametrize("cfg", [EngineConfig(ioa_threshold=1.01), EngineConfig()],
+                         ids=["ioa_1.01", "default"])
+def test_remote_parity_under_any_client_config(cfg):
+    """The client's plan alone decides the placeholders: remote dumps equal
+    mock dumps under a config the server was never told about."""
+    docs, _ = gen_corpus(CorpusSpec(seed=3, n_docs=6))
+    store = DocumentStore(docs)
+    with EchoServerThread(docs) as srv, closing(RemoteBackend(srv.endpoint)) as backend:
+        for doc in docs:
+            remote = to_structured(process_document(doc, cfg, backend).parsed)
+            local = to_structured(process_document(doc, cfg, MockBackend(store)).parsed)
+            assert remote == local
+            assert "[[UPH:" not in remote
 
-    return bool(d.truth_text and INLINE_MARKER in d.truth_text)
+
+def test_echo_server_start_up_lays_out_nothing(monkeypatch, small_corpus):
+    docs, _ = small_corpus
+    calls = []
+    real_analyze_pages = uniparse.engine.analyze_pages
+
+    def counting(doc, cfg=None):
+        calls.append(doc.doc_id)
+        return real_analyze_pages(doc, cfg)
+
+    # analyze_and_plan looks analyze_pages up in uniparse.engine
+    monkeypatch.setattr(uniparse.engine, "analyze_pages", counting)
+    with EchoServerThread(docs):
+        pass
+    assert calls == []
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -229,6 +268,22 @@ def test_remote_truncated_body_is_protocol_error():
         server.server_close()
 
 
+@pytest.mark.parametrize("body", [
+    b'[{"task_id": "doc/b1"}]',
+    b'{"items": [{"task_id": "doc/b1", "payload": 5}]}',
+    b'{"items": [{"task_id": "doc/b1", "payload": {"kind": "chart_table", "grid": 5}}]}',
+], ids=["body_not_object", "payload_not_object", "grid_not_object"])
+def test_remote_malformed_body_is_protocol_error(body):
+    server = _stub_server(200, body=body)
+    try:
+        expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
+        with closing(expert), pytest.raises(ProtocolError):
+            expert.process_batch([request_for("b1", "ocr")])
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_remote_unexpected_status_is_protocol_error():
     server = _stub_server(418)
     try:
@@ -248,6 +303,51 @@ def test_wire_request_schema_field_names():
     wire = batch_to_wire("ocsr", [request_for("m1", "ocsr")])
     assert set(wire) == {"modality", "items"}
     assert set(wire["items"][0]) == {"task_id", "detection_id", "doc_id", "page_index"}
+    assert json.dumps(wire) == (
+        '{"modality": "ocsr", "items": [{"task_id": "doc/m1", "detection_id": "m1", '
+        '"doc_id": "doc", "page_index": 0}]}'
+    )
+    wire = batch_to_wire("ocr", [request_for("p1", "ocr", ("[[UPH:formula:f1]]",))])
+    assert set(wire["items"][0]) == {
+        "task_id", "detection_id", "doc_id", "page_index", "placeholders"
+    }
+    assert wire["items"][0]["placeholders"] == ["[[UPH:formula:f1]]"]
+
+
+def test_wire_request_codec_round_trips():
+    batch = [
+        request_for("b1", "ocr"),
+        request_for("p1", "ocr", ("[[UPH:formula:f1]]", "[[UPH:molecule:m2]]")),
+        request_for("b2", "ocr", ("",)),
+    ]
+    assert requests_from_wire("ocr", batch_to_wire("ocr", batch)) == batch
+    assert requests_from_wire("ocr", json.loads(json.dumps(batch_to_wire("ocr", batch)))) == batch
+
+
+_ITEM = {"task_id": "doc/b1", "detection_id": "b1", "doc_id": "doc", "page_index": 0}
+
+MALFORMED_REQUESTS = {
+    "no_items": {"modality": "ocr"},
+    "items_not_list": {"items": {"a": 1}},
+    "body_not_object": [_ITEM],
+    "item_not_object": {"items": [5]},
+    "item_missing_key": {"items": [{"task_id": "doc/b1", "doc_id": "doc", "page_index": 0}]},
+    "placeholders_string": {"items": [{**_ITEM, "placeholders": "[[UPH:formula:f1]]"}]},
+    "placeholders_object": {"items": [{**_ITEM, "placeholders": {"a": "b"}}]},
+    "placeholders_int_entry": {"items": [{**_ITEM, "placeholders": ["x", 1]}]},
+    "placeholders_null_entry": {"items": [{**_ITEM, "placeholders": [None]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REQUESTS))
+def test_malformed_request_is_rejected(name):
+    body = MALFORMED_REQUESTS[name]
+    with pytest.raises((ValueError, KeyError, TypeError)):
+        requests_from_wire("ocr", body)
+    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="x")])
+    with EchoServerThread([doc]) as srv, requests.Session() as session:
+        response = session.post(f"{srv.endpoint}/v1/experts/ocr:batch", json=body)
+        assert response.status_code == 400, response.text
 
 
 def test_ocr_profiles_fast_and_hq():
