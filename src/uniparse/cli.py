@@ -21,21 +21,15 @@ from .docmodel import (
     load_document,
     save_document,
 )
-from .engine import (
-    MockBackend,
-    RemoteBackend,
-    StrictModeFailure,
-    analyze_pages,
-    process_document,
-)
-from .experts import DocumentStore, ExpertError, default_descriptors
+from .engine import StrictModeFailure, analyze_pages, process_document
+from .experts import DocumentStore, ExpertError, MockBackend, RemoteBackend, default_descriptors
 from .formats import chunk, chunks_to_jsonl, to_html, to_markdown, to_structured
 from .layout import group_pairs, tree_to_dict
 from .runtime import (
     Mode,
     PipelineConfig,
-    bubble_report,
     compare_modes,
+    contention_free_config,
     run_pipeline,
     simulate_scaling,
 )
@@ -115,10 +109,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str | None) -> EngineConfig:
-    return EngineConfig.from_env_or_default(path)
-
-
 def _workload(seed: int, n_docs: int) -> list[DocumentIR]:
     spec = corpus_mod.CorpusSpec(seed=seed, n_docs=n_docs, pages_min=1, pages_max=3)
     docs, _truth = corpus_mod.gen_corpus(spec)
@@ -140,7 +130,7 @@ def _emit_order_record(doc: DocumentIR, cfg: EngineConfig) -> dict:
 
 
 def cmd_parse(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = EngineConfig.from_env_or_default(args.config)
     multi = len(args.inputs) > 1
     out_dir: Path | None = None
     if multi:
@@ -215,19 +205,14 @@ def _write_output(payload: str, args, out_dir: Path | None, doc_id: str, ext: st
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config).copy(workers=args.workers)
+    cfg = EngineConfig.from_env_or_default(args.config).copy(workers=args.workers)
     docs = _workload(args.seed, args.docs)
-    mode = {"seq": Mode.SEQUENTIAL, "par": Mode.PARALLEL_GATHER, "pipe": Mode.PIPELINE_PARALLEL}[
-        args.mode
-    ]
-    config = PipelineConfig(mode=mode, engine=cfg, seed=args.seed)
     if args.scaling:
         counts = [int(x) for x in args.scaling.split(",")]
-        from .runtime import contention_free_config
-
         scaling_cfg = contention_free_config(seed=args.seed, max_workers=max(counts), engine=cfg)
         report = simulate_scaling(docs, counts, scaling_cfg).to_report()
     else:
+        config = PipelineConfig(mode=Mode(args.mode), engine=cfg, seed=args.seed)
         _outputs, metrics = run_pipeline(docs, config)
         report = metrics.to_report()
     if args.report == "json":
@@ -238,7 +223,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args.config).copy(workers=args.workers)
+    cfg = EngineConfig.from_env_or_default(args.config).copy(workers=args.workers)
     docs = _workload(args.seed, args.docs)
     config = PipelineConfig(engine=cfg, seed=args.seed)
     comparison = compare_modes(docs, config)

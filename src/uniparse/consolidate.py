@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from .config import EngineConfig
 from .docmodel import BoundingBox, OutlineEntry, SemanticCategory
-from .layout import RelationKind
+from .layout import RelationKind, relation_for
 from .payloads import Cell, ContentPayload, Reaction, TableGrid, Text, payload_text
 
 
@@ -99,7 +99,7 @@ def _starts_continuation(text: str, hyphenated: bool, caseless_ok: bool) -> bool
     return stripped[0].islower()
 
 
-def join_fragments(first: str, second: str, cfg: EngineConfig, no_space: bool) -> str:
+def join_fragments(first: str, second: str, no_space: bool) -> str:
     a = first.rstrip()
     b = second.lstrip()
     if a.endswith("-"):
@@ -124,18 +124,21 @@ def _can_merge_paragraphs(
     return _starts_continuation(second.payload.value, hyphenated, caseless_ok)
 
 
-def _merge_paragraph_items(
-    first: FlowItem, second: FlowItem, cfg: EngineConfig, no_space: bool
-) -> FlowItem:
-    _, hyphenated = _ends_open(first.payload.value, cfg.terminal_punctuation)
-    joined = join_fragments(first.payload.value, second.payload.value, cfg, no_space)
+def _fold(first: FlowItem, second: FlowItem, payload: ContentPayload) -> FlowItem:
+    """first with second folded in: the merged payload, second's ids, pages
+    and partners after first's."""
     return replace(
         first,
-        payload=Text(joined),
+        payload=payload,
         merged_ids=(*first.merged_ids, second.item_id, *second.merged_ids),
         source_pages=tuple(dict.fromkeys((*first.pages, *second.pages))),
         partners=(*first.partners, *second.partners),
     )
+
+
+def _merge_paragraph_items(first: FlowItem, second: FlowItem, no_space: bool) -> FlowItem:
+    return _fold(first, second,
+                 Text(join_fragments(first.payload.value, second.payload.value, no_space)))
 
 
 def merge_cross_column(items: list[FlowItem], cfg: EngineConfig | None = None,
@@ -155,7 +158,7 @@ def merge_cross_column(items: list[FlowItem], cfg: EngineConfig | None = None,
             and out[-1].page_index == item.page_index
             and _can_merge_paragraphs(out[-1], item, cfg, caseless_ok=no_space)
         ):
-            out[-1] = _merge_paragraph_items(out[-1], item, cfg, no_space)
+            out[-1] = _merge_paragraph_items(out[-1], item, no_space)
         else:
             out.append(item)
     return out
@@ -181,13 +184,7 @@ def _merge_tables(first: FlowItem, second: FlowItem) -> FlowItem | None:
         cols=first.payload.cols,
         cells=(*first.payload.cells, *moved),
     )
-    return replace(
-        first,
-        payload=grid,
-        merged_ids=(*first.merged_ids, second.item_id, *second.merged_ids),
-        source_pages=tuple(dict.fromkeys((*first.pages, *second.pages))),
-        partners=(*first.partners, *second.partners),
-    )
+    return _fold(first, second, grid)
 
 
 def _merge_reactions(first: FlowItem, second: FlowItem) -> FlowItem | None:
@@ -204,13 +201,7 @@ def _merge_reactions(first: FlowItem, second: FlowItem) -> FlowItem | None:
         conditions=(*first.payload.conditions, *second.payload.conditions),
         products=(*first.payload.products, *second.payload.products),
     )
-    return replace(
-        first,
-        payload=merged,
-        merged_ids=(*first.merged_ids, second.item_id, *second.merged_ids),
-        source_pages=tuple(dict.fromkeys((*first.pages, *second.pages))),
-        partners=(*first.partners, *second.partners),
-    )
+    return _fold(first, second, merged)
 
 
 def merge_cross_page(items: list[FlowItem], cfg: EngineConfig | None = None,
@@ -239,7 +230,7 @@ def merge_cross_page(items: list[FlowItem], cfg: EngineConfig | None = None,
                 _can_merge_paragraphs(first, second, cfg, caseless_ok=no_space)
                 and second.category is not SemanticCategory.SECTION_TITLE
             ):
-                merged = _merge_paragraph_items(first, second, cfg, no_space)
+                merged = _merge_paragraph_items(first, second, no_space)
             if merged is None:
                 merged = _merge_tables(first, second)
             if merged is None:
@@ -292,8 +283,6 @@ def link_multimodal(items: list[FlowItem], cfg: EngineConfig | None = None) -> l
                     continue
                 if candidate.payload is None:
                     continue
-                from .layout import relation_for
-
                 partner = Partner(
                     relation=relation_for(candidate.category, anchor.category),
                     category=candidate.category,

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .config import EngineConfig
 from .docmodel import DocumentIR, SemanticCategory
-from .experts import ExpertRequest, ExpertResponse
+from .experts import ExpertResponse, Task
 from .layout import LayoutNode, LayoutTree
 from .payloads import (
     Cell,
@@ -82,27 +82,6 @@ def route(node_or_category, captioning_enabled: bool = True) -> str | None:
 def placeholder_token(category: SemanticCategory, detection_id: str) -> str:
     kind = PLACEHOLDER_KINDS.get(category, category.value)
     return f"[[UPH:{kind}:{detection_id}]]"
-
-
-@dataclass(frozen=True)
-class Task:
-    task_id: str
-    modality: str
-    doc_id: str
-    page_index: int
-    detection_id: str
-    # For text/table tasks: this detection's own children tokens, in order.
-    placeholders: tuple[str, ...] = ()
-
-    def to_request(self) -> ExpertRequest:
-        return ExpertRequest(
-            task_id=self.task_id,
-            modality=self.modality,
-            doc_id=self.doc_id,
-            page_index=self.page_index,
-            detection_id=self.detection_id,
-            placeholders=self.placeholders,
-        )
 
 
 class BatchReason(Enum):

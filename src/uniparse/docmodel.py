@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .payloads import ContentPayload, Reaction, TableGrid, payload_from_dict, payload_to_dict
+from .payloads import (
+    DECODE_ERRORS,
+    ContentPayload,
+    Reaction,
+    TableGrid,
+    payload_from_dict,
+    payload_to_dict,
+)
 
 IR_VERSION = "1"
 
@@ -509,7 +516,7 @@ def document_from_dict(data: dict) -> DocumentIR:
                     page_index=int(entry["page_index"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except DECODE_ERRORS as exc:
             raise SchemaViolation(f"outline[{i}]", f"malformed entry: {exc}") from exc
 
     pages = []
@@ -519,7 +526,7 @@ def document_from_dict(data: dict) -> DocumentIR:
             page_index = int(page["page_index"])
             width_pt = float(page["width_pt"])
             height_pt = float(page["height_pt"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except DECODE_ERRORS as exc:
             raise SchemaViolation(f"pages[{i}]", f"malformed page: {exc}") from exc
         detections = []
         for j, det in enumerate(_list_field(page, "detections", f"pages[{i}].detections")):
@@ -573,7 +580,7 @@ def _detection_from_dict(data: dict, page_index: int, where: str) -> Detection:
         if data.get("truth_payload") is not None:
             try:
                 payload = payload_from_dict(data["truth_payload"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except DECODE_ERRORS as exc:
                 raise SchemaViolation(f"{where}.truth_payload", str(exc)) from exc
         return Detection(
             id=str(data["id"]),
@@ -587,7 +594,7 @@ def _detection_from_dict(data: dict, page_index: int, where: str) -> Detection:
         )
     except SchemaViolation:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except DECODE_ERRORS as exc:
         raise SchemaViolation(where, f"malformed detection: {exc}") from exc
 
 
@@ -598,7 +605,7 @@ def load_document(path: str | Path) -> DocumentIR:
         raise FileNotFoundError(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation("document", f"not valid JSON: {exc}") from exc
     doc = document_from_dict(data)
     report = validate_document(doc)

@@ -20,19 +20,16 @@ from .dispatch import (
     gather,
     plan_document,
 )
-from .docmodel import PARTNER_CATEGORIES, DocumentIR
+from .docmodel import DocumentIR
 from .experts import (
     DocumentStore,
-    ExpertDescriptor,
     ExpertError,
     ExpertResponse,
-    MockExpert,
-    RemoteExpert,
+    MockBackend,
     RetryableExpertError,
-    default_descriptors,
 )
 from .formats import ParsedDocument
-from .layout import LayoutTree, RelationKind, build_page_tree, relation_for
+from .layout import LayoutTree, RelationKind, build_page_tree
 from .ordering import OrderUnit, order_units
 
 
@@ -67,44 +64,6 @@ def analyze_and_plan(
     analyses = analyze_pages(doc, cfg)
     return analyses, plan_document(doc, [a.tree for a in analyses], cfg,
                                    only_modality=only_modality)
-
-
-class MockBackend:
-    """Runs batches against in-process mock experts."""
-
-    def __init__(self, store: DocumentStore, descriptors: dict[str, ExpertDescriptor] | None = None):
-        self.store = store
-        self.swap_descriptors(descriptors or default_descriptors())
-
-    def swap_descriptors(self, descriptors: dict[str, ExpertDescriptor]) -> None:
-        self.descriptors = descriptors
-        self._experts = {
-            modality: MockExpert(desc, self.store) for modality, desc in descriptors.items()
-        }
-
-    def process(self, modality: str, batch: list[Task], attempt: int = 0) -> list[ExpertResponse]:
-        expert = self._experts[modality]
-        return expert.process_batch([t.to_request() for t in batch], attempt=attempt)
-
-
-class RemoteBackend:
-    """Runs batches against a remote service speaking the wire schema."""
-
-    def __init__(self, endpoint: str, timeout_s: float = 10.0):
-        self.endpoint = endpoint
-        self.timeout_s = timeout_s
-        self._experts: dict[str, RemoteExpert] = {}
-
-    def process(self, modality: str, batch: list[Task], attempt: int = 0) -> list[ExpertResponse]:
-        if modality not in self._experts:
-            self._experts[modality] = RemoteExpert(self.endpoint, modality, self.timeout_s)
-        return self._experts[modality].process_batch(
-            [t.to_request() for t in batch], attempt=attempt
-        )
-
-    def close(self) -> None:
-        for expert in self._experts.values():
-            expert.close()
 
 
 def form_batches(
@@ -222,12 +181,9 @@ def build_flow_items(
 
 
 def _relation_between(anchor, member) -> RelationKind:
-    for kind, other in anchor.group_links:
-        if other == member.id:
-            return kind
-    if member.category in PARTNER_CATEGORIES:
-        return relation_for(member.category, anchor.category)
-    return RelationKind.CAPTION
+    """The relation the anchor's group link names for the member: a unit holds
+    a member only when its anchor links it (ordering.group_cluster)."""
+    return next(kind for kind, other in anchor.group_links if other == member.id)
 
 
 @dataclass

@@ -1,5 +1,12 @@
-"""Modality experts: the uniform service interface, deterministic mocks,
-and the HTTP adapter speaking the batch wire schema.
+"""Modality experts: the task they are sent, the response they give, and
+the two backends that are the experts.
+
+A backend answers process(modality, batch, attempt) with one ExpertResponse
+per Task, in request order, or raises an ExpertError for the whole batch.
+MockBackend is the in-process experts: deterministic mocks that answer from
+the documents' ground-truth channels. RemoteBackend is a remote service
+speaking the batch wire schema, reached over one HTTP session for every
+modality.
 
 Wire schema (bit-exact): POST /v1/experts/{modality}:batch with body
 {"modality": ..., "items": [{"task_id", "detection_id", "doc_id",
@@ -21,6 +28,7 @@ import requests
 
 from .docmodel import Detection, DocumentIR
 from .payloads import (
+    DECODE_ERRORS,
     INLINE_MARKER,
     Caption,
     Cell,
@@ -33,6 +41,7 @@ from .payloads import (
     Text,
     payload_from_dict,
     payload_to_dict,
+    str_list,
 )
 
 MODALITIES = ("ocr", "formula", "table_structure", "ocsr", "reaction", "chart", "caption")
@@ -89,7 +98,10 @@ class ExpertDescriptor:
 
 
 @dataclass(frozen=True)
-class ExpertRequest:
+class Task:
+    """One detection's work for one expert: what the dispatch plan holds and
+    what the backend is sent."""
+
     task_id: str
     modality: str
     doc_id: str
@@ -104,7 +116,6 @@ class ExpertRequest:
 class ExpertResponse:
     task_id: str
     payload: ContentPayload | None = None
-    error: str | None = None
 
 
 def _unit_roll(seed: int, salt: str, task_ids: tuple[str, ...], attempt: int) -> float:
@@ -167,45 +178,49 @@ class DocumentStore:
             raise FatalExpertError(f"unknown detection {doc_id}/{detection_id}") from None
 
 
-class MockExpert:
-    """Deterministic stand-in for one modality service.
+class MockBackend:
+    """The in-process experts: a deterministic mock per modality.
 
-    Returns the detection's ground-truth payload (or a fixed transform of its
-    ground-truth text) and simulates latency from the descriptor's model.
-    Failures, when enabled, hit whole batches and re-roll per attempt.
+    Each task is answered with its detection's ground-truth payload (or a
+    fixed transform of its ground-truth text), under the descriptor table in
+    force: `descriptors`, which a runtime swap may replace. Failures, when
+    enabled, hit whole batches and re-roll per attempt. Latency is the
+    descriptors' model, which the simulator charges.
     """
 
-    def __init__(self, descriptor: ExpertDescriptor, store: DocumentStore):
-        self.descriptor = descriptor
+    def __init__(self, store: DocumentStore, descriptors: dict[str, ExpertDescriptor] | None = None):
         self.store = store
+        self.descriptors = descriptors or default_descriptors()
 
-    def process_batch(self, batch: list[ExpertRequest], attempt: int = 0) -> list[ExpertResponse]:
-        if len(batch) > self.descriptor.max_batch:
+    def process(self, modality: str, batch: list[Task], attempt: int = 0) -> list[ExpertResponse]:
+        descriptor = self.descriptors[modality]
+        if len(batch) > descriptor.max_batch:
             raise FatalExpertError(
-                f"batch of {len(batch)} exceeds max_batch {self.descriptor.max_batch}"
+                f"batch of {len(batch)} exceeds max_batch {descriptor.max_batch}"
             )
-        for request in batch:
-            if request.modality != self.descriptor.modality:
+        for task in batch:
+            if task.modality != descriptor.modality:
                 raise FatalExpertError(
-                    f"request {request.task_id} routed to wrong expert "
-                    f"({request.modality} != {self.descriptor.modality})"
+                    f"request {task.task_id} routed to wrong expert "
+                    f"({task.modality} != {descriptor.modality})"
                 )
-        if self.descriptor.failure_rate > 0.0:
+        if descriptor.failure_rate > 0.0:
             roll = _unit_roll(
-                self.descriptor.latency.jitter_seed,
-                "fail",
-                tuple(r.task_id for r in batch),
-                attempt,
+                descriptor.latency.jitter_seed, "fail", tuple(t.task_id for t in batch), attempt
             )
-            if roll < self.descriptor.failure_rate:
+            if roll < descriptor.failure_rate:
                 raise RetryableExpertError("injected batch failure")
         return [
-            ExpertResponse(task_id=r.task_id, payload=self._resolve(r)) for r in batch
+            ExpertResponse(
+                task_id=task.task_id,
+                payload=mock_payload(
+                    descriptor.modality,
+                    self.store.detection(task.doc_id, task.detection_id),
+                    task.placeholders,
+                ),
+            )
+            for task in batch
         ]
-
-    def _resolve(self, request: ExpertRequest) -> ContentPayload:
-        det = self.store.detection(request.doc_id, request.detection_id)
-        return mock_payload(self.descriptor.modality, det, request.placeholders)
 
 
 def mock_payload(
@@ -297,7 +312,7 @@ def _take_tokens(run: str, remaining: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def batch_to_wire(modality: str, batch: list[ExpertRequest]) -> dict:
+def batch_to_wire(modality: str, batch: list[Task]) -> dict:
     items = []
     for r in batch:
         item = {
@@ -312,35 +327,30 @@ def batch_to_wire(modality: str, batch: list[ExpertRequest]) -> dict:
     return {"modality": modality, "items": items}
 
 
-def requests_from_wire(modality: str, body: dict) -> list[ExpertRequest]:
-    """The requests of a batch body; the inverse of batch_to_wire.
+def requests_from_wire(modality: str, body: dict) -> list[Task]:
+    """The tasks of a batch body; the inverse of batch_to_wire.
 
-    Raises ValueError, KeyError or TypeError on a malformed body.
+    Raises one of DECODE_ERRORS on a malformed body.
     """
     out = []
     for item in _wire_items(body, "request"):
         if not isinstance(item, dict):
             raise TypeError(f"item must be an object, got {type(item).__name__}")
-        placeholders = item.get("placeholders", [])
-        if not isinstance(placeholders, list) or not all(
-            isinstance(token, str) for token in placeholders
-        ):
-            raise TypeError("placeholders must be a list of strings")
         out.append(
-            ExpertRequest(
+            Task(
                 task_id=str(item["task_id"]),
                 modality=modality,
                 doc_id=str(item["doc_id"]),
                 page_index=int(item["page_index"]),
                 detection_id=str(item["detection_id"]),
-                placeholders=tuple(placeholders),
+                placeholders=str_list(item, "placeholders"),
             )
         )
     return out
 
 
 def responses_from_wire(data: dict) -> list[ExpertResponse]:
-    """Raises ValueError, KeyError or TypeError on a malformed body."""
+    """Raises one of DECODE_ERRORS on a malformed body."""
     out = []
     for item in _wire_items(data, "response"):
         out.append(
@@ -367,20 +377,20 @@ def responses_to_wire(responses: list[ExpertResponse]) -> dict:
     }
 
 
-class RemoteExpert:
-    """Speaks the batch wire schema against a remote expert service."""
+class RemoteBackend:
+    """The remote experts: one service speaking the batch wire schema, reached
+    over one HTTP session (and so one connection pool) for every modality."""
 
-    def __init__(self, endpoint: str, modality: str, timeout_s: float = 10.0):
+    def __init__(self, endpoint: str, timeout_s: float = 10.0):
         self.endpoint = endpoint.rstrip("/")
-        self.modality = modality
         self.timeout_s = timeout_s
         self._session = requests.Session()
 
-    def process_batch(self, batch: list[ExpertRequest], attempt: int = 0) -> list[ExpertResponse]:
-        url = f"{self.endpoint}/v1/experts/{self.modality}:batch"
+    def process(self, modality: str, batch: list[Task], attempt: int = 0) -> list[ExpertResponse]:
+        url = f"{self.endpoint}/v1/experts/{modality}:batch"
         try:
             response = self._session.post(
-                url, json=batch_to_wire(self.modality, batch), timeout=self.timeout_s
+                url, json=batch_to_wire(modality, batch), timeout=self.timeout_s
             )
         except requests.Timeout as exc:
             raise ExpertTimeout(str(exc)) from exc
@@ -394,7 +404,7 @@ class RemoteExpert:
             raise ProtocolError(response.status_code, response.text)
         try:
             return responses_from_wire(response.json())
-        except (ValueError, KeyError, TypeError) as exc:
+        except DECODE_ERRORS as exc:
             raise ProtocolError(response.status_code, response.text) from exc
 
     def close(self) -> None:

@@ -7,7 +7,7 @@ part of the public contract and must not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Union
 
 # Anchors the position of an inline element (formula, molecule, chart, ...)
@@ -113,6 +113,11 @@ PAYLOAD_KINDS = ("text", "latex", "table_grid", "e_smiles", "reaction", "chart_t
 
 _SCALAR_TYPES = {"text": Text, "latex": Latex, "e_smiles": ESmiles, "caption": Caption}
 
+# What decoding a malformed JSON document or payload raises: a missing key, a
+# wrong type, a bad value, a non-finite or huge number given where an integer
+# or float belongs, or nesting too deep to parse.
+DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
 
 def payload_to_dict(payload: ContentPayload) -> dict:
     if isinstance(payload, (Text, Latex, ESmiles, Caption)):
@@ -132,7 +137,7 @@ def payload_to_dict(payload: ContentPayload) -> dict:
 
 
 def payload_from_dict(data: dict) -> ContentPayload:
-    """Raises ValueError, KeyError or TypeError on a malformed payload."""
+    """Raises one of DECODE_ERRORS on a malformed payload."""
     kind = _require_object(data).get("kind")
     if kind in _SCALAR_TYPES:
         return _SCALAR_TYPES[kind](value=str(data["value"]))
@@ -142,9 +147,9 @@ def payload_from_dict(data: dict) -> ContentPayload:
         return ChartTable(grid=_grid_from_dict(data["grid"]))
     if kind == "reaction":
         return Reaction(
-            reactants=tuple(data.get("reactants", ())),
-            conditions=tuple(data.get("conditions", ())),
-            products=tuple(data.get("products", ())),
+            reactants=str_list(data, "reactants"),
+            conditions=str_list(data, "conditions"),
+            products=str_list(data, "products"),
         )
     raise ValueError(f"unknown payload kind: {kind!r}")
 
@@ -173,11 +178,19 @@ def _grid_from_dict(data: dict) -> TableGrid:
             col=int(c["col"]),
             row_span=int(c.get("row_span", 1)),
             col_span=int(c.get("col_span", 1)),
-            content=tuple(c.get("content", ())),
+            content=str_list(c, "content"),
         )
         for c in _require_object(data).get("cells", ())
     )
     return TableGrid(rows=int(data["rows"]), cols=int(data["cols"]), cells=cells)
+
+
+def str_list(data: dict, key: str) -> tuple[str, ...]:
+    """data[key], a list of strings, as a tuple; absent reads as empty."""
+    value = data.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"{key} must be a list of strings")
+    return tuple(value)
 
 
 def _require_object(data) -> dict:

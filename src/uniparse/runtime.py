@@ -53,7 +53,6 @@ from .config import EngineConfig
 from .dispatch import Batch, DispatchPlan, QueueState, TaskFailure, batch_stack
 from .docmodel import DocumentIR
 from .engine import (
-    MockBackend,
     PageAnalysis,
     StrictModeFailure,
     analyze_and_plan,
@@ -62,7 +61,7 @@ from .engine import (
     call_batch,
     form_batches,
 )
-from .experts import DocumentStore, ExpertDescriptor, default_descriptors
+from .experts import DocumentStore, ExpertDescriptor, MockBackend, default_descriptors
 from .formats import ParsedDocument
 
 EXPERT_STAGE = "experts"
@@ -458,7 +457,7 @@ def _descriptor_swapper(config: PipelineConfig, backend: MockBackend) -> Callabl
 
     def swap(index: int) -> None:
         while updates and updates[0][0] <= index:
-            backend.swap_descriptors(updates.popleft()[1])
+            backend.descriptors = updates.popleft()[1]
 
     return swap
 

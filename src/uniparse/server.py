@@ -24,6 +24,7 @@ from .experts import (
     requests_from_wire,
     responses_to_wire,
 )
+from .payloads import DECODE_ERRORS
 
 _PATH_RE = re.compile(r"^/v1/experts/([a-z_]+):batch$")
 
@@ -64,7 +65,7 @@ class _Handler(BaseHTTPRequestHandler):
         except FatalExpertError as exc:
             self._reply(400, {"error": str(exc)})
             return
-        except (KeyError, TypeError, ValueError) as exc:
+        except DECODE_ERRORS as exc:
             self._reply(400, {"error": f"malformed request: {exc}"})
             return
         self._reply(200, result)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -80,3 +81,41 @@ def box_lists(draw, min_size, max_size):
     if not distinct:
         return []
     return distinct + draw(st.lists(st.sampled_from(distinct), max_size=len(distinct) // 4))
+
+
+# Malformed input shared by the IR loader, remote-response and echo-server
+# tests. JSON reads the number 1e400 as infinity, which no integer can hold,
+# and HUGE_INT as an integer too large for a float.
+HUGE_INT = "1" + "0" * 400
+
+
+def bad_json(obj) -> str:
+    """obj as JSON text, each string "1e400" or HUGE_INT written as the
+    bare number."""
+    text = json.dumps(obj)
+    for number in ("1e400", HUGE_INT):
+        text = text.replace(f'"{number}"', number)
+    return text
+
+
+def deeply_nested(depth: int = 100_000) -> str:
+    """A JSON array nested past any recursion limit."""
+    return "[" * depth + "]" * depth
+
+
+def _grid(**fields) -> dict:
+    cell = {"row": 0, "col": 0, "row_span": 1, "col_span": 1, "content": ["x"]}
+    grid = {"kind": "table_grid", "rows": 1, "cols": 1, "cells": [cell]}
+    for key, value in fields.items():
+        (grid if key in grid else cell)[key] = value
+    return grid
+
+
+# Payloads every decoder must reject, as objects for bad_json.
+MALFORMED_PAYLOADS = {
+    **{f"grid_{key}_1e400": _grid(**{key: "1e400"})
+       for key in ("rows", "cols", "row", "col", "row_span", "col_span")},
+    "cell_content_ints": _grid(content=[1, 2]),
+    "reaction_reactants_int": {"kind": "reaction", "reactants": [1], "products": ["B"]},
+    "reaction_products_int": {"kind": "reaction", "reactants": ["A"], "products": [1]},
+}

@@ -163,7 +163,7 @@ def test_config_env_var_fallback(tmp_path, corpus_dir, capsys, monkeypatch):
 def test_parse_builds_one_remote_backend_per_call(corpus_dir, tmp_path, monkeypatch, capsys):
     import uniparse.cli
     from uniparse.docmodel import load_document
-    from uniparse.engine import RemoteBackend
+    from uniparse.experts import RemoteBackend
     from uniparse.server import EchoServerThread
 
     built = []
@@ -187,6 +187,41 @@ def test_parse_builds_one_remote_backend_per_call(corpus_dir, tmp_path, monkeypa
     capsys.readouterr()
 
 
+def test_parse_sends_every_modality_over_one_session(corpus_dir, tmp_path, monkeypatch, capsys):
+    import uniparse.experts
+    from uniparse.docmodel import load_document
+    from uniparse.server import EchoServerThread
+
+    sessions, urls, closed = [], [], []
+
+    class CountingSession(uniparse.experts.requests.Session):
+        def __init__(self):
+            super().__init__()
+            sessions.append(self)
+
+        def post(self, url, *args, **kwargs):
+            urls.append(url)
+            return super().post(url, *args, **kwargs)
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(uniparse.experts.requests, "Session", CountingSession)
+    inputs = [str(p) for p in sorted(corpus_dir.glob("*.ir.json"))]
+    assert len(inputs) == 3
+    docs = [load_document(p) for p in inputs]
+    with EchoServerThread(docs) as srv:
+        assert main(["parse", *inputs, "--expert-endpoint", srv.endpoint,
+                     "--out", str(tmp_path / "remote")]) == 0
+    assert main(["parse", *inputs, "--out", str(tmp_path / "mock")]) == 0
+    assert len(sessions) == 1 and closed == sessions
+    assert len({url.rsplit("/", 1)[1] for url in urls}) > 1  # several modalities
+    remote = _files(tmp_path / "remote")
+    assert len(remote) == 3 and remote == _files(tmp_path / "mock")
+    capsys.readouterr()
+
+
 def _files(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
@@ -203,8 +238,8 @@ def test_serve_echo_subprocess_round_trip(corpus_dir, tmp_path):
             assert match, line
             endpoint = match.group(1)
             from uniparse.docmodel import load_document
-            from uniparse.engine import MockBackend, RemoteBackend, process_document
-            from uniparse.experts import DocumentStore
+            from uniparse.engine import process_document
+            from uniparse.experts import DocumentStore, MockBackend, RemoteBackend
             from uniparse.formats import to_structured
 
             doc = load_document(corpus_dir / "d000.ir.json")

@@ -33,12 +33,12 @@ from uniparse.docmodel import (
 from uniparse.engine import process_document
 from uniparse.formats import _doc_to_dict, to_structured
 
-from conftest import det, one_page_doc
+from conftest import HUGE_INT, MALFORMED_PAYLOADS, bad_json, deeply_nested, det, one_page_doc
 
 
 def write_ir(tmp_path, data) -> str:
     path = tmp_path / "doc.ir.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(bad_json(data), encoding="utf-8")
     return str(path)
 
 
@@ -102,7 +102,13 @@ def _on_page(**fields):
     return lambda data: data["pages"][0].update(detections=[_detection(**fields)])
 
 
-# Each edits minimal_ir() into a shape the loader must reject.
+def _payload_on_page(payload: dict):
+    category = "chemical_reaction" if payload["kind"] == "reaction" else "table"
+    return _on_page(category=category, truth_payload=payload)
+
+
+# Each edits minimal_ir() into a shape the loader must reject. write_ir writes
+# the strings "1e400" and HUGE_INT as numbers no integer or float can hold.
 MALFORMED_SHAPES = {
     "page_not_object": lambda data: data.update(pages=[1]),
     "pages_object": lambda data: data.update(pages={"a": 1}),
@@ -114,6 +120,14 @@ MALFORMED_SHAPES = {
                                truth_payload={"kind": "chart_table", "grid": 5}),
     "truth_text_int": _on_page(truth_text=5),
     "group_hint_list": _on_page(group_hint=["g"]),
+    "page_index_1e400": lambda data: data["pages"][0].update(page_index="1e400"),
+    "outline_level_1e400": lambda data: data.update(
+        outline=[{"level": "1e400", "title": "A", "page_index": 0}]),
+    "outline_page_index_1e400": lambda data: data.update(
+        outline=[{"level": 1, "title": "A", "page_index": "1e400"}]),
+    "box_huge_int": _on_page(box=[0.1, 0.1, 0.5, HUGE_INT]),
+    **{f"payload_{name}": _payload_on_page(payload)
+       for name, payload in MALFORMED_PAYLOADS.items()},
 }
 
 
@@ -125,6 +139,16 @@ def test_malformed_shape_is_a_schema_violation(tmp_path, capsys, shape):
     with pytest.raises(SchemaViolation):
         load_document(path)
     assert main(["parse", path]) == 1
+    assert "uniparse: error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_file_is_a_schema_violation(tmp_path, capsys):
+    path = tmp_path / "doc.ir.json"
+    path.write_text('{"version": "1", "doc_id": "t1", "pages": ' + deeply_nested() + "}",
+                    encoding="utf-8")
+    with pytest.raises(SchemaViolation):
+        load_document(path)
+    assert main(["parse", str(path)]) == 1
     assert "uniparse: error:" in capsys.readouterr().err
 
 

@@ -14,26 +14,26 @@ from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.dispatch import route
 from uniparse.docmodel import SemanticCategory as C
-from uniparse.engine import MockBackend, RemoteBackend, process_document
+from uniparse.engine import process_document
 from uniparse.experts import (
     DocumentStore,
     ExpertDescriptor,
-    ExpertRequest,
     ExpertTimeout,
     FatalExpertError,
     LatencyModel,
     MODALITIES,
-    MockExpert,
+    MockBackend,
     ProtocolError,
-    RemoteExpert,
+    RemoteBackend,
     RetryableExpertError,
+    Task,
     _substitute_grid_markers,
     batch_to_wire,
     mock_payload,
     requests_from_wire,
     substitute_markers,
 )
-from uniparse.formats import to_structured
+from uniparse.formats import to_markdown, to_structured
 from uniparse.payloads import (
     INLINE_MARKER,
     Caption,
@@ -46,15 +46,20 @@ from uniparse.payloads import (
 )
 from uniparse.server import EchoServerThread
 
-from conftest import det, one_page_doc
+from conftest import MALFORMED_PAYLOADS, bad_json, deeply_nested, det, one_page_doc
 
 
 def store_with(detections):
     return DocumentStore([one_page_doc(detections)])
 
 
+def mock_backend(descriptor, store):
+    """The mock experts with only descriptor's modality in their table."""
+    return MockBackend(store, {descriptor.modality: descriptor})
+
+
 def request_for(detection_id, modality, placeholders=()):
-    return ExpertRequest(
+    return Task(
         task_id=f"doc/{detection_id}",
         modality=modality,
         doc_id="doc",
@@ -66,15 +71,15 @@ def request_for(detection_id, modality, placeholders=()):
 
 def test_ocr_mock_passes_truth_text_through():
     store = store_with([det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="Introduction")])
-    expert = MockExpert(ExpertDescriptor("ocr"), store)
-    [response] = expert.process_batch([request_for("b1", "ocr")])
+    backend = mock_backend(ExpertDescriptor("ocr"), store)
+    [response] = backend.process("ocr", [request_for("b1", "ocr")])
     assert response.payload == Text("Introduction")
 
 
 def test_formula_mock_passes_payload_through():
     d = det("f1", (0.1, 0.1, 0.3, 0.15), C.FORMULA, truth_payload=Latex("E=mc^2"))
-    expert = MockExpert(ExpertDescriptor("formula"), store_with([d]))
-    [response] = expert.process_batch([request_for("f1", "formula")])
+    backend = mock_backend(ExpertDescriptor("formula"), store_with([d]))
+    [response] = backend.process("formula", [request_for("f1", "formula")])
     assert response.payload == Latex("E=mc^2")
 
 
@@ -106,21 +111,21 @@ def test_mock_failure_is_whole_batch_and_deterministic():
     d1 = det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="x")
     d2 = det("b2", (0.1, 0.3, 0.5, 0.4), truth_text="y")
     desc = ExpertDescriptor("ocr", latency=LatencyModel(jitter_seed=3), failure_rate=1.0)
-    expert = MockExpert(desc, store_with([d1, d2]))
+    backend = mock_backend(desc, store_with([d1, d2]))
     batch = [request_for("b1", "ocr"), request_for("b2", "ocr")]
     with pytest.raises(RetryableExpertError):
-        expert.process_batch(batch, attempt=0)
+        backend.process("ocr", batch, attempt=0)
     with pytest.raises(RetryableExpertError):
-        expert.process_batch(batch, attempt=1)
+        backend.process("ocr", batch, attempt=1)
 
 
 def test_mock_rejects_oversize_and_misrouted_batches():
     d = det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="x")
-    expert = MockExpert(ExpertDescriptor("ocr", max_batch=1), store_with([d]))
+    backend = mock_backend(ExpertDescriptor("ocr", max_batch=1), store_with([d]))
     with pytest.raises(FatalExpertError):
-        expert.process_batch([request_for("b1", "ocr"), request_for("b1", "ocr")])
+        backend.process("ocr", [request_for("b1", "ocr"), request_for("b1", "ocr")])
     with pytest.raises(FatalExpertError):
-        expert.process_batch([request_for("b1", "formula")])
+        backend.process("ocr", [request_for("b1", "formula")])
 
 
 def test_reaction_mock_parses_triplet_text():
@@ -141,18 +146,17 @@ def test_order_preservation_conformance(small_corpus):
         modality = route(d.category)
         if modality:
             by_modality[modality].append(
-                ExpertRequest(f"{doc.doc_id}/{d.id}", modality, doc.doc_id, d.page_index, d.id)
+                Task(f"{doc.doc_id}/{d.id}", modality, doc.doc_id, d.page_index, d.id)
             )
-    with EchoServerThread(docs) as srv:
+    mock = MockBackend(store)
+    with EchoServerThread(docs) as srv, closing(RemoteBackend(srv.endpoint)) as remote:
         for modality, batch in sorted(by_modality.items()):
             if not batch:
                 continue
             batch = batch[:16]
-            mock = MockExpert(ExpertDescriptor(modality), store)
-            got_mock = mock.process_batch(batch)
+            got_mock = mock.process(modality, batch)
             assert [r.task_id for r in got_mock] == [r.task_id for r in batch]
-            with closing(RemoteExpert(srv.endpoint, modality)) as expert:
-                got_remote = expert.process_batch(batch)
+            got_remote = remote.process(modality, batch)
             assert [r.task_id for r in got_remote] == [r.task_id for r in batch]
 
 
@@ -170,13 +174,12 @@ def test_echo_server_payloads_match_mock(small_corpus):
             # Hand-written tokens, unlike any a default-config plan emits.
             tokens = tuple(f"<<hand:{d.id}:{k}>>" for k in range(markers))
             (inline if markers else plain).append(
-                ExpertRequest(f"{doc.doc_id}/{d.id}", "ocr", doc.doc_id, d.page_index, d.id,
-                              tokens))
+                Task(f"{doc.doc_id}/{d.id}", "ocr", doc.doc_id, d.page_index, d.id, tokens))
     batch = plain[:8] + inline[:8]
     assert plain and inline
-    with EchoServerThread(docs) as srv, closing(RemoteExpert(srv.endpoint, "ocr")) as expert:
-        remote = expert.process_batch(batch)
-    mock = MockExpert(ExpertDescriptor("ocr"), store).process_batch(batch)
+    with EchoServerThread(docs) as srv, closing(RemoteBackend(srv.endpoint)) as backend:
+        remote = backend.process("ocr", batch)
+    mock = MockBackend(store).process("ocr", batch)
     assert [r.payload for r in remote] == [r.payload for r in mock]
     assert sum("<<hand:" in r.payload.value for r in mock) == len(inline[:8])
 
@@ -238,9 +241,9 @@ def _stub_server(status, body=b"{}"):
 def test_remote_503_is_retryable():
     server = _stub_server(503)
     try:
-        expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with closing(expert), pytest.raises(RetryableExpertError):
-            expert.process_batch([request_for("b1", "ocr")])
+        backend = RemoteBackend(f"http://127.0.0.1:{server.server_address[1]}")
+        with closing(backend), pytest.raises(RetryableExpertError):
+            backend.process("ocr", [request_for("b1", "ocr")])
     finally:
         server.shutdown()
         server.server_close()
@@ -249,9 +252,9 @@ def test_remote_503_is_retryable():
 def test_remote_400_is_fatal():
     server = _stub_server(400)
     try:
-        expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with closing(expert), pytest.raises(FatalExpertError):
-            expert.process_batch([request_for("b1", "ocr")])
+        backend = RemoteBackend(f"http://127.0.0.1:{server.server_address[1]}")
+        with closing(backend), pytest.raises(FatalExpertError):
+            backend.process("ocr", [request_for("b1", "ocr")])
     finally:
         server.shutdown()
         server.server_close()
@@ -260,36 +263,50 @@ def test_remote_400_is_fatal():
 def test_remote_truncated_body_is_protocol_error():
     server = _stub_server(200, body=b'{"items": [{"task_id"')
     try:
-        expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with closing(expert), pytest.raises(ProtocolError):
-            expert.process_batch([request_for("b1", "ocr")])
+        backend = RemoteBackend(f"http://127.0.0.1:{server.server_address[1]}")
+        with closing(backend), pytest.raises(ProtocolError):
+            backend.process("ocr", [request_for("b1", "ocr")])
     finally:
         server.shutdown()
         server.server_close()
 
 
-@pytest.mark.parametrize("body", [
-    b'[{"task_id": "doc/b1"}]',
-    b'{"items": [{"task_id": "doc/b1", "payload": 5}]}',
-    b'{"items": [{"task_id": "doc/b1", "payload": {"kind": "chart_table", "grid": 5}}]}',
-], ids=["body_not_object", "payload_not_object", "grid_not_object"])
-def test_remote_malformed_body_is_protocol_error(body):
-    server = _stub_server(200, body=body)
+# 200 bodies no decoder can read: wrong shapes, payloads with numbers no
+# integer can hold or lists of non-strings, and nesting too deep to parse.
+MALFORMED_RESPONSES = {
+    "body_not_object": '[{"task_id": "doc/b1"}]',
+    "payload_not_object": '{"items": [{"task_id": "doc/b1", "payload": 5}]}',
+    "grid_not_object":
+        '{"items": [{"task_id": "doc/b1", "payload": {"kind": "chart_table", "grid": 5}}]}',
+    **{name: bad_json({"items": [{"task_id": "doc/b1", "payload": payload}]})
+       for name, payload in MALFORMED_PAYLOADS.items()},
+    "nested_100000": '{"items": [{"task_id": "doc/b1", "payload": ' + deeply_nested() + "}]}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_RESPONSES))
+def test_remote_malformed_body_is_protocol_error(name):
+    server = _stub_server(200, body=MALFORMED_RESPONSES[name].encode("utf-8"))
+    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="x")])
     try:
-        expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with closing(expert), pytest.raises(ProtocolError):
-            expert.process_batch([request_for("b1", "ocr")])
+        with closing(RemoteBackend(f"http://127.0.0.1:{server.server_address[1]}")) as backend:
+            with pytest.raises(ProtocolError):
+                backend.process("ocr", [request_for("b1", "ocr")])
+            parsed = process_document(doc, backend=backend).parsed
     finally:
         server.shutdown()
         server.server_close()
+    # the batch's one task fails; nothing reaches a formatter
+    assert parsed.failed_tasks == ("doc/b1",)
+    assert isinstance(to_markdown(parsed), str)
 
 
 def test_remote_unexpected_status_is_protocol_error():
     server = _stub_server(418)
     try:
-        expert = RemoteExpert(f"http://127.0.0.1:{server.server_address[1]}", "ocr")
-        with closing(expert), pytest.raises(ProtocolError):
-            expert.process_batch([request_for("b1", "ocr")])
+        backend = RemoteBackend(f"http://127.0.0.1:{server.server_address[1]}")
+        with closing(backend), pytest.raises(ProtocolError):
+            backend.process("ocr", [request_for("b1", "ocr")])
     finally:
         server.shutdown()
         server.server_close()
@@ -347,6 +364,18 @@ def test_malformed_request_is_rejected(name):
     doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="x")])
     with EchoServerThread([doc]) as srv, requests.Session() as session:
         response = session.post(f"{srv.endpoint}/v1/experts/ocr:batch", json=body)
+        assert response.status_code == 400, response.text
+
+
+@pytest.mark.parametrize("body", [
+    bad_json({"items": [{**_ITEM, "page_index": "1e400"}]}),
+    '{"items": ' + deeply_nested() + "}",
+], ids=["page_index_1e400", "nested_100000"])
+def test_echo_server_answers_undecodable_request_with_400(body):
+    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="x")])
+    with EchoServerThread([doc]) as srv, requests.Session() as session:
+        response = session.post(f"{srv.endpoint}/v1/experts/ocr:batch", data=body.encode(),
+                                headers={"Content-Type": "application/json"})
         assert response.status_code == 400, response.text
 
 

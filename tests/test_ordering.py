@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from uniparse import ordering
 from uniparse.config import EngineConfig
+from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, SemanticCategory as C, hull_of
+from uniparse.engine import analyze_pages
 from uniparse.layout import build_layout_tree, build_page_tree, pair_groups
 from uniparse.ordering import (
     HCut,
@@ -216,6 +218,24 @@ def test_distant_hinted_pair_is_one_unit():
     units = group_cluster(tree)
     assert len(units) == 1
     assert units[0].hull.as_list() == [0.1, 0.1, 0.9, 0.75]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), with_hints=st.booleans(), columns=st.sampled_from([1, 2, 3]),
+       jitter_sigma=st.sampled_from([0.0, 0.01, 0.03]), merge_prob=st.sampled_from([0.0, 0.5]))
+def test_unit_members_are_named_by_their_anchor(seed, with_hints, columns, jitter_sigma,
+                                                merge_prob):
+    # engine._relation_between reads each member's relation from the anchor's
+    # group links, with no fallback
+    spec = CorpusSpec(seed=seed, n_docs=2, pages_min=1, pages_max=2, columns=columns,
+                      jitter_sigma=jitter_sigma, merge_prob=merge_prob, with_hints=with_hints)
+    docs, _ = gen_corpus(spec)
+    for doc in docs:
+        for analysis in analyze_pages(doc):
+            nodes = {n.id: n for n in analysis.tree.iter_nodes()}
+            for u in analysis.units:
+                linked = {other for _kind, other in nodes[u.unit_id].group_links}
+                assert set(u.member_ids) - {u.unit_id} <= linked
 
 
 # --- xy_cut ------------------------------------------------------------------

@@ -17,7 +17,6 @@ from uniparse.experts import (
     ExpertDescriptor,
     ExpertResponse,
     LatencyModel,
-    MockExpert,
     ProtocolError,
     RetryableExpertError,
     default_descriptors,
@@ -297,7 +296,7 @@ def test_engine_cap_above_expert_cap_in_every_mode(mode):
 
 
 def wrong_expert_table():
-    # ocr tasks routed to a formula expert: MockExpert rejects them fatally
+    # ocr tasks routed to a formula expert: MockBackend rejects them fatally
     table = ocr_experts()
     table["ocr"] = ExpertDescriptor("formula", max_batch=4)
     return table
@@ -435,13 +434,13 @@ def test_tasks_conserved_under_random_failures_in_every_mode(seed, failure_rate,
     planned = sum(len(analyze_and_plan(doc, engine)[1].tasks) for doc in docs)
     experts = default_descriptors(max_batch=expert_cap, seed=seed + 1, failure_rate=failure_rate)
     sizes = []
-    real_process_batch = MockExpert.process_batch
+    real_process = MockBackend.process
 
-    def recording(self, batch, attempt=0):
-        sizes.append((len(batch), self.descriptor.max_batch))
-        return real_process_batch(self, batch, attempt)
+    def recording(self, modality, batch, attempt=0):
+        sizes.append((len(batch), self.descriptors[modality].max_batch))
+        return real_process(self, modality, batch, attempt)
 
-    with mock.patch.object(MockExpert, "process_batch", recording):
+    with mock.patch.object(MockBackend, "process", recording):
         for mode in Mode:
             config = PipelineConfig(mode=mode, engine=engine, experts=experts, seed=seed + 1)
             outs, metrics = run_pipeline(docs, config)
