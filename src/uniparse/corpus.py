@@ -22,14 +22,12 @@ from .docmodel import (
 )
 from .payloads import (
     INLINE_MARKER,
-    Caption,
     Cell,
     ChartTable,
     ESmiles,
     Latex,
     Reaction,
     TableGrid,
-    Text,
 )
 
 

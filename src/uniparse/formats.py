@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .consolidate import FlowItem, Partner, SectionNode
@@ -16,9 +16,7 @@ from .layout import RelationKind
 from .payloads import (
     Caption,
     ChartTable,
-    ContentPayload,
     ESmiles,
-    Latex,
     Reaction,
     TableGrid,
     Text,

@@ -4,7 +4,7 @@ and a gap/alignment fallback for regions the cuts cannot separate.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -195,25 +195,45 @@ def gap_tree_order(
     left. The precedence graph is topologically sorted; ties and cycles break
     by (y0, x0, id).
 
-    Candidate pairs come from sweeps over the y0-sorted hulls, so the cost
-    grows with candidates plus edges rather than with all pairs; the rule is
-    evaluated on the candidates only, so the edges are exactly the rule's.
+    The sort releases a unit once every predecessor is placed, so on an
+    acyclic graph its order depends only on the graph's transitive closure
+    (the placed units are always closed under predecessors). It therefore
+    runs on the reduced edges of _precedence_edges, a few per unit: the cost
+    is one mask query per axis per unit plus the kept edges, and the memory
+    n*n/8 bytes per mask family (about 2.3 MB at 4,326 units; five families
+    per axis) where the full rule would list millions of edges. The reduced
+    graph has a cycle exactly when the rule's graph has one; which units a
+    cycle releases depends on the edges themselves, so such a leaf is sorted
+    again on the full edge list.
     """
     cfg = cfg or EngineConfig()
-    n = len(units)
-    if n <= 1:
+    if len(units) <= 1:
         return [u.unit_id for u in units]
 
     units = sorted(units, key=lambda u: u.hull.y0)
-    succ = _precedence_edges([u.hull for u in units], cfg)
+    hulls = [u.hull for u in units]
+    # Unit ids are unique, so the key is a total order and the heap pops
+    # exactly what a re-sorted ready list would.
+    key_of = [(h.y0, h.x0, u.unit_id, i) for i, (u, h) in enumerate(zip(units, hulls))]
+    order = _heap_order(_precedence_edges(hulls, cfg), key_of, break_cycles=False)
+    if order is None:
+        order = _heap_order(_precedence_edges(hulls, cfg, prune=False), key_of, break_cycles=True)
+    return [units[i].unit_id for i in order]
+
+
+def _heap_order(
+    succ: list[list[int]], key_of: list[tuple], break_cycles: bool
+) -> list[int] | None:
+    """Kahn's algorithm, always placing the ready unit with the smallest key.
+
+    When no unit is ready (a cycle), returns None, or with break_cycles
+    releases the visually first unplaced unit and drops its in-edges.
+    """
+    n = len(succ)
     indeg = [0] * n
     for targets in succ:
         for j in targets:
             indeg[j] += 1
-
-    # Unit ids are unique, so the key is a total order and the heap pops
-    # exactly what a re-sorted ready list would.
-    key_of = [(u.hull.y0, u.hull.x0, u.unit_id, i) for i, u in enumerate(units)]
     by_key = sorted(key_of)
     ready = [k for k in by_key if indeg[k[3]] == 0]
     placed = [False] * n
@@ -221,7 +241,8 @@ def gap_tree_order(
     order: list[int] = []
     while len(order) < n:
         if not ready:
-            # Cycle: release the visually first node and drop its in-edges.
+            if not break_cycles:
+                return None
             while placed[by_key[first][3]]:
                 first += 1
             ready = [by_key[first]]
@@ -234,146 +255,147 @@ def gap_tree_order(
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     heappush(ready, key_of[j])
-    return [units[i].unit_id for i in order]
+    return order
 
 
-Geometry = tuple[float, float, float, float, float, float]  # x0, y0, x1, y1, width, height
+# Leaves of at most this many units test every pair instead of building masks.
+_FEW_UNITS = 8
 
 
-def _precedes(a: Geometry, b: Geometry, cfg: EngineConfig) -> bool:
-    """The fallback's rule: a fully above b with enough horizontal overlap,
-    or both in one band with b starting clearly further right."""
-    ax0, ay0, ax1, ay1, aw, ah = a
-    bx0, by0, bx1, by1, bw, bh = b
-    overlap_x = min(ax1, bx1) - max(ax0, bx0)
-    min_w = min(aw, bw)
-    if ay1 <= by0 and min_w > 0 and overlap_x / min_w >= cfg.h_overlap:
-        return True
-    overlap_y = min(ay1, by1) - max(ay0, by0)
-    min_h = min(ah, bh)
-    return min_h > 0 and overlap_y / min_h >= cfg.v_overlap and (bx0 - ax0) >= cfg.align_tol
-
-
-def _pad(*values: float) -> float:
-    """A margin far above the rounding error of sums of these values, so
-    that a window widened by it never misses a pair the rule admits."""
-    return 1e-9 * (1.0 + sum(abs(v) for v in values))
-
-
-def _precedence_edges(hulls: list[BoundingBox], cfg: EngineConfig) -> list[list[int]]:
+def _precedence_edges(
+    hulls: list[BoundingBox], cfg: EngineConfig, prune: bool = True
+) -> list[list[int]]:
     """Successor lists of the precedence rule over hulls sorted by y0.
 
-    Two sweeps find the candidates. The band pass tests every pair the band
-    rule can admit: those whose y-intervals overlap, widened by the gap that
-    a v_overlap <= 0 tolerates. The above pass tests the remaining units
-    below, those starting at or after a.y1, whose x-interval meets a's,
-    widened by the gap that an h_overlap <= 0 tolerates. Each pair is tested
-    at most once, so the lists hold no duplicates.
+    A unit a's candidates are the units the "fully above" rule can admit,
+    those starting at or after a.y1 whose x-intervals overlap enough, and
+    those the band rule can admit, whose y-intervals overlap enough: one
+    _OverlapMasks query per axis (every unit, in leaves of at most
+    _FEW_UNITS). The rule's exact float test confirms each candidate, and
+    each pair is tested at most once, so the lists hold no duplicates.
+
+    With prune, units are visited bottom-up and a->j is kept only when j is
+    not already known to be reachable from a through kept edges. Candidates
+    are taken in ascending y0, nearest first, and a reachable one is skipped
+    untested, so a unit costs its mask queries and kept edges rather than
+    every unit below it. The kept edges are a subset of the rule's with the
+    same transitive closure. Without prune the lists hold exactly the rule's
+    edges.
     """
     geo = [(h.x0, h.y0, h.x1, h.y1, h.width, h.height) for h in hulls]
     n = len(geo)
-    h_overlap, v_overlap = cfg.h_overlap, cfg.v_overlap
+    h_overlap, v_overlap, align_tol = cfg.h_overlap, cfg.v_overlap, cfg.align_tol
     ys = [g[1] for g in geo]
-    tallest = max((g[5] for g in geo if g[5] > 0), default=0.0)
+    few = n <= _FEW_UNITS
+    if not few:
+        across = _OverlapMasks([(g[0], g[2], g[4]) for g in geo], h_overlap)
+        along = _OverlapMasks([(g[1], g[3], g[5]) for g in geo], v_overlap)
+    # reach[j]: j and the units known reachable from it through kept edges.
+    # Units above a are visited after it, so what they reach is not yet known.
+    reach = [0] * n
     succ: list[list[int]] = [[] for _ in range(n)]
-
-    band_end = [0] * n  # units before band_end[i] were tested by the band pass
-    for i, a in enumerate(geo):
-        ay0, ay1, ah = a[1], a[3], a[5]
-        if not ah > 0:
-            continue  # the band rule needs both heights positive
-        reach = -v_overlap * ah if v_overlap <= 0 else 0.0
-        pad = _pad(ay0, ay1, tallest, reach)
-        band_end[i] = bisect_right(ys, ay1 + reach + pad)
-        for j in range(bisect_left(ys, ay0 - reach - tallest - pad), band_end[i]):
-            if j != i and _precedes(a, geo[j], cfg):
-                succ[i].append(j)
-
-    # Sources by descending first unit below them; units are indexed as they
-    # enter that suffix, so each query sees exactly the units below.
-    sources = sorted(
-        ((bisect_left(ys, g[3]), i) for i, g in enumerate(geo) if g[4] > 0), reverse=True
-    )
-    starts: list[int] = []  # the indexed units by ascending x0
-    start_x0: list[float] = []
-    covering = _StabIndex(g[0] for g in geo if g[4] > 0)
-    added = n
-    for below, i in sources:
-        while added > below:
-            added -= 1
-            b = geo[added]
-            if b[4] > 0:  # the above rule needs both widths positive
-                at = bisect_right(start_x0, b[0])
-                start_x0.insert(at, b[0])
-                starts.insert(at, added)
-                covering.add(b[0], b[2], added)
-        ax0, _, ax1, _, aw, _ = geo[i]
-        reach = -h_overlap * aw if h_overlap <= 0 else 0.0
-        pad = _pad(ax0, ax1, reach)
-        lo, hi = ax0 - reach - pad, ax1 + reach + pad
-        candidates = covering.stab(lo) + starts[bisect_left(start_x0, lo):bisect_right(start_x0, hi)]
-        skip = band_end[i]
-        for j in candidates:
-            if j < skip or j == i:
-                continue
-            bx0, _, bx1, _, bw, _ = geo[j]
-            # _precedes' above test, with a.y1 <= b.y0 and both widths > 0 known
-            overlap_x = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
-            if overlap_x / (bw if bw < aw else aw) >= h_overlap:
-                succ[i].append(j)
+    for i in range(n - 1, -1, -1):
+        ax0, ay0, ax1, ay1, aw, ah = geo[i]
+        out = succ[i]
+        seen = 1 << i
+        if few:
+            cand = (1 << n) - 1
+        else:
+            below = bisect_left(ys, ay1)  # units from here on start at or after a.y1
+            cand = across.candidates(ax0, ax1, aw) >> below << below
+            cand |= along.candidates(ay0, ay1, ah)
+        cand &= ~seen
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            bx0, by0, bx1, by1, bw, bh = geo[j]
+            # a fully above b with enough horizontal overlap, or both in one
+            # band with b starting clearly further right
+            min_w = bw if bw < aw else aw
+            if not (ay1 <= by0 and min_w > 0 and
+                    ((bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)) / min_w
+                    >= h_overlap):
+                min_h = bh if bh < ah else ah
+                if not (min_h > 0 and bx0 - ax0 >= align_tol and
+                        ((by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)) / min_h
+                        >= v_overlap):
+                    continue
+            out.append(j)
+            if prune:
+                seen |= reach[j] | low
+                cand &= ~seen
+        reach[i] = seen
     return succ
 
 
-class _StabIndex:
-    """Intervals [x0, x1] added over time and stabbed at a point.
+class _OverlapMasks:
+    """The units whose interval on one axis overlaps a given interval by at
+    least t times the shorter of the two lengths, as a bitmask.
 
-    A centred interval tree over fixed centres, which must include every x0
-    that is added. An interval sits at the first node on its root path whose
-    centre it contains, in one list sorted by x0 and one by descending x1, so
-    a stab walks one root path and reads only what it reports.
+    With both lengths positive and t <= 1, min(a.hi, b.hi) - max(a.lo, b.lo)
+    >= t * min(a.len, b.len) splits on the shorter interval into threshold
+    tests on b alone:
+
+        b.len >= a.len:  b.lo <= a.hi - t*a.len  and  b.hi >= a.lo + t*a.len
+        b.len <  a.len:  b.lo + t*b.len <= a.hi  and  b.hi - t*b.len >= a.lo
+
+    The overlap never exceeds the shorter length, so t > 1 admits nothing.
+    Each test selects a prefix or suffix of the units sorted by one key (lo,
+    hi, len, lo + t*len, hi - t*len), read as one Python int per prefix: at
+    most n*n/8 bytes per key. The thresholds are widened by a margin above
+    their rounding error, so a mask may hold a unit the exact test rejects
+    but never misses one it admits.
     """
 
-    def __init__(self, centres):
-        self._centres = sorted(set(centres))
-        self._by_x0: dict[int, list[tuple[float, int]]] = {}
-        self._by_x1: dict[int, list[tuple[float, int]]] = {}
+    def __init__(self, spans: list[tuple[float, float, float]], t: float):
+        live = [j for j, s in enumerate(spans) if s[2] > 0]
+        extent = max((max(abs(spans[j][0]), abs(spans[j][1])) for j in live), default=0.0)
+        self.t = t
+        # far above the rounding error of the keys, the thresholds and the
+        # rule's own ratio, whose terms are all within (3 + 2|t|) * extent
+        self.pad = 1e-9 * (1.0 + (3 + 2 * abs(t)) * extent)
+        self.lo = _prefix_masks(live, [s[0] for s in spans])
+        self.hi = _prefix_masks(live, [s[1] for s in spans])
+        self.length = _prefix_masks(live, [s[2] for s in spans])
+        self.start = _prefix_masks(live, [s[0] + t * s[2] for s in spans])
+        self.end = _prefix_masks(live, [s[1] - t * s[2] for s in spans])
 
-    def add(self, x0: float, x1: float, item: int) -> None:
-        lo, hi = 0, len(self._centres)
-        while True:
-            mid = (lo + hi) // 2
-            centre = self._centres[mid]
-            if x1 < centre:
-                hi = mid
-            elif x0 > centre:
-                lo = mid + 1
-            else:
-                break
-        insort(self._by_x0.setdefault(mid, []), (x0, item))
-        insort(self._by_x1.setdefault(mid, []), (-x1, item))
+    def candidates(self, lo: float, hi: float, length: float) -> int:
+        t, pad = self.t, self.pad
+        if not (length > 0 and t <= 1):
+            return 0
+        keys, masks = self.length
+        shorter = masks[bisect_left(keys, length)]
+        longer = masks[-1] ^ shorter
+        if longer:
+            longer &= (_at_most(self.lo, hi - t * length + pad)
+                       & _at_least(self.hi, lo + t * length - pad))
+        if shorter:
+            shorter &= _at_most(self.start, hi + pad) & _at_least(self.end, lo - pad)
+        return longer | shorter
 
-    def stab(self, q: float) -> list[int]:
-        """Items whose interval has x0 < q <= x1."""
-        out: list[int] = []
-        lo, hi = 0, len(self._centres)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            centre = self._centres[mid]
-            if q <= centre:
-                for x0, item in self._by_x0.get(mid, ()):
-                    if x0 >= q:
-                        break
-                    out.append(item)
-                if q == centre:
-                    break
-                hi = mid
-            else:
-                for neg_x1, item in self._by_x1.get(mid, ()):
-                    if -neg_x1 < q:
-                        break
-                    out.append(item)
-                lo = mid + 1
-        return out
+
+def _prefix_masks(live: list[int], key: list[float]) -> tuple[list[float], list[int]]:
+    """The live units' keys in ascending order, and for each k the bitmask
+    of the first k of them."""
+    order = sorted(live, key=key.__getitem__)
+    masks = [0]
+    acc = 0
+    for j in order:
+        acc |= 1 << j
+        masks.append(acc)
+    return [key[j] for j in order], masks
+
+
+def _at_most(family: tuple[list[float], list[int]], t: float) -> int:
+    keys, masks = family
+    return masks[bisect_right(keys, t)]
+
+
+def _at_least(family: tuple[list[float], list[int]], t: float) -> int:
+    keys, masks = family
+    return masks[-1] ^ masks[bisect_left(keys, t)]
 
 
 def order_units(tree: LayoutTree, cfg: EngineConfig | None = None) -> list[OrderUnit]:
@@ -392,7 +414,3 @@ def order_units(tree: LayoutTree, cfg: EngineConfig | None = None) -> list[Order
         else:
             ordered.extend(by_id[uid] for uid in leaf.unit_ids)
     return ordered
-
-
-def reading_order(tree: LayoutTree, cfg: EngineConfig | None = None) -> list[str]:
-    return [u.unit_id for u in order_units(tree, cfg)]

@@ -74,13 +74,20 @@ class TableGrid:
         return len(self.cells) == self.rows * self.cols
 
     def spans_tile(self) -> bool:
-        """True when cell spans cover the grid without overlap (gaps allowed)."""
+        """True when cell spans cover the grid without overlap (gaps allowed).
+
+        Every cell's bounds are checked before any position is enumerated, so
+        the work is bounded by the grid's own positions, not by its spans.
+        """
+        for c in self.cells:
+            covers = c.row_span > 0 and c.col_span > 0
+            if covers and not (0 <= c.row and c.row + c.row_span <= self.rows
+                               and 0 <= c.col and c.col + c.col_span <= self.cols):
+                return False
         seen: set[tuple[int, int]] = set()
         for c in self.cells:
             for r in range(c.row, c.row + c.row_span):
                 for k in range(c.col, c.col + c.col_span):
-                    if r < 0 or r >= self.rows or k < 0 or k >= self.cols:
-                        return False
                     if (r, k) in seen:
                         return False
                     seen.add((r, k))
@@ -117,6 +124,12 @@ _SCALAR_TYPES = {"text": Text, "latex": Latex, "e_smiles": ESmiles, "caption": C
 # wrong type, a bad value, a non-finite or huge number given where an integer
 # or float belongs, or nesting too deep to parse.
 DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+# The most positions (rows x cols) a decoded table grid may declare. The
+# formatters walk every row and the tiling check every covered position, so a
+# file or response declaring a billion rows would exhaust time or memory;
+# real tables are orders of magnitude smaller.
+MAX_GRID_POSITIONS = 100_000
 
 
 def payload_to_dict(payload: ContentPayload) -> dict:
@@ -182,7 +195,16 @@ def _grid_from_dict(data: dict) -> TableGrid:
         )
         for c in _require_object(data).get("cells", ())
     )
-    return TableGrid(rows=int(data["rows"]), cols=int(data["cols"]), cells=cells)
+    rows, cols = int(data["rows"]), int(data["cols"])
+    if rows < 0 or cols < 0 or rows * cols > MAX_GRID_POSITIONS:
+        raise ValueError(f"a {rows} x {cols} grid: at most {MAX_GRID_POSITIONS} positions")
+    for c in cells:
+        if c.row_span < 0 or c.col_span < 0:
+            raise ValueError(f"cell ({c.row}, {c.col}) has a negative span")
+        if not (0 <= c.row < rows and c.row + c.row_span <= rows
+                and 0 <= c.col < cols and c.col + c.col_span <= cols):
+            raise ValueError(f"cell ({c.row}, {c.col}) lies outside the {rows} x {cols} grid")
+    return TableGrid(rows=rows, cols=cols, cells=cells)
 
 
 def str_list(data: dict, key: str) -> tuple[str, ...]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, Detection, DocumentIR, PageIR, SemanticCategory
+from uniparse.ordering import order_units
 
 # The benchmark's seeded workloads (perfbench/workloads.py) double as test inputs.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -30,6 +31,11 @@ def det(
         confidence=kw.pop("confidence", 0.9),
         **kw,
     )
+
+
+def reading_order(tree, cfg: EngineConfig | None = None) -> list[str]:
+    """The page's unit ids in reading order."""
+    return [u.unit_id for u in order_units(tree, cfg)]
 
 
 def one_page_doc(detections, doc_id: str = "doc", outline=()) -> DocumentIR:
@@ -116,6 +122,13 @@ MALFORMED_PAYLOADS = {
     **{f"grid_{key}_1e400": _grid(**{key: "1e400"})
        for key in ("rows", "cols", "row", "col", "row_span", "col_span")},
     "cell_content_ints": _grid(content=[1, 2]),
+    # the grid size policy (payloads.MAX_GRID_POSITIONS); the first two once
+    # ran the loader and the markdown formatter out of memory
+    "grid_rows_and_row_span_2e9": _grid(rows=2e9, row_span=2e9),
+    "grid_rows_1e9_no_cells": _grid(rows=1e9, cells=[]),
+    "grid_row_span_2e9": _grid(row_span=2e9),
+    "grid_negative_span": _grid(col_span=-1),
+    "grid_cell_outside": _grid(col=1),
     "reaction_reactants_int": {"kind": "reaction", "reactants": [1], "products": ["B"]},
     "reaction_products_int": {"kind": "reaction", "reactants": ["A"], "products": [1]},
 }

@@ -25,7 +25,7 @@ from uniparse.engine import analyze_pages, process_document
 from uniparse.experts import default_descriptors
 from uniparse.formats import chunk, chunks_to_jsonl, to_html, to_markdown, to_structured
 from uniparse.layout import build_page_tree, group_pairs
-from uniparse.ordering import group_cluster, reading_order
+from uniparse.ordering import group_cluster
 from uniparse.payloads import INLINE_MARKER, TableGrid, Text, payload_text, render_inline
 from uniparse.runtime import (
     Mode,
@@ -35,7 +35,7 @@ from uniparse.runtime import (
     simulate_scaling,
 )
 
-from conftest import det
+from conftest import det, reading_order
 
 CFG = EngineConfig()
 

@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from uniparse import server
 from uniparse.cli import main
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.dispatch import ROUTE_TABLE
@@ -32,6 +33,7 @@ from uniparse.docmodel import (
 )
 from uniparse.engine import process_document
 from uniparse.formats import _doc_to_dict, to_structured
+from uniparse.payloads import Cell, TableGrid
 
 from conftest import HUGE_INT, MALFORMED_PAYLOADS, bad_json, deeply_nested, det, one_page_doc
 
@@ -140,6 +142,28 @@ def test_malformed_shape_is_a_schema_violation(tmp_path, capsys, shape):
         load_document(path)
     assert main(["parse", path]) == 1
     assert "uniparse: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MALFORMED_PAYLOADS if n.startswith("grid_")))
+def test_serve_echo_refuses_a_file_with_a_malformed_grid(tmp_path, capsys, monkeypatch, name):
+    # the echo server's requests carry no payloads; a grid reaches it only
+    # through the IR files it serves, which it must refuse before serving
+    def no_server(*args, **kwargs):
+        raise AssertionError("serve-echo started a server")
+
+    monkeypatch.setattr(server, "make_echo_server", no_server)
+    data = minimal_ir()
+    _payload_on_page(MALFORMED_PAYLOADS[name])(data)
+    assert main(["serve-echo", "--port", "0", "--ir", write_ir(tmp_path, data)]) == 1
+    assert "uniparse: error:" in capsys.readouterr().err
+
+
+def test_spans_tile_checks_bounds_before_enumerating():
+    # a span past the edge is refused at once, not after a billion positions
+    assert not TableGrid(10**9, 1, (Cell(0, 0, row_span=2 * 10**9),)).spans_tile()
+    assert TableGrid(2, 2, (Cell(0, 0, row_span=2), Cell(0, 1), Cell(1, 1))).spans_tile()
+    assert not TableGrid(2, 2, (Cell(0, 0, row_span=2), Cell(1, 0))).spans_tile()
+    assert TableGrid(2, 2, (Cell(5, 5, row_span=0),)).spans_tile()  # covers nothing
 
 
 def test_deeply_nested_file_is_a_schema_violation(tmp_path, capsys):

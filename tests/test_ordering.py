@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 from uniparse import ordering
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
-from uniparse.docmodel import BoundingBox, SemanticCategory as C, hull_of
+from uniparse.docmodel import BoundingBox, SemanticCategory as C
 from uniparse.engine import analyze_pages
 from uniparse.layout import build_layout_tree, build_page_tree, pair_groups
 from uniparse.ordering import (
@@ -17,17 +17,15 @@ from uniparse.ordering import (
     Leaf,
     OrderUnit,
     VCut,
-    _StabIndex,
     _precedence_edges,
     cut_leaves,
     gap_tree_order,
     group_cluster,
     order_units,
-    reading_order,
     xy_cut,
 )
 
-from conftest import GRID, box_lists, det
+from conftest import box_lists, det, reading_order
 
 
 def unit(uid, box, category=C.PARAGRAPH, page=0):
@@ -372,11 +370,33 @@ def test_cycle_broken_deterministically():
     assert gap_tree_order(list(reversed(units))) == first
 
 
+def edge_list(succ):
+    return [(i, j) for i, targets in enumerate(succ) for j in targets]
+
+
+def transitive_closure(n, edges):
+    """Reachability bitmasks, by Warshall's algorithm over bitsets."""
+    reach = [0] * n
+    for i, j in edges:
+        reach[i] |= 1 << j
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= reach[k]
+    return reach
+
+
 def assert_matches_all_pairs(units, cfg):
     hulls = sorted((u.hull for u in units), key=lambda h: h.y0)
-    edges = [(i, j) for i, targets in enumerate(_precedence_edges(hulls, cfg)) for j in targets]
-    assert len(edges) == len(set(edges))
-    assert set(edges) == all_pairs_edges(hulls, cfg)
+    want = all_pairs_edges(hulls, cfg)
+    full = edge_list(_precedence_edges(hulls, cfg, prune=False))
+    assert len(full) == len(set(full))
+    assert set(full) == want
+    kept = edge_list(_precedence_edges(hulls, cfg))
+    assert len(kept) == len(set(kept))
+    assert set(kept) <= want
+    assert transitive_closure(len(hulls), kept) == transitive_closure(len(hulls), want)
     assert gap_tree_order(units, cfg=cfg) == all_pairs_gap_tree_order(units, cfg=cfg)
 
 
@@ -395,31 +415,48 @@ def test_gap_tree_order_matches_oracle_on_crowded_pages(units, cfg):
     assert_matches_all_pairs(units, cfg)
 
 
-intervals = st.lists(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID)).map(sorted),
-                     max_size=30)
-
-
-@settings(max_examples=100, deadline=None)
-@given(intervals, st.lists(st.sampled_from(GRID) | st.floats(-0.5, 1.5), max_size=6))
-def test_stab_index_finds_exactly_the_covering_intervals(spans, queries):
-    index = _StabIndex(x0 for x0, _ in spans)
-    for k, (x0, x1) in enumerate(spans):
-        index.add(x0, x1, k)
-    for q in queries:
-        found = index.stab(q)
-        assert len(found) == len(set(found))
-        assert set(found) == {k for k, (x0, x1) in enumerate(spans) if x0 < q <= x1}
+def dense_trees(cfg, seeds=(0, 1, 2)):
+    return [build_page_tree(page.page_index, list(page.detections), cfg)
+            for seed in seeds for doc in workloads.build("dense", seed).docs
+            for page in doc.pages]
 
 
 def test_order_units_matches_oracle_on_dense_benchmark_pages(monkeypatch, cfg):
-    trees = [build_page_tree(page.page_index, list(page.detections), cfg)
-             for seed in (0, 1, 2) for doc in workloads.build("dense", seed).docs
-             for page in doc.pages]
+    trees = dense_trees(cfg)
+    # the same pages laid out in one column: long chains of stacked units
+    monkeypatch.setattr(workloads, "_COLUMNS", 1)
+    trees += dense_trees(cfg)
     got = [[u.unit_id for u in order_units(tree, cfg)] for tree in trees]
     monkeypatch.setattr(ordering, "gap_tree_order", all_pairs_gap_tree_order)
     want = [[u.unit_id for u in order_units(tree, cfg)] for tree in trees]
-    assert len(trees) == 33
+    assert len(trees) == 66
     assert got == want
+
+
+def kept_edges_and_units(tree, cfg):
+    """Kept precedence edges and units over the page's fallback leaves."""
+    units = group_cluster(tree)
+    by_id = {u.unit_id: u for u in units}
+    edges = fallback_units = 0
+    for leaf in cut_leaves(xy_cut(units, cfg=cfg)):
+        if len(leaf.unit_ids) > 1:
+            hulls = sorted((by_id[uid].hull for uid in leaf.unit_ids), key=lambda h: h.y0)
+            edges += sum(map(len, _precedence_edges(hulls, cfg)))
+            fallback_units += len(hulls)
+    return edges, fallback_units
+
+
+def test_fallback_keeps_few_edges_per_unit(monkeypatch, cfg):
+    # A count, not a timing: the all-pairs rule has 2.34M edges on the
+    # single-column page and 65,520 on the dense pages of seed 1.
+    pages = dense_trees(cfg, seeds=(1,))
+    monkeypatch.setattr(workloads, "_COLUMNS", 1)
+    single = workloads._dense_page("single", 2080, random.Random(1), {}).pages[0]
+    pages.append(build_page_tree(0, list(single.detections), cfg))
+    for tree in pages:
+        edges, fallback_units = kept_edges_and_units(tree, cfg)
+        assert fallback_units > 100
+        assert edges <= 4 * fallback_units
 
 
 # --- reading_order -----------------------------------------------------------
