@@ -259,6 +259,12 @@ def _heap_order(
 
 
 # Leaves of at most this many units test every pair instead of building masks.
+# Both paths keep the same edges. Building ten masks costs more than testing a
+# few pairs: on stream's leaves (seed 1: 1,400 leaves, all but one of 2-5
+# units) gap_tree_order takes 22 ms with this branch and 85 ms without, and
+# the benchmark's stream ordering.ms_per_page is 0.50 against 0.65-0.68. On
+# windows of dense leaves all-pairs stays faster up to about 32 units; 8 sits
+# below that crossover and above the leaves stream produces.
 _FEW_UNITS = 8
 
 

@@ -73,17 +73,23 @@ class TableGrid:
             return False
         return len(self.cells) == self.rows * self.cols
 
+    def fits(self, c: Cell) -> bool:
+        """True when c is anchored inside the grid, its spans are not
+        negative, and it ends inside the grid. A zero span covers nothing but
+        must still be anchored inside."""
+        return (c.row_span >= 0 and c.col_span >= 0
+                and 0 <= c.row < self.rows and c.row + c.row_span <= self.rows
+                and 0 <= c.col < self.cols and c.col + c.col_span <= self.cols)
+
     def spans_tile(self) -> bool:
-        """True when cell spans cover the grid without overlap (gaps allowed).
+        """True when every cell fits the grid and the spans cover it without
+        overlap (gaps allowed).
 
         Every cell's bounds are checked before any position is enumerated, so
         the work is bounded by the grid's own positions, not by its spans.
         """
-        for c in self.cells:
-            covers = c.row_span > 0 and c.col_span > 0
-            if covers and not (0 <= c.row and c.row + c.row_span <= self.rows
-                               and 0 <= c.col and c.col + c.col_span <= self.cols):
-                return False
+        if not all(self.fits(c) for c in self.cells):
+            return False
         seen: set[tuple[int, int]] = set()
         for c in self.cells:
             for r in range(c.row, c.row + c.row_span):
@@ -125,10 +131,12 @@ _SCALAR_TYPES = {"text": Text, "latex": Latex, "e_smiles": ESmiles, "caption": C
 # or float belongs, or nesting too deep to parse.
 DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
-# The most positions (rows x cols) a decoded table grid may declare. The
-# formatters walk every row and the tiling check every covered position, so a
-# file or response declaring a billion rows would exhaust time or memory;
-# real tables are orders of magnitude smaller.
+# The most positions (rows x cols, an empty dimension counted as 1) a decoded
+# table grid may declare, which also caps rows and cols on their own. The
+# formatters walk every row and every column and the tiling check every
+# covered position, so a file or response declaring a billion rows, even with
+# no columns, would exhaust time or memory; real tables are orders of
+# magnitude smaller.
 MAX_GRID_POSITIONS = 100_000
 
 
@@ -196,15 +204,15 @@ def _grid_from_dict(data: dict) -> TableGrid:
         for c in _require_object(data).get("cells", ())
     )
     rows, cols = int(data["rows"]), int(data["cols"])
-    if rows < 0 or cols < 0 or rows * cols > MAX_GRID_POSITIONS:
+    # max(.., 1): an empty dimension must not let the other one run unbounded
+    if rows < 0 or cols < 0 or max(rows, 1) * max(cols, 1) > MAX_GRID_POSITIONS:
         raise ValueError(f"a {rows} x {cols} grid: at most {MAX_GRID_POSITIONS} positions")
+    grid = TableGrid(rows=rows, cols=cols, cells=cells)
     for c in cells:
-        if c.row_span < 0 or c.col_span < 0:
-            raise ValueError(f"cell ({c.row}, {c.col}) has a negative span")
-        if not (0 <= c.row < rows and c.row + c.row_span <= rows
-                and 0 <= c.col < cols and c.col + c.col_span <= cols):
-            raise ValueError(f"cell ({c.row}, {c.col}) lies outside the {rows} x {cols} grid")
-    return TableGrid(rows=rows, cols=cols, cells=cells)
+        if not grid.fits(c):
+            raise ValueError(f"cell ({c.row}, {c.col}) spanning {c.row_span} x {c.col_span}"
+                             f" does not fit the {rows} x {cols} grid")
+    return grid
 
 
 def str_list(data: dict, key: str) -> tuple[str, ...]:

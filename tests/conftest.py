@@ -126,6 +126,8 @@ MALFORMED_PAYLOADS = {
     # ran the loader and the markdown formatter out of memory
     "grid_rows_and_row_span_2e9": _grid(rows=2e9, row_span=2e9),
     "grid_rows_1e9_no_cells": _grid(rows=1e9, cells=[]),
+    "grid_rows_1e9_no_cols": _grid(rows=1e9, cols=0, cells=[]),
+    "grid_cols_1e9_no_rows": _grid(rows=0, cols=1e9, cells=[]),
     "grid_row_span_2e9": _grid(row_span=2e9),
     "grid_negative_span": _grid(col_span=-1),
     "grid_cell_outside": _grid(col=1),

@@ -163,7 +163,10 @@ def test_spans_tile_checks_bounds_before_enumerating():
     assert not TableGrid(10**9, 1, (Cell(0, 0, row_span=2 * 10**9),)).spans_tile()
     assert TableGrid(2, 2, (Cell(0, 0, row_span=2), Cell(0, 1), Cell(1, 1))).spans_tile()
     assert not TableGrid(2, 2, (Cell(0, 0, row_span=2), Cell(1, 0))).spans_tile()
-    assert TableGrid(2, 2, (Cell(5, 5, row_span=0),)).spans_tile()  # covers nothing
+    # the loader's bounds rule: a zero span covers nothing but is anchored inside
+    assert TableGrid(2, 2, (Cell(1, 1, row_span=0),)).spans_tile()
+    assert not TableGrid(2, 2, (Cell(5, 5, row_span=0),)).spans_tile()
+    assert not TableGrid(2, 2, (Cell(0, 0, col_span=-1),)).spans_tile()
 
 
 def test_deeply_nested_file_is_a_schema_violation(tmp_path, capsys):
