@@ -252,7 +252,7 @@ _LINKABLE: dict[SemanticCategory, frozenset[SemanticCategory]] = {
 }
 
 
-def link_multimodal(items: list[FlowItem], cfg: EngineConfig | None = None) -> list[FlowItem]:
+def link_multimodal(items: list[FlowItem]) -> list[FlowItem]:
     """Associate an unpartnered anchor ending one page with a compatible
     orphan partner opening the next page (first two units only). The partner
     folds into the anchor's group; at most one link per anchor.
@@ -366,5 +366,5 @@ def consolidate(
     cfg = cfg or EngineConfig()
     items = merge_cross_column(items, cfg, language_tag)
     items = merge_cross_page(items, cfg, language_tag)
-    items = link_multimodal(items, cfg)
+    items = link_multimodal(items)
     return integrate_sections(items, outline)

@@ -292,7 +292,7 @@ def _gen_document(b: _DocBuilder) -> DocumentIR:
     for page in range(n_pages):
         b.pages.append([])
         b.truth.pages.append(PageTruth(page_index=page))
-        pending = _gen_page(b, page, n_pages, splits.get(page), pending)
+        pending = _gen_page(b, page, splits.get(page), pending)
 
     pages = [
         PageIR(page_index=i, width_pt=612.0, height_pt=792.0, detections=tuple(dets))
@@ -305,7 +305,7 @@ def _gen_document(b: _DocBuilder) -> DocumentIR:
 
 
 def _gen_page(
-    b: _DocBuilder, page: int, n_pages: int, split_kind: str | None, pending: dict | None
+    b: _DocBuilder, page: int, split_kind: str | None, pending: dict | None
 ) -> dict | None:
     rng = b.rng
     truth = b.truth.pages[page]
@@ -384,7 +384,7 @@ def _place_block(
         det_id = b.new_id(page)
         children: list[Detection] = []
         if rng.random() < 0.4:
-            text, children = _inline_children(b, page, det_id, box, text, lines)
+            text, children = _inline_children(b, page, box, text, lines)
         d = Detection(
             id=det_id, page_index=page, box=box, category=SemanticCategory.PARAGRAPH,
             confidence=round(rng.uniform(0.82, 0.99), 4), truth_text=text,
@@ -565,7 +565,7 @@ def _random_reaction(rng: random.Random) -> Reaction:
 
 
 def _inline_children(
-    b: _DocBuilder, page: int, parent_id: str, box: BoundingBox, text: str, lines: int
+    b: _DocBuilder, page: int, box: BoundingBox, text: str, lines: int
 ) -> tuple[str, list[Detection]]:
     """Insert 1-2 inline markers into the text and emit matching children.
 
@@ -770,17 +770,6 @@ def _jitter_box(box: BoundingBox, sigma: float, rng: random.Random) -> BoundingB
     dx = max(-box.x0, min(dx, 1.0 - box.x1))
     dy = max(-box.y0, min(dy, 1.0 - box.y1))
     return box.translate(dx, dy)
-
-
-def strip_group_hints(doc: DocumentIR) -> DocumentIR:
-    pages = tuple(
-        replace(
-            page,
-            detections=tuple(replace(d, group_hint=None) for d in page.detections),
-        )
-        for page in doc.pages
-    )
-    return replace(doc, pages=pages)
 
 
 # ---------------------------------------------------------------------------

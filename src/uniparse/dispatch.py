@@ -332,8 +332,3 @@ def gather(
         tokens_resolved=tokens_resolved,
         tokens_failed=tokens_failed,
     )
-
-
-def routing_is_total() -> bool:
-    """Every category maps to a route or an explicit none."""
-    return all(category in ROUTE_TABLE for category in SemanticCategory)

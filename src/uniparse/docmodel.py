@@ -247,13 +247,6 @@ class DocumentIR:
         for page in self.pages:
             yield from page.detections
 
-    def detection_index(self) -> dict[str, Detection]:
-        return {d.id: d for d in self.iter_detections()}
-
-    @property
-    def page_count(self) -> int:
-        return len(self.pages)
-
 
 class Severity(Enum):
     ERROR = "error"
@@ -279,10 +272,6 @@ class ValidationReport:
     @property
     def warnings(self) -> list[Finding]:
         return [f for f in self.findings if f.severity is Severity.WARNING]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 def validate_document(doc: DocumentIR) -> ValidationReport:

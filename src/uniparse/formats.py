@@ -10,8 +10,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .consolidate import FlowItem, Partner, SectionNode
-from .docmodel import BoundingBox, SemanticCategory, canonical_json
+from .consolidate import FlowItem, SectionNode
+from .docmodel import SemanticCategory, canonical_json
 from .layout import RelationKind
 from .payloads import (
     Caption,
@@ -20,7 +20,6 @@ from .payloads import (
     Reaction,
     TableGrid,
     Text,
-    payload_from_dict,
     payload_text,
     payload_to_dict,
     render_grid_html,
@@ -109,52 +108,6 @@ def _item_to_dict(item: FlowItem) -> dict:
         },
         "group_hint": item.group_hint,
     }
-
-
-def load_structured(text: str) -> ParsedDocument:
-    data = json.loads(text)
-    stats = data.get("stats", {})
-    return ParsedDocument(
-        doc_id=data["doc_id"],
-        root=_section_from_dict(data["root"]),
-        language_tag=data.get("language_tag", "en"),
-        tokens_emitted=int(stats.get("tokens_emitted", 0)),
-        tokens_resolved=int(stats.get("tokens_resolved", 0)),
-        tokens_failed=int(stats.get("tokens_failed", 0)),
-        failed_tasks=tuple(stats.get("failed_tasks", ())),
-    )
-
-
-def _section_from_dict(data: dict) -> SectionNode:
-    return SectionNode(
-        level=int(data["level"]),
-        title=data["title"],
-        body=[_item_from_dict(d) for d in data["body"]],
-        children=[_section_from_dict(d) for d in data["children"]],
-    )
-
-
-def _item_from_dict(data: dict) -> FlowItem:
-    provenance = data.get("provenance", {})
-    return FlowItem(
-        item_id=data["id"],
-        page_index=int(data["page_index"]),
-        category=SemanticCategory(data["category"]),
-        box=BoundingBox(*data["box"]),
-        payload=payload_from_dict(data["payload"]) if data.get("payload") is not None else None,
-        partners=tuple(
-            Partner(
-                relation=RelationKind(p["relation"]),
-                category=SemanticCategory(p["category"]),
-                detection_id=p["id"],
-                payload=payload_from_dict(p["payload"]) if p.get("payload") is not None else None,
-            )
-            for p in data.get("partners", ())
-        ),
-        merged_ids=tuple(provenance.get("merged_ids", ())),
-        source_pages=tuple(provenance.get("pages", ())),
-        group_hint=data.get("group_hint"),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,6 @@ class LayoutTree:
             yield node
             yield from node.children
 
-    def find(self, detection_id: str) -> LayoutNode | None:
-        for node in self.iter_nodes():
-            if node.id == detection_id:
-                return node
-        return None
-
     def detection_count(self) -> int:
         return (
             len(self.roots)
@@ -239,7 +233,7 @@ def pair_groups(tree: LayoutTree, cfg: EngineConfig | None = None) -> LayoutTree
             )
             _link(anchor, member, kind)
 
-    _pair_by_geometry(tree, nodes, hinted, cfg)
+    _pair_by_geometry(tree, hinted, cfg)
     return tree
 
 
@@ -269,9 +263,7 @@ def _is_preferred(partner_node: LayoutNode, anchor_node: LayoutNode) -> bool:
     return cy >= anchor_node.box.y1
 
 
-def _pair_by_geometry(
-    tree: LayoutTree, nodes: dict[str, LayoutNode], hinted: set[str], cfg: EngineConfig
-) -> None:
+def _pair_by_geometry(tree: LayoutTree, hinted: set[str], cfg: EngineConfig) -> None:
     # Only page-level nodes pair geometrically; nested inline elements
     # reintegrate through placeholders instead of forming groups.
     top_level = tree.top_items()

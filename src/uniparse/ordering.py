@@ -183,11 +183,7 @@ def cut_leaves(tree: CutTree) -> list[Leaf]:
     return out
 
 
-def gap_tree_order(
-    units: list[OrderUnit],
-    region: BoundingBox = PAGE_REGION,
-    cfg: EngineConfig | None = None,
-) -> list[str]:
+def gap_tree_order(units: list[OrderUnit], cfg: EngineConfig | None = None) -> list[str]:
     """Deterministic order for layouts the cuts cannot separate.
 
     u precedes v when u sits fully above v with enough horizontal overlap, or
@@ -416,7 +412,7 @@ def order_units(tree: LayoutTree, cfg: EngineConfig | None = None) -> list[Order
     for leaf in cut_leaves(cut):
         if len(leaf.unit_ids) > 1:
             leaf_units = [by_id[uid] for uid in leaf.unit_ids]
-            ordered.extend(by_id[uid] for uid in gap_tree_order(leaf_units, PAGE_REGION, cfg))
+            ordered.extend(by_id[uid] for uid in gap_tree_order(leaf_units, cfg))
         else:
             ordered.extend(by_id[uid] for uid in leaf.unit_ids)
     return ordered

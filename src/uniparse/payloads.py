@@ -64,9 +64,6 @@ class TableGrid:
     cells: tuple[Cell, ...] = ()
     kind: ClassVar[str] = "table_grid"
 
-    def cell_count(self) -> int:
-        return len(self.cells)
-
     def is_rectangular(self) -> bool:
         """True when every cell is 1x1 and the grid is fully covered."""
         if any(c.row_span != 1 or c.col_span != 1 for c in self.cells):
@@ -98,12 +95,6 @@ class TableGrid:
                         return False
                     seen.add((r, k))
         return True
-
-    def cell_at(self, row: int, col: int) -> Cell | None:
-        for c in self.cells:
-            if c.row == row and c.col == col:
-                return c
-        return None
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,6 @@ class PipelineMetrics:
     bubble_fraction: float  # expert-stage idle fraction
     per_stage: list[StageMetrics]
     per_expert: list[ExpertStageMetrics]
-    queue_depth_hist: dict[str, dict[int, int]]
     max_queue_depth: dict[str, int]
     doc_latency_ms: dict[str, float]  # completion time since t=0, not admission to done
     tasks_dispatched: int
@@ -245,7 +244,6 @@ class _Collector:
         self.expert_batches: dict[str, int] = {}
         self.expert_tasks: dict[str, int] = {}
         self.expert_retries: dict[str, int] = {}
-        self.queue_hist: dict[str, dict[int, int]] = {}
         self.max_depth: dict[str, int] = {}
         self.doc_latency: dict[str, float] = {}
         self.tasks_dispatched = 0
@@ -273,8 +271,6 @@ class _Collector:
             self.tasks_completed += 1
 
     def record_depth(self, modality: str, depth: int) -> None:
-        hist = self.queue_hist.setdefault(modality, {})
-        hist[depth] = hist.get(depth, 0) + 1
         if depth > self.max_depth.get(modality, 0):
             self.max_depth[modality] = depth
 
@@ -313,7 +309,6 @@ class _Collector:
             bubble_fraction=bubble,
             per_stage=per_stage,
             per_expert=per_expert,
-            queue_depth_hist=self.queue_hist,
             max_queue_depth=self.max_depth,
             doc_latency_ms=self.doc_latency,
             tasks_dispatched=self.tasks_dispatched,
@@ -429,6 +424,9 @@ def _simulate(
     planned: list[_Planned], config: PipelineConfig
 ) -> tuple[list[ParsedDocument], PipelineMetrics]:
     """The event loop over laid-out and planned documents."""
+    for name in ("workers", "queue_capacity", "max_in_flight_docs"):
+        if getattr(config.engine, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(config.engine, name)}")
     store = DocumentStore([doc for doc, _analyses, _plan in planned])
     backend = MockBackend(store, config.resolved_experts())
     collector = _Collector(config.engine.workers)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .docmodel import DocumentIR
@@ -86,23 +85,3 @@ def make_echo_server(
     handler = type("BoundHandler", (_Handler,), {"service": service})
     return ThreadingHTTPServer((host, port), handler)
 
-
-class EchoServerThread:
-    """Context manager running the echo server on a daemon thread."""
-
-    def __init__(self, docs: list[DocumentIR]):
-        self.server = make_echo_server(docs)
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def __enter__(self) -> "EchoServerThread":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.server.shutdown()
-        self.server.server_close()

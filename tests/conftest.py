@@ -2,15 +2,22 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from uniparse.config import EngineConfig
+from uniparse.consolidate import FlowItem, Partner, SectionNode
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, Detection, DocumentIR, PageIR, SemanticCategory
+from uniparse.formats import ParsedDocument
+from uniparse.layout import LayoutNode, LayoutTree, RelationKind
 from uniparse.ordering import order_units
+from uniparse.payloads import payload_from_dict
+from uniparse.server import make_echo_server
 
 # The benchmark's seeded workloads (perfbench/workloads.py) double as test inputs.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -36,6 +43,95 @@ def det(
 def reading_order(tree, cfg: EngineConfig | None = None) -> list[str]:
     """The page's unit ids in reading order."""
     return [u.unit_id for u in order_units(tree, cfg)]
+
+
+def find(tree: LayoutTree, detection_id: str) -> LayoutNode | None:
+    """The tree's node with this id, or None."""
+    return next((n for n in tree.iter_nodes() if n.id == detection_id), None)
+
+
+def detections_by_id(doc: DocumentIR) -> dict[str, Detection]:
+    return {d.id: d for d in doc.iter_detections()}
+
+
+def strip_group_hints(doc: DocumentIR) -> DocumentIR:
+    """doc with every detection's group_hint cleared."""
+    pages = tuple(
+        replace(
+            page,
+            detections=tuple(replace(d, group_hint=None) for d in page.detections),
+        )
+        for page in doc.pages
+    )
+    return replace(doc, pages=pages)
+
+
+def load_structured(text: str) -> ParsedDocument:
+    """Read a to_structured dump back: the round-trip oracle."""
+    data = json.loads(text)
+    stats = data.get("stats", {})
+    return ParsedDocument(
+        doc_id=data["doc_id"],
+        root=_section_from_dict(data["root"]),
+        language_tag=data.get("language_tag", "en"),
+        tokens_emitted=int(stats.get("tokens_emitted", 0)),
+        tokens_resolved=int(stats.get("tokens_resolved", 0)),
+        tokens_failed=int(stats.get("tokens_failed", 0)),
+        failed_tasks=tuple(stats.get("failed_tasks", ())),
+    )
+
+
+def _section_from_dict(data: dict) -> SectionNode:
+    return SectionNode(
+        level=int(data["level"]),
+        title=data["title"],
+        body=[_item_from_dict(d) for d in data["body"]],
+        children=[_section_from_dict(d) for d in data["children"]],
+    )
+
+
+def _item_from_dict(data: dict) -> FlowItem:
+    provenance = data.get("provenance", {})
+    return FlowItem(
+        item_id=data["id"],
+        page_index=int(data["page_index"]),
+        category=SemanticCategory(data["category"]),
+        box=BoundingBox(*data["box"]),
+        payload=payload_from_dict(data["payload"]) if data.get("payload") is not None else None,
+        partners=tuple(
+            Partner(
+                relation=RelationKind(p["relation"]),
+                category=SemanticCategory(p["category"]),
+                detection_id=p["id"],
+                payload=payload_from_dict(p["payload"]) if p.get("payload") is not None else None,
+            )
+            for p in data.get("partners", ())
+        ),
+        merged_ids=tuple(provenance.get("merged_ids", ())),
+        source_pages=tuple(provenance.get("pages", ())),
+        group_hint=data.get("group_hint"),
+    )
+
+
+class EchoServerThread:
+    """Context manager running the echo server on a daemon thread."""
+
+    def __init__(self, docs: list[DocumentIR]):
+        self.server = make_echo_server(docs)
+        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self.server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def __enter__(self) -> "EchoServerThread":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.server.shutdown()
+        self.server.server_close()
 
 
 def one_page_doc(detections, doc_id: str = "doc", outline=()) -> DocumentIR:

@@ -17,9 +17,8 @@ from uniparse.corpus import (
     gen_corpus,
     grouping_f1,
     order_edit_distance,
-    strip_group_hints,
 )
-from uniparse.dispatch import routing_is_total
+from uniparse.dispatch import ROUTE_TABLE
 from uniparse.docmodel import SemanticCategory as C, validate_document
 from uniparse.engine import analyze_pages, process_document
 from uniparse.experts import default_descriptors
@@ -35,7 +34,7 @@ from uniparse.runtime import (
     simulate_scaling,
 )
 
-from conftest import det, reading_order
+from conftest import det, detections_by_id, reading_order, strip_group_hints
 
 CFG = EngineConfig()
 
@@ -134,7 +133,7 @@ def test_criterion_4_placeholder_round_trip(clean_corpus, processed_clean):
                          chunks_to_jsonl(chunk(parsed, 256))):
             assert "[[UPH:" not in emission
         # every inline payload lands exactly where the source recorded it
-        dets = doc.detection_index()
+        dets = detections_by_id(doc)
         for record in truth.docs[doc.doc_id].inline:
             parents += 1
             parent = dets[record.parent_id]
@@ -175,7 +174,7 @@ def test_criterion_5_cross_page_consolidation():
     tables = tables_merged = paragraphs = paragraphs_merged = 0
     for doc in docs:
         parsed = process_document(doc, CFG).parsed
-        dets = doc.detection_index()
+        dets = detections_by_id(doc)
         hosts = {}
         for item in parsed.iter_items():
             hosts[item.item_id] = item
@@ -190,7 +189,7 @@ def test_criterion_5_cross_page_consolidation():
                 first = dets[merge.first_id].truth_payload
                 second = dets[merge.second_id].truth_payload
                 assert isinstance(host.payload, TableGrid)
-                assert host.payload.cell_count() == first.cell_count() + second.cell_count()
+                assert len(host.payload.cells) == len(first.cells) + len(second.cells)
                 tables_merged += 1
             elif merge.kind == "paragraph":
                 paragraphs += 1
@@ -254,7 +253,7 @@ def test_criterion_8_determinism_and_schedule_independence(simulated_modes):
 
 def test_criterion_9_invariant_suites_and_fuzz(clean_corpus):
     # routing totality
-    assert routing_is_total()
+    assert set(ROUTE_TABLE) == set(C)
 
     # corpus documents validate with zero errors
     docs, _ = clean_corpus

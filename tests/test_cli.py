@@ -16,6 +16,8 @@ from uniparse.cli import main
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import save_document
 
+from conftest import EchoServerThread
+
 
 @pytest.fixture()
 def corpus_dir(tmp_path):
@@ -145,6 +147,25 @@ def test_bench_compare_modes_table(capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("args, field", [
+    (["simulate", "--workers", "0"], "workers"),
+    (["simulate", "--workers", "-2"], "workers"),
+    (["bench", "--workers", "0"], "workers"),
+    (["simulate", "--scaling", "0,2"], "workers"),
+])
+def test_degenerate_runtime_count_exits_1(args, field, capsys):
+    assert main([*args, "--docs", "2", "--seed", "1"]) == 1
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["queue_capacity", "max_in_flight_docs"])
+def test_degenerate_runtime_count_in_config_exits_1(field, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: 0}), encoding="utf-8")
+    assert main(["simulate", "--docs", "2", "--seed", "1", "--config", str(cfg)]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_1(tmp_path, corpus_dir, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"min_gap": 0.02, "bogus_key": 1}', encoding="utf-8")
@@ -164,7 +185,6 @@ def test_parse_builds_one_remote_backend_per_call(corpus_dir, tmp_path, monkeypa
     import uniparse.cli
     from uniparse.docmodel import load_document
     from uniparse.experts import RemoteBackend
-    from uniparse.server import EchoServerThread
 
     built = []
 
@@ -190,7 +210,6 @@ def test_parse_builds_one_remote_backend_per_call(corpus_dir, tmp_path, monkeypa
 def test_parse_sends_every_modality_over_one_session(corpus_dir, tmp_path, monkeypatch, capsys):
     import uniparse.experts
     from uniparse.docmodel import load_document
-    from uniparse.server import EchoServerThread
 
     sessions, urls, closed = [], [], []
 

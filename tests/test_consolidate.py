@@ -114,7 +114,7 @@ def test_split_table_merges_with_row_and_cell_conservation():
     assert len(merged) == 1
     out = merged[0].payload
     assert out.rows == 19 and out.cols == 5
-    assert out.cell_count() == 12 * 5 + 7 * 5
+    assert len(out.cells) == 12 * 5 + 7 * 5
     assert out.spans_tile()
     assert merged[0].merged_ids == ("t2",)
 
@@ -189,7 +189,7 @@ def test_cross_page_idempotent():
 def test_molecule_links_identifier_on_next_page():
     mol = item("m1", category=C.MOLECULE, page=0, payload=None)
     ident = item("d1", category=C.MOLECULE_IDENTIFIER, page=1, text="Compound 7")
-    out = link_multimodal([mol, ident], CFG)
+    out = link_multimodal([mol, ident])
     assert len(out) == 1
     assert out[0].item_id == "m1"
     assert out[0].partners[0].relation is RelationKind.MOLECULE_IDENTIFIER
@@ -200,7 +200,7 @@ def test_already_linked_anchor_unchanged():
     existing = Partner(RelationKind.MOLECULE_IDENTIFIER, C.MOLECULE_IDENTIFIER, "d0", Text("C1"))
     mol = item("m1", category=C.MOLECULE, page=0, partners=[existing])
     ident = item("d1", category=C.MOLECULE_IDENTIFIER, page=1, text="Compound 7")
-    out = link_multimodal([mol, ident], CFG)
+    out = link_multimodal([mol, ident])
     assert len(out) == 2
     assert out[0].partners == (existing,)
 
@@ -209,7 +209,7 @@ def test_partner_three_units_deep_not_linked():
     mol = item("m1", category=C.MOLECULE, page=0)
     fillers = [item(f"p{i}", f"text {i}.", page=1) for i in range(2)]
     ident = item("d1", category=C.MOLECULE_IDENTIFIER, page=1, text="Compound 7")
-    out = link_multimodal([mol, *fillers, ident], CFG)
+    out = link_multimodal([mol, *fillers, ident])
     assert len(out) == 4  # nothing linked
 
 
@@ -217,7 +217,7 @@ def test_anchor_not_at_page_end_not_linked():
     mol = item("m1", category=C.MOLECULE, page=0)
     fillers = [item(f"p{i}", f"text {i}.", page=0) for i in range(3)]
     ident = item("d1", category=C.MOLECULE_IDENTIFIER, page=1, text="Compound 7")
-    out = link_multimodal([mol, *fillers, ident], CFG)
+    out = link_multimodal([mol, *fillers, ident])
     assert len(out) == 5
 
 

@@ -13,10 +13,11 @@ from uniparse.corpus import (
     gen_corpus,
     grouping_f1,
     order_edit_distance,
-    strip_group_hints,
 )
 from uniparse.docmodel import SemanticCategory as C, document_bytes, validate_document
 from uniparse.engine import analyze_pages
+
+from conftest import detections_by_id, strip_group_hints
 
 
 def brute_levenshtein(a, b):
@@ -214,7 +215,7 @@ def test_inline_children_have_matching_markers():
 
     docs, truth = gen_corpus(CorpusSpec(seed=14, n_docs=5))
     for doc in docs:
-        dets = doc.detection_index()
+        dets = detections_by_id(doc)
         for record in truth.docs[doc.doc_id].inline:
             parent = dets[record.parent_id]
             if parent.truth_text is not None:

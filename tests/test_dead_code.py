@@ -1,0 +1,101 @@
+"""Tier-1 guard: src/uniparse/ holds only code the package runs or exports.
+
+An AST scan of every module fails on an unused import, and on a module-level
+function or class that no package module names or imports and that
+`uniparse.__all__` does not export. Test helpers and oracles belong in
+tests/; a name kept for a caller outside the package goes in ALLOWED with
+the reason.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "uniparse"
+
+# "module.name" -> why the package keeps a name it does not use itself.
+ALLOWED = {
+    "docmodel.document_bytes": "benchmark's canonical bytes, perfbench/run.py",
+}
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[tuple[str, str]]:
+    """(local name, imported name) for each name an import statement binds."""
+    if isinstance(node, ast.Import):
+        return [(a.asname or a.name.split(".")[0], a.name) for a in node.names]
+    return [(a.asname or a.name, a.name) for a in node.names]
+
+
+def _loads(tree: ast.AST) -> set[str]:
+    """Names the code under tree reads."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def dead_code(sources: dict[str, str]) -> list[str]:
+    """Findings for a package given as {module name: source text}, where
+    the module name is the file's stem ("__init__" for the package)."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    exported: set[str] = set()
+    if "__init__" in trees:
+        for node in trees["__init__"].body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+    # (module, name) pairs some module imports or reads as module.name
+    used: set[tuple[str, str]] = set()
+    findings = []
+    for mod, tree in trees.items():
+        loads = _loads(tree)
+        module_aliases = {}  # local name -> package module, from `from . import m`
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            bound = _bound_names(node)
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    used.update((node.module, name) for _, name in bound)
+                else:
+                    module_aliases.update(bound)
+            findings += [f"{mod}: unused import {local}" for local, _ in bound
+                         if local not in loads and not (mod == "__init__" and local in exported)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in module_aliases):
+                used.add((module_aliases[node.value.id], node.attr))
+    for mod, tree in trees.items():
+        # top-level statements reading each name; a definition's own body
+        # does not keep it alive
+        readers = Counter(name for node in tree.body for name in _loads(node))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (name in exported or f"{mod}.{name}" in ALLOWED or (mod, name) in used
+                    or readers[name] > (name in _loads(node))):
+                continue
+            findings.append(f"{mod}: {name} is never used")
+    return sorted(findings)
+
+
+def test_package_has_no_dead_code():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    findings = dead_code(sources)
+    assert not findings, "\n".join(findings)
+
+
+def test_guard_reports_a_planted_unused_import_and_function():
+    sources = {
+        "__init__": "from .a import live\n__all__ = ['live']\n",
+        "a": (
+            "import json\n"
+            "from .b import helper\n\n"
+            "def live():\n    return helper()\n\n"
+            "def orphan():\n    return orphan()\n"
+        ),
+        "b": "def helper():\n    return 1\n",
+    }
+    assert dead_code(sources) == ["a: orphan is never used", "a: unused import json"]

@@ -60,7 +60,7 @@ def minimal_ir(**overrides) -> dict:
 
 def test_load_minimal_empty_page(tmp_path):
     doc = load_document(write_ir(tmp_path, minimal_ir()))
-    assert doc.page_count == 1
+    assert len(doc.pages) == 1
     assert sum(1 for _ in doc.iter_detections()) == 0
 
 
@@ -209,7 +209,7 @@ def test_corpus_roundtrip_byte_identical(tmp_path):
 
 def test_validate_clean_document():
     doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2))])
-    assert validate_document(doc).ok
+    assert not validate_document(doc).findings
 
 
 def test_validate_degenerate_box_is_error():

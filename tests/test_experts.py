@@ -44,9 +44,15 @@ from uniparse.payloads import (
     TableGrid,
     Text,
 )
-from uniparse.server import EchoServerThread
 
-from conftest import MALFORMED_PAYLOADS, bad_json, deeply_nested, det, one_page_doc
+from conftest import (
+    MALFORMED_PAYLOADS,
+    EchoServerThread,
+    bad_json,
+    deeply_nested,
+    det,
+    one_page_doc,
+)
 
 
 def store_with(detections):

@@ -16,13 +16,14 @@ from uniparse.formats import (
     chunk,
     chunk_item_text,
     chunks_to_jsonl,
-    load_structured,
     to_html,
     to_markdown,
     to_structured,
 )
 from uniparse.layout import RelationKind
 from uniparse.payloads import Caption, Cell, ESmiles, Latex, TableGrid, Text
+
+from conftest import load_structured
 
 
 def flow(item_id, text=None, category=C.PARAGRAPH, payload=None, partners=(), page=0):

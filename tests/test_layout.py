@@ -17,7 +17,7 @@ from uniparse.layout import (
     pair_groups,
 )
 
-from conftest import box_lists, det
+from conftest import box_lists, det, find
 
 
 def exhaustive_parent_oracle(child, bottoms, threshold):
@@ -151,8 +151,8 @@ def test_caption_below_image_links():
     image = det("i1", (0.1, 0.1, 0.5, 0.4), C.IMAGE)
     caption = det("c1", (0.1, 0.41, 0.5, 0.45), C.CAPTION)
     tree = _paired_tree([image, caption])
-    assert (RelationKind.CAPTION, "c1") in tree.find("i1").group_links
-    assert (RelationKind.CAPTION, "i1") in tree.find("c1").group_links
+    assert (RelationKind.CAPTION, "c1") in find(tree, "i1").group_links
+    assert (RelationKind.CAPTION, "i1") in find(tree, "c1").group_links
 
 
 def test_hint_dominates_distance():
@@ -160,12 +160,12 @@ def test_hint_dominates_distance():
     mol = det("m1", (0.1, 0.1, 0.3, 0.3), C.MOLECULE, group_hint="g2")
     ident = det("d1", (0.7, 0.8, 0.9, 0.85), C.MOLECULE_IDENTIFIER, group_hint="g2")
     tree = _paired_tree([mol, ident])
-    assert (RelationKind.MOLECULE_IDENTIFIER, "d1") in tree.find("m1").group_links
+    assert (RelationKind.MOLECULE_IDENTIFIER, "d1") in find(tree, "m1").group_links
 
     # moving the partner further changes nothing (geometry never consulted)
     ident_far = det("d1", (0.75, 0.9, 0.95, 0.95), C.MOLECULE_IDENTIFIER, group_hint="g2")
     tree2 = _paired_tree([mol, ident_far])
-    assert tree2.find("m1").group_links == tree.find("m1").group_links
+    assert find(tree2, "m1").group_links == find(tree, "m1").group_links
 
 
 def test_equidistant_anchors_resolve_by_id():
@@ -182,8 +182,8 @@ def test_equidistant_anchors_resolve_by_id():
     da = img_a.box.distance_to_point(cx, cy)
     db = img_b.box.distance_to_point(cx, cy)
     assert da == db  # the fixture really is equidistant
-    assert (RelationKind.CAPTION, "cc") in tree.find("ia").group_links
-    assert not tree.find("ib").group_links
+    assert (RelationKind.CAPTION, "cc") in find(tree, "ia").group_links
+    assert not find(tree, "ib").group_links
 
 
 def test_preferred_direction_beats_distance():
@@ -193,22 +193,22 @@ def test_preferred_direction_beats_distance():
     ident = det("d1", (0.15, 0.33, 0.35, 0.36), C.MOLECULE_IDENTIFIER)
     mol_bot = det("m2", (0.1, 0.37, 0.4, 0.57), C.MOLECULE)
     tree = _paired_tree([mol_top, ident, mol_bot])
-    assert (RelationKind.MOLECULE_IDENTIFIER, "d1") in tree.find("m1").group_links
+    assert (RelationKind.MOLECULE_IDENTIFIER, "d1") in find(tree, "m1").group_links
 
 
 def test_partner_outside_threshold_stays_standalone():
     image = det("i1", (0.1, 0.1, 0.3, 0.2), C.IMAGE)
     caption = det("c1", (0.1, 0.5, 0.3, 0.55), C.CAPTION)
     tree = _paired_tree([image, caption])
-    assert not tree.find("i1").group_links
-    assert not tree.find("c1").group_links
+    assert not find(tree, "i1").group_links
+    assert not find(tree, "c1").group_links
 
 
 def test_table_caption_is_title_relation():
     caption = det("c1", (0.1, 0.08, 0.5, 0.11), C.CAPTION)
     table = det("t1", (0.1, 0.12, 0.5, 0.3), C.TABLE)
     tree = _paired_tree([caption, table])
-    assert (RelationKind.TITLE, "c1") in tree.find("t1").group_links
+    assert (RelationKind.TITLE, "c1") in find(tree, "t1").group_links
 
 
 def test_filter_removes_header_keeps_divider():
@@ -233,9 +233,9 @@ def test_linked_footer_survives_filter():
     # pathological: a footer carrying a group link is never removed
     footer = det("f1", (0.1, 0.9, 0.9, 0.95), C.FOOTER)
     tree = build_layout_tree(0, [footer])
-    tree.find("f1").group_links.append((RelationKind.CAPTION, "ghost"))
+    find(tree, "f1").group_links.append((RelationKind.CAPTION, "ghost"))
     filter_functional(tree)
-    assert tree.find("f1") is not None
+    assert find(tree, "f1") is not None
     assert not tree.removed
 
 
@@ -279,7 +279,7 @@ def test_multi_anchor_hint_group_warns():
     cap = det("c1", (0.1, 0.31, 0.3, 0.35), C.CAPTION, group_hint="g1")
     tree = _paired_tree([a1, a2, cap])
     assert any("multiple anchors" in w for w in tree.warnings)
-    assert (RelationKind.CAPTION, "c1") in tree.find("a1").group_links
+    assert (RelationKind.CAPTION, "c1") in find(tree, "a1").group_links
 
 
 def test_group_pairs_extraction():

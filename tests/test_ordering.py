@@ -116,7 +116,7 @@ def all_pairs_edges(hulls, cfg):
     return edges
 
 
-def all_pairs_gap_tree_order(units, region=None, cfg=None):
+def all_pairs_gap_tree_order(units, cfg=None):
     """Reference fallback: the all-pairs edges, Kahn's algorithm over a ready
     list re-sorted by (y0, x0, id) after each release, and a cycle broken at
     the visually first remaining unit."""

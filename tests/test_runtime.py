@@ -557,6 +557,8 @@ def test_scaling_rejects_bad_counts():
         simulate_scaling(docs, [4, 2, 1], config)
     with pytest.raises(ValueError):
         simulate_scaling(docs, [], config)
+    with pytest.raises(ValueError, match="workers"):
+        simulate_scaling(docs, [0, 2], config)
 
 
 # --- reports -----------------------------------------------------------------
