@@ -22,7 +22,14 @@ from .docmodel import (
     save_document,
 )
 from .engine import StrictModeFailure, analyze_pages, process_document
-from .experts import DocumentStore, ExpertError, MockBackend, RemoteBackend, default_descriptors
+from .experts import (
+    MODALITIES,
+    DocumentStore,
+    ExpertError,
+    MockBackend,
+    RemoteBackend,
+    default_descriptors,
+)
 from .formats import chunk, chunks_to_jsonl, to_html, to_markdown, to_structured
 from .layout import group_pairs, tree_to_dict
 from .runtime import (
@@ -56,7 +63,7 @@ def _build_parser() -> _Parser:
                    help="emit intermediate layout trees or reading order instead")
     p.add_argument("--out", default=None,
                    help="output file (or directory with several inputs)")
-    p.add_argument("--only-modality", default=None,
+    p.add_argument("--only-modality", default=None, choices=MODALITIES,
                    help="restrict parsing to one modality; others become stubs")
     p.add_argument("--expert-endpoint", default=None,
                    help="base URL of a remote expert service (default: mocks)")

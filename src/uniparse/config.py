@@ -3,17 +3,29 @@
 Config files are flat JSON objects whose keys are exactly the field names
 below. Unknown keys are rejected. The environment variable UNIPARSE_CONFIG
 names a fallback config file for the CLI.
+
+A bad value is a ValueError naming the field when the config is built: each
+field must have its annotated type (an int is a float, a bool is not an int),
+every float must be finite, the counts must be at least 1, and max_retries,
+the waits and the modelled *_ms_per_* costs must not be negative.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 ENV_CONFIG_VAR = "UNIPARSE_CONFIG"
+
+# The types each field annotation admits, keyed by its text (annotations are postponed).
+_ADMITS = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,),
+           "bool | None": (bool, type(None))}
+_COUNTS = ("max_batch", "workers", "queue_capacity", "max_in_flight_docs")
+_NOT_NEGATIVE = ("max_retries", "max_wait_ms", "backoff_ms")  # and every *_ms_per_* cost
 
 
 @dataclass
@@ -60,16 +72,26 @@ class EngineConfig:
     consolidate_ms_per_doc: float = 3.0
     format_ms_per_doc: float = 3.0
 
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            admits = _ADMITS[f.type]
+            if not isinstance(value, admits) or isinstance(value, bool) and bool not in admits:
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in _COUNTS and value < 1:
+                raise ValueError(f"{f.name} must be at least 1, got {value!r}")
+            not_negative = f.name in _NOT_NEGATIVE or "_ms_per_" in f.name
+            if not_negative and value < 0:
+                raise ValueError(f"{f.name} must not be negative, got {value!r}")
+
     def copy(self, **overrides) -> "EngineConfig":
         return dataclasses.replace(self, **overrides)
 
     @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in dataclasses.fields(cls)}
-
-    @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        unknown = set(data) - cls.field_names()
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise UnknownConfigKey(sorted(unknown)[0])
         return cls(**data)

@@ -1,5 +1,6 @@
 """Routing layout nodes to modality queues, placeholder substitution for
-inline elements, greedy batch stacking, and result gathering.
+inline elements, the batching timing rule (batch_stack: which queued tasks
+are due; engine.form_batches cuts them), and result gathering.
 
 Placeholder tokens are the exact literal "[[UPH:" + kind + ":" + id + "]]".
 They exist only between dispatch and gather; no emitted format may contain
@@ -14,7 +15,7 @@ from enum import Enum
 
 from .config import EngineConfig
 from .docmodel import DocumentIR, SemanticCategory
-from .experts import ExpertResponse, Task
+from .experts import MODALITIES, ExpertResponse, Task
 from .layout import LayoutNode, LayoutTree
 from .payloads import (
     Cell,
@@ -93,7 +94,6 @@ class BatchReason(Enum):
 class Batch:
     modality: str
     tasks: list[Task]
-    formed_at: float
     reason: BatchReason
     attempt: int = 0
 
@@ -153,7 +153,10 @@ def plan_document(
     cfg: EngineConfig | None = None,
     only_modality: str | None = None,
 ) -> DispatchPlan:
-    """Build the task list for a document from its filtered layout trees."""
+    """Build the task list for a document from its filtered layout trees: only
+    only_modality's tasks when it is given (one of experts.MODALITIES)."""
+    if only_modality is not None and only_modality not in MODALITIES:
+        raise ValueError(f"unknown modality {only_modality!r}")
     cfg = cfg or EngineConfig()
     plan = DispatchPlan(doc_id=doc.doc_id)
 
@@ -188,45 +191,20 @@ def plan_document(
     return plan
 
 
-@dataclass
-class QueueState:
-    """FIFO per-modality task queue with arrival timestamps."""
-
-    modality: str
-    entries: deque = field(default_factory=deque)  # (task, enqueued_at_ms)
-
-    def push(self, task: Task, now: float) -> None:
-        self.entries.append((task, now))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 # Tolerance for clock arithmetic: an age within a nanosecond of the wait
 # threshold counts as aged out (timers fire at head_time + max_wait, which
 # floating-point addition may round just below the threshold).
 _AGE_EPS = 1e-9
 
 
-def batch_stack(
-    queue: QueueState, now: float, max_batch: int, max_wait_ms: float
-) -> Batch | None:
-    """Emit a batch when the queue is full or its head has aged out.
-
-    Full batches take exactly max_batch oldest tasks; timeout batches take
-    everything (capped at max_batch). FIFO within the modality.
-    """
-    if not queue.entries:
-        return None
-    if len(queue.entries) >= max_batch:
-        tasks = [queue.entries.popleft()[0] for _ in range(max_batch)]
-        return Batch(queue.modality, tasks, formed_at=now, reason=BatchReason.FULL)
-    head_time = queue.entries[0][1]
-    if now - head_time >= max_wait_ms - _AGE_EPS:
-        take = min(len(queue.entries), max_batch)
-        tasks = [queue.entries.popleft()[0] for _ in range(take)]
-        return Batch(queue.modality, tasks, formed_at=now, reason=BatchReason.TIMEOUT)
-    return None
+def batch_stack(queue: deque, now: float, max_batch: int, max_wait_ms: float) -> int:
+    """How many tasks at the head of a FIFO queue of (task, enqueued_at)
+    pairs are due now: every full batch's worth of max_batch, plus the rest
+    once the oldest of the rest has waited max_wait_ms."""
+    full = len(queue) - len(queue) % max_batch
+    if full < len(queue) and now - queue[full][1] >= max_wait_ms - _AGE_EPS:
+        return len(queue)
+    return full
 
 
 @dataclass(frozen=True)

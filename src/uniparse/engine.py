@@ -69,7 +69,9 @@ def analyze_and_plan(
 def form_batches(
     tasks: list[Task], max_batch: int, caps: dict[str, int] | None = None
 ) -> list[Batch]:
-    """FIFO per-modality batches; the trailing partial flushes as a timeout.
+    """FIFO per-modality batches, in sorted modality order; the trailing
+    partial flushes as a timeout. The one batch cutter, for the synchronous
+    path and the simulator alike.
 
     The effective batch size per modality never exceeds the serving expert's
     own max_batch cap.
@@ -81,11 +83,10 @@ def form_batches(
     for modality in sorted(by_modality):
         queue = by_modality[modality]
         size = min(max_batch, caps.get(modality, max_batch)) if caps else max_batch
-        size = max(size, 1)
         for i in range(0, len(queue), size):
             part = queue[i : i + size]
             reason = BatchReason.FULL if len(part) == size else BatchReason.TIMEOUT
-            batches.append(Batch(modality, part, formed_at=0.0, reason=reason))
+            batches.append(Batch(modality, part, reason))
     return batches
 
 

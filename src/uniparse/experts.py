@@ -96,6 +96,11 @@ class ExpertDescriptor:
     replicas: int = 2
     failure_rate: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.max_batch < 1 or self.replicas < 1:
+            raise ValueError(f"{self.modality} expert max_batch and replicas must be at least 1, "
+                             f"got {self.max_batch} and {self.replicas}")
+
 
 @dataclass(frozen=True)
 class Task:

@@ -8,36 +8,36 @@ of plans across their runs.
 
 A virtual (discrete-event) clock drives one driver over the document stream.
 Every mode runs the same stage workers (preprocess, layout, dispatch, gather,
-consolidate, format) and the same expert pool, and finishes documents with
-engine.assemble_document; the mode sets three things:
+consolidate, format), feeds the same per-modality task queues, cuts batches
+the same way (dispatch.batch_stack says which queued tasks are due,
+engine.form_batches cuts them) for the same expert pool, and finishes
+documents with engine.assemble_document. The mode sets five values:
 
-- pipeline parallel: max_in_flight_docs documents in flight, `workers`
-  expert workers; tasks stream through bounded per-modality queues into
-  greedy batch stacking (max_wait_ms timers, backpressure) and dynamic
-  balancing;
-- parallel gather: one document in flight, `workers` expert workers; the
-  dispatch stage takes a document in one step (dispatch_ms_per_task times its
-  tasks), then form_batches offers all of its tasks to the pool at once;
-- sequential: as parallel gather, with one expert worker.
+    value                    pipe                par       seq
+    documents in flight      max_in_flight_docs  1         1
+    expert workers           workers             workers   1
+    tasks per dispatch step  1                   document  document
+    batch wait               max_wait_ms         0         0
+    queue bound              queue_capacity      none      none
 
-queue_capacity, max_wait_ms and max_in_flight_docs act only in pipeline
-parallel. In sequential, a batch that failed retryably is re-offered after
-its backoff and the single worker serves other ready batches meanwhile; it
-idles only when nothing else is ready.
+A held step (par, seq) costs dispatch_ms_per_task times the document's tasks,
+a zero-cost step when it has none, and flushes every queue it fed in sorted
+modality order; it records no queue depth. In sequential, a batch that failed
+retryably is re-offered after its backoff and the single worker serves other
+ready batches meanwhile; it idles only when nothing else is ready.
 
 Document outputs are byte-identical across modes and worker counts (content
 is pure); only the schedule, and therefore the metrics, differ. With failure
 injection enabled, batching composition differs between modes, so tasks that
 exhaust retries can diverge; keep failure_rate at 0 when comparing outputs.
 
-Batch size, in every mode, is at most min(engine max_batch, the serving
-expert's descriptor max_batch), read from the descriptor table in force;
-pipeline parallel also caps it at queue_capacity. No expert error aborts a
-run: a fatal or protocol error, a response that does not answer the batch's
-tasks in request order, or a retryable error that exhausts max_retries,
-becomes one TaskFailure per task of the batch in every mode. It counts in
-tasks_failed, and with strict=True the run raises StrictModeFailure once it
-has finished.
+Batch size, in every mode, is at most min(engine max_batch, the queue bound,
+the serving expert's max_batch in the descriptor table in force). No expert
+error aborts a run: a fatal or protocol error, a response that does not
+answer the batch's tasks in request order, or a retryable error that exhausts
+max_retries, becomes one TaskFailure per task of the batch in every mode. It
+counts in tasks_failed, and with strict=True the run raises StrictModeFailure
+once it has finished.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .config import EngineConfig
-from .dispatch import Batch, DispatchPlan, QueueState, TaskFailure, batch_stack
+from .dispatch import Batch, DispatchPlan, TaskFailure, batch_stack
 from .docmodel import DocumentIR
 from .engine import (
     PageAnalysis,
     StrictModeFailure,
     analyze_and_plan,
     assemble_document,
-    backend_batch_caps,
     call_batch,
     form_batches,
 )
@@ -375,21 +374,18 @@ class _ExpertPool:
         swap may have lowered the cap after the batch was formed."""
         queue = self.ready[modality]
         batch = queue.popleft()
-        cap = max(self.descriptors[modality].max_batch, 1)
+        cap = self.descriptors[modality].max_batch
         if len(batch.tasks) <= cap:
             return batch
-        queue.appendleft(Batch(modality, batch.tasks[cap:], batch.formed_at, batch.reason,
-                               attempt=batch.attempt))
-        return Batch(modality, batch.tasks[:cap], batch.formed_at, batch.reason,
-                     attempt=batch.attempt)
+        queue.appendleft(dataclasses.replace(batch, tasks=batch.tasks[cap:]))
+        return dataclasses.replace(batch, tasks=batch.tasks[:cap])
 
     def _complete(self, worker: int, batch: Batch, outcomes) -> None:
         heapq.heappush(self.free, worker)
         self.in_flight[batch.modality] -= 1
         if outcomes is None:
             self.collector.record_retry(batch.modality)
-            retry = Batch(batch.modality, batch.tasks, self.sim.now, batch.reason,
-                          attempt=batch.attempt + 1)
+            retry = dataclasses.replace(batch, attempt=batch.attempt + 1)
             backoff = self.config.engine.backoff_ms * (2 ** batch.attempt)
             self.sim.after(backoff, lambda b=retry: self.offer(b))
         else:
@@ -424,9 +420,6 @@ def _simulate(
     planned: list[_Planned], config: PipelineConfig
 ) -> tuple[list[ParsedDocument], PipelineMetrics]:
     """The event loop over laid-out and planned documents."""
-    for name in ("workers", "queue_capacity", "max_in_flight_docs"):
-        if getattr(config.engine, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(config.engine, name)}")
     store = DocumentStore([doc for doc, _analyses, _plan in planned])
     backend = MockBackend(store, config.resolved_experts())
     collector = _Collector(config.engine.workers)
@@ -493,20 +486,24 @@ class _StageWorker:
 
 
 def _drive(sim, jobs, config, backend, collector) -> None:
-    """The one driver: the mode sets how many documents are in flight, how
-    many expert workers serve them, and whether tasks stream or are held."""
+    """The one driver. The mode sets five values; everything else is shared."""
     engine = config.engine
     streamed = config.mode is Mode.PIPELINE_PARALLEL
     docs_in_flight = engine.max_in_flight_docs if streamed else 1
     workers = 1 if config.mode is Mode.SEQUENTIAL else engine.workers
+    step_tasks = 1 if streamed else None  # None: the whole document in one step
+    max_wait_ms = engine.max_wait_ms if streamed else 0.0
+    queue_bound = engine.queue_capacity if streamed else None
+
+    max_batch = engine.max_batch if queue_bound is None else min(engine.max_batch, queue_bound)
     jobs_by_doc = {j.doc.doc_id: j for j in jobs}
     admission = deque(jobs)
     swap = _descriptor_swapper(config, backend)
     state = {"in_flight": 0}
 
-    task_queues: dict[str, QueueState] = {m: QueueState(m) for m in backend.descriptors}
+    # per modality, FIFO of (task, enqueued_at)
+    task_queues: dict[str, deque] = {m: deque() for m in backend.descriptors}
     timer_armed: dict[str, float] = {}
-    waiting_dispatch: deque = deque()
 
     def on_task_done(task, outcome) -> None:
         job = jobs_by_doc[task.doc_id]
@@ -519,36 +516,23 @@ def _drive(sim, jobs, config, backend, collector) -> None:
             job.gathering = True
             gather_worker.submit(job)
 
-    def wake_dispatchers() -> None:
-        # Drain a snapshot: a still-blocked producer re-registers itself and
-        # must wait for the next wake, not spin here.
-        pending = list(waiting_dispatch)
-        waiting_dispatch.clear()
-        for resume in pending:
-            resume()
-
-    pool = _ExpertPool(sim, config, backend, collector, on_task_done, wake_dispatchers, workers)
-
-    # --- batching over bounded task queues ---------------------------------
+    # --- batching: batch_stack says what is due, form_batches cuts it -------
 
     def try_form(modality: str) -> None:
         queue = task_queues[modality]
-        size = max(min(engine.max_batch, engine.queue_capacity,
-                       pool.descriptors[modality].max_batch), 1)
-        while True:
-            batch = batch_stack(queue, sim.now, size, engine.max_wait_ms)
-            if batch is None:
-                break
-            pool.offer(batch)
-            wake_dispatchers()
+        size = min(max_batch, pool.descriptors[modality].max_batch)
+        due = batch_stack(queue, sim.now, size, max_wait_ms)
+        if due:
+            for batch in form_batches([queue.popleft()[0] for _ in range(due)], size):
+                pool.offer(batch)
+                dispatcher.wake()
         arm_timer(modality)
 
     def arm_timer(modality: str) -> None:
         queue = task_queues[modality]
-        if not queue.entries:
+        if not queue:
             return
-        head_time = queue.entries[0][1]
-        deadline = head_time + engine.max_wait_ms
+        deadline = queue[0][1] + max_wait_ms
         if timer_armed.get(modality) == deadline:
             return
         timer_armed[modality] = deadline
@@ -584,71 +568,71 @@ def _drive(sim, jobs, config, backend, collector) -> None:
     )
 
     class _Dispatcher:
-        """Streams each task into its bounded queue, one dispatch step each."""
+        """Feeds each document's tasks to the task queues in dispatch steps of
+        step_tasks tasks (a held document: one step, even with no tasks), each
+        costing dispatch_ms_per_task per task."""
 
         def __init__(self):
-            self.queue: deque = deque()
+            self.docs: deque = deque()
             self.job = None
-            self.idx = 0
+            self.steps: deque = deque()
+            self.blocked = False
 
         def submit(self, job) -> None:
-            self.queue.append(job)
-            self._try_next()
-
-        def _try_next(self) -> None:
-            if self.job is not None or not self.queue:
-                return
-            self.job = self.queue.popleft()
-            self.idx = 0
-            self._step()
+            self.docs.append(job)
+            if self.job is None:
+                self._step()
 
         def _step(self) -> None:
-            job = self.job
-            if self.idx >= len(job.plan.tasks):
-                job.dispatch_done = True
-                self.job = None
-                maybe_gather(job)
-                self._try_next()
-                return
-            collector.charge_stage("dispatch", engine.dispatch_ms_per_task)
-            sim.after(engine.dispatch_ms_per_task, self._enqueue)
+            while not self.steps:
+                if self.job is not None:
+                    self.job.dispatch_done = True
+                    maybe_gather(self.job)
+                    self.job = None
+                if not self.docs:
+                    return
+                self.job = self.docs.popleft()
+                tasks = self.job.plan.tasks
+                self.steps.extend([tasks] if step_tasks is None else
+                                  (tasks[i:i + step_tasks] for i in range(0, len(tasks), step_tasks)))
+            cost = engine.dispatch_ms_per_task * len(self.steps[0])
+            collector.charge_stage("dispatch", cost)
+            sim.after(cost, self._enqueue)
+
+        def wake(self) -> None:
+            # A step still blocked blocks again and waits for the next wake.
+            if self.blocked:
+                self.blocked = False
+                self._enqueue()
 
         def _enqueue(self) -> None:
-            job = self.job
-            task = job.plan.tasks[self.idx]
-            queue = task_queues[task.modality]
-            # Backpressure: all admitted-but-unstarted work for the modality
-            # (queued tasks plus formed batches) counts against capacity.
-            pending = len(queue) + pool.ready_tasks(task.modality)
-            if pending >= engine.queue_capacity:
-                waiting_dispatch.append(self._enqueue)
-                return
-            queue.push(task, sim.now)
-            collector.tasks_dispatched += 1
-            collector.record_depth(task.modality, len(queue))
-            self.idx += 1
-            try_form(task.modality)
+            step = self.steps[0]
+            if queue_bound is not None:
+                # Backpressure (a bounded step is one task): all admitted-
+                # but-unstarted work for the modality (queued tasks plus
+                # formed batches) counts against the bound.
+                (task,) = step
+                queue = task_queues[task.modality]
+                if len(queue) + pool.ready_tasks(task.modality) >= queue_bound:
+                    self.blocked = True
+                    return
+                queue.append((task, sim.now))
+                collector.record_depth(task.modality, len(queue))
+                fed = (task.modality,)
+            else:
+                # Held tasks bypass any bound: nothing drains the queues
+                # before this step's flush, so a document would wait on itself.
+                for task in step:
+                    task_queues[task.modality].append((task, sim.now))
+                fed = sorted({task.modality for task in step})
+            self.steps.popleft()
+            collector.tasks_dispatched += len(step)
+            for modality in fed:
+                try_form(modality)
             self._step()
 
-    def dispatched(job) -> None:
-        # Held tasks skip the bounded queues: nothing drains those before
-        # this flush, so a document planning more than queue_capacity tasks
-        # would wait on itself forever.
-        collector.tasks_dispatched += len(job.plan.tasks)
-        for batch in form_batches(job.plan.tasks, engine.max_batch,
-                                  backend_batch_caps(backend)):
-            pool.offer(batch)
-        job.dispatch_done = True
-        maybe_gather(job)
-
-    if streamed:
-        dispatcher = _Dispatcher()
-    else:
-        dispatcher = _StageWorker(
-            sim, collector, "dispatch",
-            cost_fn=lambda j: engine.dispatch_ms_per_task * len(j.plan.tasks),
-            done_fn=dispatched,
-        )
+    dispatcher = _Dispatcher()
+    pool = _ExpertPool(sim, config, backend, collector, on_task_done, dispatcher.wake, workers)
 
     gather_worker = _StageWorker(
         sim, collector, "gather",

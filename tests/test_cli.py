@@ -158,12 +158,41 @@ def test_degenerate_runtime_count_exits_1(args, field, capsys):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["queue_capacity", "max_in_flight_docs"])
-def test_degenerate_runtime_count_in_config_exits_1(field, tmp_path, capsys):
+@pytest.mark.parametrize("text, field", [
+    pytest.param('{"queue_capacity": 0}', "queue_capacity", id="queue_capacity"),
+    pytest.param('{"max_in_flight_docs": 0}', "max_in_flight_docs", id="max_in_flight_docs"),
+    pytest.param('{"layout_ms_per_page": 1e999}', "layout_ms_per_page", id="cost-inf"),
+    pytest.param('{"layout_ms_per_page": NaN}', "layout_ms_per_page", id="cost-nan"),
+    pytest.param('{"layout_ms_per_page": -1000}', "layout_ms_per_page", id="cost-negative"),
+    pytest.param('{"max_batch": 0}', "max_batch", id="max_batch-0"),
+    pytest.param('{"max_batch": 2.5}', "max_batch", id="max_batch-float"),
+    pytest.param('{"max_batch": true}', "max_batch", id="max_batch-bool"),
+    pytest.param('{"min_gap": "x"}', "min_gap", id="min_gap-str"),
+    pytest.param('{"terminal_punctuation": 5}', "terminal_punctuation", id="punctuation-int"),
+    pytest.param('{"backoff_ms": -50}', "backoff_ms", id="backoff-negative"),
+    pytest.param('{"max_retries": -1}', "max_retries", id="retries-negative"),
+])
+def test_degenerate_runtime_count_in_config_exits_1(text, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({field: 0}), encoding="utf-8")
-    assert main(["simulate", "--docs", "2", "--seed", "1", "--config", str(cfg)]) == 1
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--docs", "3", "--seed", "1", "--config", str(cfg)]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"max_batch": 0}', '{"min_gap": "x"}'])
+def test_parse_refuses_a_bad_config_value(text, corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["parse", str(corpus_dir / "d000.ir.json"), "--config", str(cfg)]) == 1
+    assert json.loads(text).popitem()[0] in capsys.readouterr().err
+
+
+def test_unknown_only_modality_is_a_usage_error(corpus_dir, capsys):
+    args = ["parse", str(corpus_dir / "d000.ir.json"), "--only-modality"]
+    assert main([*args, "formulas"]) == 64
+    assert "formulas" in capsys.readouterr().err
+    assert main([*args, "formula"]) == 0
+    capsys.readouterr()
 
 
 def test_unknown_config_key_exits_1(tmp_path, corpus_dir, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -10,7 +11,6 @@ from uniparse.dispatch import (
     ROUTE_TABLE,
     BatchReason,
     MissingResult,
-    QueueState,
     Task,
     TaskFailure,
     batch_stack,
@@ -20,7 +20,7 @@ from uniparse.dispatch import (
     route,
 )
 from uniparse.docmodel import SemanticCategory as C
-from uniparse.engine import analyze_pages
+from uniparse.engine import analyze_pages, form_batches
 from uniparse.experts import ExpertResponse
 from uniparse.layout import build_page_tree
 from uniparse.payloads import INLINE_MARKER, Latex, Text
@@ -74,11 +74,10 @@ def test_make_placeholders_reading_order_of_children():
     assert tokens == ["[[UPH:molecule:a1]]", "[[UPH:formula:a2]]", "[[UPH:formula:a3]]"]
 
 
-def q(tasks_with_times):
-    queue = QueueState("ocr")
-    for task, t in tasks_with_times:
-        queue.push(task, t)
-    return queue
+def cut(queue, now, max_batch, max_wait_ms):
+    """What the simulator offers its pool: the due tasks, cut by form_batches."""
+    due = batch_stack(queue, now, max_batch, max_wait_ms)
+    return form_batches([queue.popleft()[0] for _ in range(due)], max_batch)
 
 
 def _task(i):
@@ -89,8 +88,10 @@ def _task(i):
 def test_batch_stack_full_takes_oldest():
     # FIFO oracle: arrival timestamps sort the queue; the batch is the prefix
     arrivals = [(_task(i), float(i)) for i in range(10)]
-    queue = q(arrivals)
-    batch = batch_stack(queue, now=100.0, max_batch=8, max_wait_ms=1000.0)
+    queue = deque(arrivals)
+    batches = cut(queue, now=100.0, max_batch=8, max_wait_ms=1000.0)
+    assert len(batches) == 1
+    batch = batches[0]
     assert batch is not None and batch.reason is BatchReason.FULL
     oldest_eight = [t.task_id for t, _ in sorted(arrivals, key=lambda p: p[1])[:8]]
     assert [t.task_id for t in batch.tasks] == oldest_eight
@@ -98,15 +99,31 @@ def test_batch_stack_full_takes_oldest():
 
 
 def test_batch_stack_young_queue_waits():
-    queue = q([(_task(i), 0.0) for i in range(3)])
-    assert batch_stack(queue, now=0.0, max_batch=8, max_wait_ms=50.0) is None
+    queue = deque([(_task(i), 0.0) for i in range(3)])
+    assert batch_stack(queue, now=0.0, max_batch=8, max_wait_ms=50.0) == 0
+    assert cut(queue, now=0.0, max_batch=8, max_wait_ms=50.0) == []
+    assert len(queue) == 3
 
 
 def test_batch_stack_timeout_boundary_inclusive():
-    queue = q([(_task(i), 0.0) for i in range(3)])
-    batch = batch_stack(queue, now=50.0, max_batch=8, max_wait_ms=50.0)
+    queue = deque([(_task(i), 0.0) for i in range(3)])
+    batches = cut(queue, now=50.0, max_batch=8, max_wait_ms=50.0)
+    assert len(batches) == 1
+    batch = batches[0]
     assert batch is not None and batch.reason is BatchReason.TIMEOUT
     assert len(batch.tasks) == 3 and len(queue) == 0
+
+
+def test_batch_stack_due_is_full_batches_then_the_aged_rest():
+    # 19 tasks, the last 3 enqueued at t=10: at t=30 only the two full
+    # batches are due; once the rest's head has waited 50 ms, all 19 are
+    queue = deque([(_task(i), 0.0 if i < 16 else 10.0) for i in range(19)])
+    assert batch_stack(queue, now=30.0, max_batch=8, max_wait_ms=50.0) == 16
+    assert batch_stack(queue, now=60.0, max_batch=8, max_wait_ms=50.0) == 19
+    batches = cut(queue, now=60.0, max_batch=8, max_wait_ms=50.0)
+    assert [(len(b.tasks), b.reason) for b in batches] == [
+        (8, BatchReason.FULL), (8, BatchReason.FULL), (3, BatchReason.TIMEOUT)]
+    assert [t.task_id for b in batches for t in b.tasks] == [f"d/t{i}" for i in range(19)]
 
 
 def _plan_and_outcomes(detections, cfg=None, fail_ids=()):
@@ -254,3 +271,10 @@ def test_only_modality_restricts_plan(small_corpus, cfg):
     plan = plan_document(doc, [a.tree for a in analyses], cfg, only_modality="ocsr")
     assert plan.tasks, "corpus doc should contain molecules"
     assert {t.modality for t in plan.tasks} == {"ocsr"}
+
+
+def test_only_modality_must_name_a_modality(small_corpus, cfg):
+    docs, _ = small_corpus
+    trees = [a.tree for a in analyze_pages(docs[0], cfg)]
+    with pytest.raises(ValueError, match="formulas"):
+        plan_document(docs[0], trees, cfg, only_modality="formulas")

@@ -11,7 +11,13 @@ import uniparse.engine
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, Detection, DocumentIR, PageIR, SemanticCategory as C
-from uniparse.engine import MockBackend, StrictModeFailure, analyze_and_plan, process_document
+from uniparse.engine import (
+    MockBackend,
+    StrictModeFailure,
+    analyze_and_plan,
+    form_batches,
+    process_document,
+)
 from uniparse.experts import (
     DocumentStore,
     ExpertDescriptor,
@@ -248,6 +254,44 @@ def test_queue_capacity_respected_with_backpressure():
     _outs, metrics = run_pipeline(docs, config)
     assert metrics.max_queue_depth.get("ocr", 0) <= 3
     assert metrics.tasks_dispatched == metrics.tasks_completed + metrics.tasks_failed
+
+
+@pytest.mark.parametrize("mode", [Mode.SEQUENTIAL, Mode.PARALLEL_GATHER],
+                         ids=lambda mode: mode.value)
+def test_held_modes_bypass_the_queue_bound(mode):
+    # a held step puts all 40 tasks in the queues before anything drains
+    # them: a bound of 3 must not apply, or the document waits on itself
+    docs = [ocr_only_doc("a", 40)]
+    engine = bare_engine(queue_capacity=3, max_batch=8)
+    outs, metrics = run_pipeline(docs, PipelineConfig(mode=mode, engine=engine,
+                                                      experts=ocr_experts()))
+    assert [p.doc_id for p in outs] == ["a"]
+    assert metrics.tasks_dispatched == metrics.tasks_completed == 40
+    assert metrics.max_queue_depth == {}
+
+
+def test_parallel_gather_offers_form_batches_of_each_document():
+    # neither the queue bound nor the pipeline's timers shape held batches
+    docs = mixed_docs()
+    engine = bare_engine(max_batch=8, queue_capacity=3)
+    experts = ocr_experts()
+    caps = {m: d.max_batch for m, d in experts.items()}
+    sent = []
+    real_process = MockBackend.process
+
+    def recording(self, modality, batch, attempt=0):
+        sent.append((modality, [t.task_id for t in batch]))
+        return real_process(self, modality, batch, attempt)
+
+    with mock.patch.object(MockBackend, "process", recording):
+        run_pipeline(docs, PipelineConfig(mode=Mode.PARALLEL_GATHER, engine=engine,
+                                          experts=experts))
+    for doc in docs:
+        plan = analyze_and_plan(doc, engine)[1]
+        expected = [(b.modality, [t.task_id for t in b.tasks])
+                    for b in form_batches(plan.tasks, engine.max_batch, caps)]
+        got = [(m, ids) for m, ids in sent if ids[0].startswith(f"{doc.doc_id}/")]
+        assert sorted(got) == sorted(expected)
 
 
 def test_backpressure_stalls_producer_behind_slow_experts():
