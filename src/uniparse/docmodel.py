@@ -391,8 +391,27 @@ class _NotCanonical(Exception):
 
 _encode_str = json.encoder.encode_basestring
 _int_repr = int.__repr__
-_float_repr = float.__repr__
 _INFINITY = float("inf")
+
+
+def float_str(value: float) -> str:
+    """The standard library's floatstr with allow_nan=True. An int is
+    written as the standard library writes it, too."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return repr(value)
+
+
+def json_at(value, nl: str) -> str:
+    """`value` as canonical_json writes it on a line whose newline and indent
+    is `nl`. Only exact-type trees: anything else raises _NotCanonical."""
+    out: list[str] = []
+    _encode(value, out, nl)
+    return "".join(out)
 
 
 def _encode(value, out: list[str], nl: str) -> None:
@@ -405,15 +424,7 @@ def _encode(value, out: list[str], nl: str) -> None:
     elif t is int:
         out.append(_int_repr(value))
     elif t is float:
-        # The standard library's floatstr with allow_nan=True.
-        if value != value:
-            out.append("NaN")
-        elif value == _INFINITY:
-            out.append("Infinity")
-        elif value == -_INFINITY:
-            out.append("-Infinity")
-        else:
-            out.append(_float_repr(value))
+        out.append(float_str(value))
     elif value is None:
         out.append("null")
     elif value is True:

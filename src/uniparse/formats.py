@@ -9,14 +9,16 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .consolidate import FlowItem, SectionNode
-from .docmodel import SemanticCategory, canonical_json
+from .docmodel import SemanticCategory, float_str, json_at
 from .layout import RelationKind
 from .payloads import (
     Caption,
     ChartTable,
     ESmiles,
+    Latex,
     Reaction,
     TableGrid,
     Text,
@@ -27,6 +29,9 @@ from .payloads import (
 )
 
 STRUCTURED_VERSION = "1"
+
+_str = json.encoder.encode_basestring
+_int = int.__repr__
 
 FIGURE_CATEGORIES = frozenset(
     {
@@ -59,55 +64,55 @@ class ParsedDocument:
 
 
 def to_structured(doc: ParsedDocument) -> str:
-    return canonical_json(_doc_to_dict(doc))
+    """canonical_json of the document's dict tree, written from the tree:
+    ``structured_oracle`` in tests/conftest.py is the specification. Every key
+    is fixed, so items, sections and scalar payloads are templates for their
+    indent; parts whose shape varies go through the shared ``json_at``."""
+    stats = {"tokens_emitted": doc.tokens_emitted, "tokens_resolved": doc.tokens_resolved,
+             "tokens_failed": doc.tokens_failed, "failed_tasks": sorted(doc.failed_tasks)}
+    return ('{\n  "doc_id": %s,\n  "language_tag": %s,\n  "root": %s,\n  "stats": %s,'
+            '\n  "version": %s\n}\n') % (
+        _str(doc.doc_id), _str(doc.language_tag), _section_json(doc.root, "\n  "),
+        json_at(stats, "\n  "), _str(STRUCTURED_VERSION))
 
 
-def _doc_to_dict(doc: ParsedDocument) -> dict:
-    return {
-        "version": STRUCTURED_VERSION,
-        "doc_id": doc.doc_id,
-        "language_tag": doc.language_tag,
-        "stats": {
-            "tokens_emitted": doc.tokens_emitted,
-            "tokens_resolved": doc.tokens_resolved,
-            "tokens_failed": doc.tokens_failed,
-            "failed_tasks": sorted(doc.failed_tasks),
-        },
-        "root": _section_to_dict(doc.root),
-    }
+@cache
+def _templates(nl: str) -> tuple[str, str, str]:
+    """Section, item and item-payload templates for an object opening at `nl`."""
+    i, j = nl + "  ", nl + "    "
+    return (
+        f'{{{i}"body": %s,{i}"children": %s,{i}"level": %s,{i}"title": %s{nl}}}',
+        f'{{{i}"box": [{j}%s,{j}%s,{j}%s,{j}%s{i}],{i}"category": %s,{i}"group_hint": %s,'
+        f'{i}"id": %s,{i}"page_index": %s,{i}"partners": %s,{i}"payload": %s,'
+        f'{i}"provenance": {{{j}"merged_ids": %s,{j}"pages": %s{i}}}{nl}}}',
+        f'{{{j}"kind": %s,{j}"value": %s{i}}}',
+    )
 
 
-def _section_to_dict(section: SectionNode) -> dict:
-    return {
-        "level": section.level,
-        "title": section.title,
-        "body": [_item_to_dict(item) for item in section.body],
-        "children": [_section_to_dict(child) for child in section.children],
-    }
+def _section_json(section: SectionNode, nl: str) -> str:
+    i, member = nl + "  ", nl + "    "
+    _, item_t, payload_t = _templates(member)
+    body = [_item_json(item, item_t, payload_t, member) for item in section.body]
+    children = [_section_json(child, member) for child in section.children]
+    lists = [f"[{member}{(',' + member).join(m)}{i}]" if m else "[]" for m in (body, children)]
+    return _templates(nl)[0] % (*lists, _int(section.level), _str(section.title))
 
 
-def _item_to_dict(item: FlowItem) -> dict:
-    return {
-        "id": item.item_id,
-        "page_index": item.page_index,
-        "category": item.category.value,
-        "box": item.box.as_list(),
-        "payload": payload_to_dict(item.payload) if item.payload is not None else None,
-        "partners": [
-            {
-                "relation": p.relation.value,
-                "category": p.category.value,
-                "id": p.detection_id,
-                "payload": payload_to_dict(p.payload) if p.payload is not None else None,
-            }
-            for p in item.partners
-        ],
-        "provenance": {
-            "merged_ids": list(item.merged_ids),
-            "pages": list(item.pages),
-        },
-        "group_hint": item.group_hint,
-    }
+def _item_json(item: FlowItem, item_t: str, payload_t: str, nl: str) -> str:
+    i, j = nl + "  ", nl + "    "
+    box, hint, payload = item.box, item.group_hint, item.payload
+    payload = ("null" if payload is None
+               else payload_t % (_str(payload.kind), _str(payload.value))
+               if type(payload) in (Text, Latex, ESmiles, Caption)
+               else json_at(payload_to_dict(payload), i))
+    partners = [{"relation": p.relation.value, "category": p.category.value, "id": p.detection_id,
+                 "payload": None if p.payload is None else payload_to_dict(p.payload)}
+                for p in item.partners]
+    return item_t % (
+        float_str(box.x0), float_str(box.y0), float_str(box.x1), float_str(box.y1),
+        _str(item.category.value), "null" if hint is None else _str(hint), _str(item.item_id),
+        _int(item.page_index), json_at(partners, i) if partners else "[]", payload,
+        json_at(item.merged_ids, j) if item.merged_ids else "[]", json_at(item.pages, j))
 
 
 # ---------------------------------------------------------------------------

@@ -64,30 +64,36 @@ def group_cluster(tree: LayoutTree) -> list[OrderUnit]:
     The anchor (the node owning partners) names the unit; members are kept in
     their own reading order (top-to-bottom, then left-to-right).
     """
-    nodes = {n.id: n for n in tree.top_items()}
+    items = tree.top_items()
     partner_of: dict[str, str] = {}
-    for node in tree.top_items():
-        for _kind, other in node.group_links:
-            if other not in nodes:
-                continue  # link to a nested child; stays inside its parent
-            other_node = nodes[other]
-            if _is_anchor_side(node, other_node):
-                partner_of[other] = node.id
+    linked = [n for n in items if n.group_links]
+    if linked:
+        nodes = {n.id: n for n in items}
+        for node in linked:
+            for _kind, other in node.group_links:
+                if other not in nodes:
+                    continue  # link to a nested child; stays inside its parent
+                if _is_anchor_side(node, nodes[other]):
+                    partner_of[other] = node.id
 
     partners_of: dict[str, list[LayoutNode]] = {}
     for pid, aid in partner_of.items():
         partners_of.setdefault(aid, []).append(nodes[pid])
 
+    page = tree.page_index
     units: list[OrderUnit] = []
-    for node in tree.top_items():
+    for node in items:
         if node.id in partner_of:
             continue
-        member_nodes = [node, *partners_of.get(node.id, ())]
-        member_nodes.sort(key=lambda n: (n.box.y0, n.box.x0, n.id))
+        partners = partners_of.get(node.id)
+        if partners is None:
+            units.append(OrderUnit(node.id, page, node.category, (node.box,), (node.id,)))
+            continue
+        member_nodes = sorted([node, *partners], key=lambda n: (n.box.y0, n.box.x0, n.id))
         units.append(
             OrderUnit(
                 unit_id=node.id,
-                page_index=tree.page_index,
+                page_index=page,
                 category=node.category,
                 boxes=tuple(n.box for n in member_nodes),
                 member_ids=tuple(n.id for n in member_nodes),

@@ -238,7 +238,8 @@ class _Collector:
     def __init__(self, workers: int):
         self.workers = workers
         self.stage_busy: dict[str, float] = {s: 0.0 for s in CPU_STAGES}
-        self.worker_busy: list[float] = [0.0] * workers
+        # per worker id that served a batch; the pool hands out ids from 0 up
+        self.worker_busy: list[float] = []
         self.expert_busy: dict[str, float] = {}
         self.expert_batches: dict[str, int] = {}
         self.expert_tasks: dict[str, int] = {}
@@ -254,7 +255,10 @@ class _Collector:
         self.stage_busy[stage] = self.stage_busy.get(stage, 0.0) + ms
 
     def charge_expert(self, worker: int, modality: str, ms: float, tasks: int) -> None:
-        self.worker_busy[worker] += ms
+        if worker == len(self.worker_busy):
+            self.worker_busy.append(ms)
+        else:
+            self.worker_busy[worker] += ms
         self.expert_busy[modality] = self.expert_busy.get(modality, 0.0) + ms
         self.expert_batches[modality] = self.expert_batches.get(modality, 0) + 1
         self.expert_tasks[modality] = self.expert_tasks.get(modality, 0) + tasks
@@ -283,7 +287,7 @@ class _Collector:
             idle = 0.0 if degenerate else max(wall - busy, 0.0)
             per_stage.append(StageMetrics(stage, busy, idle, idle / wall if not degenerate else 0.0))
         expert_capacity = wall * self.workers
-        expert_total = sum(self.worker_busy)
+        expert_total = sum(self.worker_busy, 0.0)
         expert_idle = 0.0 if degenerate else max(expert_capacity - expert_total, 0.0)
         bubble = 0.0 if degenerate else expert_idle / expert_capacity
         per_stage.append(StageMetrics(EXPERT_STAGE, expert_total, expert_idle, bubble))
@@ -333,7 +337,12 @@ class _ExpertPool:
         self.on_task_done = on_task_done
         # invoked whenever a batch leaves the ready queue (backpressure relief)
         self.on_drain = on_drain
-        self.free: list[int] = list(range(workers))
+        # Worker ids are handed out lowest first. Released ids wait in a heap;
+        # every id below next_fresh has been handed out, so a released id is
+        # always lower than any never-used one.
+        self.free: list[int] = []
+        self.next_fresh = 0
+        self.workers = workers
         self.in_flight: dict[str, int] = {m: 0 for m in backend.descriptors}
         self.ready: dict[str, deque] = {m: deque() for m in backend.descriptors}
 
@@ -349,13 +358,17 @@ class _ExpertPool:
         self.kick()
 
     def kick(self) -> None:
-        while self.free:
+        while self.free or self.next_fresh < self.workers:
             depths = {m: len(q) for m, q in self.ready.items()}
             modality = balance(depths, {m: d.replicas for m, d in self.descriptors.items()},
                                self.in_flight)
             if modality is None:
                 return
-            worker = heapq.heappop(self.free)
+            if self.free:
+                worker = heapq.heappop(self.free)
+            else:
+                worker = self.next_fresh
+                self.next_fresh += 1
             batch = self._take(modality)
             self.in_flight[modality] += 1
             descriptor = self.descriptors[modality]
@@ -422,10 +435,9 @@ def _simulate(
     """The event loop over laid-out and planned documents."""
     store = DocumentStore([doc for doc, _analyses, _plan in planned])
     backend = MockBackend(store, config.resolved_experts())
-    collector = _Collector(config.engine.workers)
     sim = _Sim()
     jobs = [_DocJob(i, *p) for i, p in enumerate(planned)]
-    _drive(sim, jobs, config, backend, collector)
+    collector = _drive(sim, jobs, config, backend)
     sim.run()
 
     wall = sim.now
@@ -485,8 +497,9 @@ class _StageWorker:
         self.sim.after(cost, complete)
 
 
-def _drive(sim, jobs, config, backend, collector) -> None:
-    """The one driver. The mode sets five values; everything else is shared."""
+def _drive(sim, jobs, config, backend) -> _Collector:
+    """The one driver. The mode sets five values; everything else is shared.
+    Returns the collector the run reports from."""
     engine = config.engine
     streamed = config.mode is Mode.PIPELINE_PARALLEL
     docs_in_flight = engine.max_in_flight_docs if streamed else 1
@@ -494,6 +507,8 @@ def _drive(sim, jobs, config, backend, collector) -> None:
     step_tasks = 1 if streamed else None  # None: the whole document in one step
     max_wait_ms = engine.max_wait_ms if streamed else 0.0
     queue_bound = engine.queue_capacity if streamed else None
+
+    collector = _Collector(workers)
 
     max_batch = engine.max_batch if queue_bound is None else min(engine.max_batch, queue_bound)
     jobs_by_doc = {j.doc.doc_id: j for j in jobs}
@@ -662,6 +677,7 @@ def _drive(sim, jobs, config, backend, collector) -> None:
 
     for _ in range(docs_in_flight):
         admit_next()
+    return collector
 
 
 # ---------------------------------------------------------------------------

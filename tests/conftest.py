@@ -12,11 +12,18 @@ from hypothesis import strategies as st
 from uniparse.config import EngineConfig
 from uniparse.consolidate import FlowItem, Partner, SectionNode
 from uniparse.corpus import CorpusSpec, gen_corpus
-from uniparse.docmodel import BoundingBox, Detection, DocumentIR, PageIR, SemanticCategory
-from uniparse.formats import ParsedDocument
+from uniparse.docmodel import (
+    BoundingBox,
+    Detection,
+    DocumentIR,
+    PageIR,
+    SemanticCategory,
+    canonical_json,
+)
+from uniparse.formats import STRUCTURED_VERSION, ParsedDocument
 from uniparse.layout import LayoutNode, LayoutTree, RelationKind
 from uniparse.ordering import order_units
-from uniparse.payloads import payload_from_dict
+from uniparse.payloads import payload_from_dict, payload_to_dict
 from uniparse.server import make_echo_server
 
 # The benchmark's seeded workloads (perfbench/workloads.py) double as test inputs.
@@ -64,6 +71,61 @@ def strip_group_hints(doc: DocumentIR) -> DocumentIR:
         for page in doc.pages
     )
     return replace(doc, pages=pages)
+
+
+def structured_oracle(doc: ParsedDocument) -> str:
+    """canonical_json of the document's dict tree: the specification that
+    formats.to_structured writes without building the tree."""
+    return canonical_json(structured_dict(doc))
+
+
+def structured_dict(doc: ParsedDocument) -> dict:
+    """The dict tree of the structured dump."""
+    return {
+        "version": STRUCTURED_VERSION,
+        "doc_id": doc.doc_id,
+        "language_tag": doc.language_tag,
+        "stats": {
+            "tokens_emitted": doc.tokens_emitted,
+            "tokens_resolved": doc.tokens_resolved,
+            "tokens_failed": doc.tokens_failed,
+            "failed_tasks": sorted(doc.failed_tasks),
+        },
+        "root": _section_to_dict(doc.root),
+    }
+
+
+def _section_to_dict(section: SectionNode) -> dict:
+    return {
+        "level": section.level,
+        "title": section.title,
+        "body": [_item_to_dict(item) for item in section.body],
+        "children": [_section_to_dict(child) for child in section.children],
+    }
+
+
+def _item_to_dict(item: FlowItem) -> dict:
+    return {
+        "id": item.item_id,
+        "page_index": item.page_index,
+        "category": item.category.value,
+        "box": item.box.as_list(),
+        "payload": payload_to_dict(item.payload) if item.payload is not None else None,
+        "partners": [
+            {
+                "relation": p.relation.value,
+                "category": p.category.value,
+                "id": p.detection_id,
+                "payload": payload_to_dict(p.payload) if p.payload is not None else None,
+            }
+            for p in item.partners
+        ],
+        "provenance": {
+            "merged_ids": list(item.merged_ids),
+            "pages": list(item.pages),
+        },
+        "group_hint": item.group_hint,
+    }
 
 
 def load_structured(text: str) -> ParsedDocument:

@@ -32,10 +32,18 @@ from uniparse.docmodel import (
     validate_document,
 )
 from uniparse.engine import process_document
-from uniparse.formats import _doc_to_dict, to_structured
+from uniparse.formats import to_structured
 from uniparse.payloads import Cell, TableGrid
 
-from conftest import HUGE_INT, MALFORMED_PAYLOADS, bad_json, deeply_nested, det, one_page_doc
+from conftest import (
+    HUGE_INT,
+    MALFORMED_PAYLOADS,
+    bad_json,
+    deeply_nested,
+    det,
+    one_page_doc,
+    structured_dict,
+)
 
 
 def write_ir(tmp_path, data) -> str:
@@ -404,7 +412,7 @@ def test_canonical_json_matches_stdlib_on_corpus():
     docs, _ = gen_corpus(CorpusSpec(seed=5, n_docs=4, pages_min=1, pages_max=3,
                                     cross_page_split_prob=0.5))
     parsed = [process_document(doc).parsed for doc in docs]
-    structured = [oracle(_doc_to_dict(p)) for p in parsed]
+    structured = [oracle(structured_dict(p)) for p in parsed]
     ir = [oracle(document_to_dict(doc)).encode("utf-8") for doc in docs]
     with stdlib_unavailable():
         assert [to_structured(p) for p in parsed] == structured

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uniparse.cli import main
 from uniparse.config import EngineConfig
 from uniparse.consolidate import FlowItem, Partner, SectionNode
-from uniparse.docmodel import BoundingBox, SemanticCategory as C
-from uniparse.engine import process_document
+from uniparse.docmodel import BoundingBox, SemanticCategory as C, load_document
+from uniparse.engine import MockBackend, process_document
+from uniparse.experts import DocumentStore, default_descriptors
 from uniparse.formats import (
     Chunk,
     ChunkKind,
@@ -21,9 +25,10 @@ from uniparse.formats import (
     to_structured,
 )
 from uniparse.layout import RelationKind
-from uniparse.payloads import Caption, Cell, ESmiles, Latex, TableGrid, Text
+from uniparse.payloads import Caption, Cell, ChartTable, ESmiles, Latex, Reaction, TableGrid, Text
 
-from conftest import load_structured
+from conftest import load_structured, structured_oracle
+from workloads import build
 
 
 def flow(item_id, text=None, category=C.PARAGRAPH, payload=None, partners=(), page=0):
@@ -57,6 +62,108 @@ def test_structured_roundtrip_byte_identical(small_corpus, cfg):
         dump = to_structured(parsed)
         again = to_structured(load_structured(dump))
         assert dump == again
+
+
+# --- the structured dump against its oracle ----------------------------------
+
+# Quotes, backslashes, control characters, a "%", non-ASCII text and lone
+# surrogates, which the dump must escape exactly as the standard library does.
+chars = st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f%\u2028é中'),
+    st.characters(),
+    st.characters(categories=["Cs"]),
+)
+texts = st.text(chars, max_size=6)
+numbers = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-7, 1e22]),
+    st.floats(),
+)
+text_tuples = st.lists(texts, max_size=3).map(tuple)
+grids = st.builds(
+    TableGrid,
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.lists(st.builds(Cell, st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+                       st.integers(0, 2), text_tuples), max_size=3).map(tuple),
+)
+payloads = st.one_of(
+    st.none(),
+    *(st.builds(kind, texts) for kind in (Text, Latex, ESmiles, Caption)),
+    grids,
+    st.builds(ChartTable, grids),
+    st.builds(Reaction, text_tuples, text_tuples, text_tuples),
+)
+partners = st.builds(Partner, st.sampled_from(RelationKind), st.sampled_from(C), texts, payloads)
+items = st.builds(
+    FlowItem,
+    item_id=texts,
+    page_index=st.integers(0, 50),
+    category=st.sampled_from(C),
+    box=st.builds(BoundingBox, numbers, numbers, numbers, numbers),
+    payload=payloads,
+    partners=st.lists(partners, max_size=2).map(tuple),
+    merged_ids=text_tuples,
+    source_pages=st.lists(st.integers(0, 50), max_size=3).map(tuple),
+    group_hint=st.none() | texts,
+)
+
+
+def sections(depth: int):
+    """Sections nested up to `depth` levels below this one."""
+    children = st.lists(sections(depth - 1), max_size=2) if depth else st.just([])
+    return st.builds(SectionNode, level=st.integers(0, 6), title=texts,
+                     children=children, body=st.lists(items, max_size=3))
+
+
+parsed_documents = st.builds(
+    ParsedDocument,
+    doc_id=texts,
+    root=sections(4),
+    language_tag=texts,
+    tokens_emitted=st.integers(0, 10**6),
+    tokens_resolved=st.integers(0, 10**6),
+    tokens_failed=st.integers(0, 10**6),
+    failed_tasks=text_tuples,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parsed_documents)
+def test_structured_dump_is_the_oracle_byte_for_byte(doc):
+    assert to_structured(doc) == structured_oracle(doc)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("workload", ["reference", "dense", "stream"])
+def test_structured_dump_is_the_oracle_on_the_benchmark_workloads(workload, seed):
+    wl = build(workload, seed)
+    backend = MockBackend(DocumentStore(wl.docs), wl.experts)
+    for doc in wl.docs:
+        parsed = process_document(doc, wl.engine, backend).parsed
+        assert to_structured(parsed) == structured_oracle(parsed)
+
+
+# sha256 of the three files below, concatenated, as recorded before the dump
+# was written straight from the tree.
+CLI_STRUCTURED_DIGEST = "d0aa09eb45554b496b0ba13ac72dde63065248441f80ab3dd8a5a290593283d7"
+
+
+def test_cli_structured_dump_is_unchanged(tmp_path, capsys):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["gen-corpus", "--out", str(corpus), "--docs", "3", "--seed", "5"]) == 0
+    inputs = sorted(corpus.glob("*.ir.json"))
+    assert main(["parse", *map(str, inputs), "--format", "structured", "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = EngineConfig()
+    written = []
+    for path in inputs:
+        doc = load_document(path)
+        backend = MockBackend(DocumentStore([doc]),
+                              default_descriptors(max_batch=cfg.max_batch, seed=0))
+        dump = (out / f"{doc.doc_id}.structured.json").read_bytes()
+        assert dump == structured_oracle(process_document(doc, cfg, backend).parsed).encode()
+        written.append(dump)
+    assert hashlib.sha256(b"".join(written)).hexdigest() == CLI_STRUCTURED_DIGEST
 
 
 def test_merged_provenance_recorded():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -524,6 +525,33 @@ def test_outputs_invariant_across_worker_counts():
         outs, _m = run_pipeline(docs, config)
         dumps.append([to_structured(p) for p in outs])
     assert dumps[0] == dumps[1] == dumps[2]
+
+
+def test_sequential_report_counts_its_one_worker():
+    docs, _ = gen_corpus(CorpusSpec(seed=1, n_docs=4, pages_min=1, pages_max=2))
+    config = PipelineConfig(mode=Mode.SEQUENTIAL, engine=EngineConfig(workers=4), seed=1)
+    _outs, metrics = run_pipeline(docs, config)
+    one = dataclasses.replace(config, engine=config.engine.copy(workers=1))
+    _outs, single = run_pipeline(docs, one)
+    assert metrics.workers == 1
+    assert [metrics.to_report(), metrics.doc_latency_ms] == [single.to_report(),
+                                                             single.doc_latency_ms]
+
+
+def test_workers_are_allocated_only_when_used():
+    docs, _ = gen_corpus(CorpusSpec(seed=1, n_docs=1, pages_min=1, pages_max=2))
+    config = PipelineConfig(mode=Mode.PIPELINE_PARALLEL, engine=EngineConfig(workers=4), seed=1)
+    huge = dataclasses.replace(config, engine=config.engine.copy(workers=2_000_000))
+    tracemalloc.start()
+    try:
+        outs, _metrics = run_pipeline(docs, huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of every worker id alone would take about 70 MB
+    assert peak < 4 * 2**20
+    few, _metrics = run_pipeline(docs, config)
+    assert [to_structured(p) for p in outs] == [to_structured(p) for p in few]
 
 
 # --- scaling -----------------------------------------------------------------
