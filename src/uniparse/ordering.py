@@ -1,12 +1,11 @@
-"""Per-page reading order: group clustering, recursive whitespace cuts,
+"""Per-page reading order: group clustering, XY whitespace cuts,
 and a gap/alignment fallback for regions the cuts cannot separate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Union
 
@@ -32,10 +31,13 @@ class OrderUnit:
     category: SemanticCategory
     boxes: tuple[BoundingBox, ...]
     member_ids: tuple[str, ...]
+    # Every unit's hull is read at least once, by xy_cut: computed here, it
+    # costs a fraction of a cached_property's first read.
+    hull: BoundingBox = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def hull(self) -> BoundingBox:
-        return hull_of(self.boxes)
+    def __post_init__(self) -> None:
+        boxes = self.boxes
+        object.__setattr__(self, "hull", boxes[0] if len(boxes) == 1 else hull_of(boxes))
 
 
 @dataclass(frozen=True)
@@ -112,80 +114,120 @@ def _is_anchor_side(node: LayoutNode, other: LayoutNode) -> bool:
     return node.id < other.id
 
 
-def _projection_gaps(
-    units: list[OrderUnit], axis: str, min_gap: float
-) -> list[tuple[float, float]]:
-    """Interior empty gaps along one axis as (width, midpoint), widest first."""
-    if axis == "y":
-        intervals = sorted((u.hull.y0, u.hull.y1) for u in units)
-    else:
-        intervals = sorted((u.hull.x0, u.hull.x1) for u in units)
-    merged: list[tuple[float, float]] = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    gaps = []
-    for (a0, a1), (b0, _b1) in zip(merged, merged[1:]):
-        width = b0 - a1
-        if width >= min_gap:
-            gaps.append((width, (a1 + b0) / 2.0))
-    gaps.sort(key=lambda g: (-g[0], g[1]))
-    return gaps
-
-
 def xy_cut(
     units: list[OrderUnit], region: BoundingBox = PAGE_REGION, cfg: EngineConfig | None = None
 ) -> CutTree:
-    """Recursively split along the widest whitespace gap (>= min_gap).
+    """Split along the widest whitespace gap (>= min_gap), then split each side
+    the same way, until no side has an admissible gap.
 
-    Horizontal cuts win ties. A region with no admissible gap becomes a leaf
-    whose units are ordered by (y0, x0).
+    A gap lies between the merged projections of the units' hulls on one
+    axis. The widest gap wins; on equal widths the first in the scan, the
+    one with the smallest midpoint; and a horizontal cut beats a vertical one
+    of equal width. A unit goes to the first side when its center is below
+    the cut's midpoint, else to the second. A side with one unit, or several
+    and no admissible gap, is a leaf ordered by (y0, x0, unit_id). So is a
+    node whose best cut would leave one side empty, which only inverted boxes
+    can cause: on boxes with x0 <= x1 and y0 <= y1, both sides of a gap
+    between merged projections hold a unit.
+
+    The units are sorted once per axis by (start, end). Each node inherits
+    its share of both orders by a stable filter, so a node costs one merge
+    scan per axis and the filters, linear in its units. Nodes wait on an
+    explicit stack: no recursion, so a cut as deep as the page has units is
+    no error. region is not read; only the benchmark passes it.
     """
-    cfg = cfg or EngineConfig()
-    if len(units) <= 1:
+    min_gap = (cfg or EngineConfig()).min_gap
+    n = len(units)
+    if n <= 1:
         return Leaf(tuple(u.unit_id for u in units))
 
-    h_gaps = _projection_gaps(units, "y", cfg.min_gap)
-    v_gaps = _projection_gaps(units, "x", cfg.min_gap)
-    best_h = h_gaps[0] if h_gaps else None
-    best_v = v_gaps[0] if v_gaps else None
+    # The geometry table, one column per field, indexed by unit.
+    hulls = [u.hull for u in units]
+    x0 = [h.x0 for h in hulls]
+    y0 = [h.y0 for h in hulls]
+    x1 = [h.x1 for h in hulls]
+    y1 = [h.y1 for h in hulls]
+    cx = [(h.x0 + h.x1) / 2.0 for h in hulls]
+    cy = [(h.y0 + h.y1) / 2.0 for h in hulls]
+    ids = [u.unit_id for u in units]
 
-    if best_h is None and best_v is None:
-        ordered = sorted(units, key=lambda u: (u.hull.y0, u.hull.x0, u.unit_id))
-        return Leaf(tuple(u.unit_id for u in ordered))
+    def leaf(members: list[int]) -> Leaf:
+        # i last: a stable sort of the units in input order, as ids may repeat
+        members = sorted(members, key=lambda i: (y0[i], x0[i], ids[i], i))
+        return Leaf(tuple(ids[i] for i in members))
 
-    use_horizontal = best_v is None or (best_h is not None and best_h[0] >= best_v[0])
-    if use_horizontal:
-        _, y = best_h
-        first = [u for u in units if u.hull.center[1] < y]
-        second = [u for u in units if u.hull.center[1] >= y]
-        return HCut(
-            y=y,
-            children=(
-                xy_cut(first, BoundingBox(region.x0, region.y0, region.x1, y), cfg),
-                xy_cut(second, BoundingBox(region.x0, y, region.x1, region.y1), cfg),
-            ),
-        )
-    _, x = best_v
-    first = [u for u in units if u.hull.center[0] < x]
-    second = [u for u in units if u.hull.center[0] >= x]
-    return VCut(
-        x=x,
-        children=(
-            xy_cut(first, BoundingBox(region.x0, region.y0, x, region.y1), cfg),
-            xy_cut(second, BoundingBox(x, region.y0, region.x1, region.y1), cfg),
-        ),
-    )
+    # nodes[k] is a Leaf, or (HCut or VCut, coordinate, first, second) with
+    # the children's indices, which are always larger than k.
+    nodes: list = [None]
+    stack = [(0, [i for *_, i in sorted(zip(x0, x1, range(n)))],
+              [i for *_, i in sorted(zip(y0, y1, range(n)))])]
+    while stack:
+        k, xs, ys = stack.pop()
+        h = _widest_gap(ys, y0, y1, min_gap)
+        v = _widest_gap(xs, x0, x1, min_gap)
+        if h is None and v is None:
+            nodes[k] = leaf(ys)
+            continue
+        if v is None or (h is not None and h[0] >= v[0]):
+            kind, at, center = HCut, h[1], cy
+        else:
+            kind, at, center = VCut, v[1], cx
+        first_ys = [i for i in ys if center[i] < at]
+        if not first_ys or len(first_ys) == len(ys):
+            nodes[k] = leaf(ys)
+            continue
+        # the complement of the first side, so a NaN center stays on the page
+        second_ys = [i for i in ys if not center[i] < at]
+        a = len(nodes)
+        nodes[k] = (kind, at, a, a + 1)
+        nodes += (None, None)
+        for slot, side, first in ((a + 1, second_ys, False), (a, first_ys, True)):
+            if len(side) == 1:
+                nodes[slot] = Leaf((ids[side[0]],))
+            else:
+                stack.append((slot, [i for i in xs if (center[i] < at) == first], side))
+
+    for k in range(len(nodes) - 1, -1, -1):
+        node = nodes[k]
+        if type(node) is tuple:
+            kind, at, a, b = node
+            nodes[k] = kind(at, (nodes[a], nodes[b]))
+    return nodes[0]
+
+
+def _widest_gap(
+    order: list[int], start: list[float], end: list[float], min_gap: float
+) -> tuple[float, float] | None:
+    """(width, midpoint) of the widest gap of at least min_gap between the
+    merged intervals [start[i], end[i]], taken in order (sorted by start,
+    then end); the first on equal widths. None when there is none."""
+    best_width = mid = 0.0
+    it = iter(order)
+    reach = end[next(it)]
+    for i in it:
+        s = start[i]
+        if s <= reach:
+            e = end[i]
+            if e > reach:
+                reach = e
+            continue
+        width = s - reach  # positive: s > reach
+        if width > best_width and width >= min_gap:
+            best_width, mid = width, (reach + s) / 2.0
+        reach = end[i]
+    return (best_width, mid) if best_width else None
 
 
 def cut_leaves(tree: CutTree) -> list[Leaf]:
-    if isinstance(tree, Leaf):
-        return [tree]
+    """The tree's leaves, first child first."""
     out: list[Leaf] = []
-    for child in tree.children:
-        out.extend(cut_leaves(child))
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node)
+        else:
+            stack.extend(reversed(node.children))
     return out
 
 
@@ -413,7 +455,7 @@ def order_units(tree: LayoutTree, cfg: EngineConfig | None = None) -> list[Order
     if not units:
         return []
     by_id = {u.unit_id: u for u in units}
-    cut = xy_cut(units, PAGE_REGION, cfg)
+    cut = xy_cut(units, cfg=cfg)
     ordered: list[OrderUnit] = []
     for leaf in cut_leaves(cut):
         if len(leaf.unit_ids) > 1:

@@ -22,7 +22,7 @@ from uniparse.docmodel import (
 )
 from uniparse.formats import STRUCTURED_VERSION, ParsedDocument
 from uniparse.layout import LayoutNode, LayoutTree, RelationKind
-from uniparse.ordering import order_units
+from uniparse.ordering import HCut, Leaf, VCut, order_units
 from uniparse.payloads import payload_from_dict, payload_to_dict
 from uniparse.server import make_echo_server
 
@@ -50,6 +50,67 @@ def det(
 def reading_order(tree, cfg: EngineConfig | None = None) -> list[str]:
     """The page's unit ids in reading order."""
     return [u.unit_id for u in order_units(tree, cfg)]
+
+
+def xy_cut_oracle(units, min_gap: float):
+    """The reference XY-cut: each node sorts both projections again and
+    recurses. ordering.xy_cut builds the same tree wherever this one
+    terminates; on a cut that leaves one side empty it recurses forever."""
+    if len(units) <= 1:
+        return Leaf(tuple(u.unit_id for u in units))
+    h_gaps = _projection_gaps(units, "y", min_gap)
+    v_gaps = _projection_gaps(units, "x", min_gap)
+    best_h = h_gaps[0] if h_gaps else None
+    best_v = v_gaps[0] if v_gaps else None
+    if best_h is None and best_v is None:
+        ordered = sorted(units, key=lambda u: (u.hull.y0, u.hull.x0, u.unit_id))
+        return Leaf(tuple(u.unit_id for u in ordered))
+    if best_v is None or (best_h is not None and best_h[0] >= best_v[0]):
+        _, y = best_h
+        first = [u for u in units if u.hull.center[1] < y]
+        second = [u for u in units if u.hull.center[1] >= y]
+        return HCut(y, (xy_cut_oracle(first, min_gap), xy_cut_oracle(second, min_gap)))
+    _, x = best_v
+    first = [u for u in units if u.hull.center[0] < x]
+    second = [u for u in units if u.hull.center[0] >= x]
+    return VCut(x, (xy_cut_oracle(first, min_gap), xy_cut_oracle(second, min_gap)))
+
+
+def _projection_gaps(units, axis: str, min_gap: float) -> list[tuple[float, float]]:
+    """Interior empty gaps along one axis as (width, midpoint), widest first."""
+    if axis == "y":
+        intervals = sorted((u.hull.y0, u.hull.y1) for u in units)
+    else:
+        intervals = sorted((u.hull.x0, u.hull.x1) for u in units)
+    merged: list[tuple[float, float]] = []
+    for start, end in intervals:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    gaps = []
+    for (a0, a1), (b0, _b1) in zip(merged, merged[1:]):
+        width = b0 - a1
+        if width >= min_gap:
+            gaps.append((width, (a1 + b0) / 2.0))
+    gaps.sort(key=lambda g: (-g[0], g[1]))
+    return gaps
+
+
+def flatten_cut(tree) -> list[tuple]:
+    """The cut tree in pre-order, without recursion: ("H", y.hex()),
+    ("V", x.hex()) or ("L", unit ids) per node. Every cut has two
+    children, so the list determines the tree."""
+    out: list[tuple] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(("L", node.unit_ids))
+            continue
+        out.append(("H", node.y.hex()) if isinstance(node, HCut) else ("V", node.x.hex()))
+        stack.extend(reversed(node.children))
+    return out
 
 
 def find(tree: LayoutTree, detection_id: str) -> LayoutNode | None:

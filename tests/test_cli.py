@@ -14,9 +14,9 @@ import pytest
 
 from uniparse.cli import main
 from uniparse.corpus import CorpusSpec, gen_corpus
-from uniparse.docmodel import save_document
+from uniparse.docmodel import BoundingBox, Detection, SemanticCategory, save_document
 
-from conftest import EchoServerThread
+from conftest import EchoServerThread, one_page_doc
 
 
 @pytest.fixture()
@@ -66,6 +66,22 @@ def test_parse_emit_order_lines(corpus_dir, capsys):
     out = capsys.readouterr().out
     assert out.startswith("# page 0")
     assert re.search(r"^d000p0b\d+$", out, re.MULTILINE)
+
+
+def test_parse_orders_a_page_cut_once_per_line(tmp_path, capsys):
+    # Equal gaps between 1,500 full-width lines: each cut splits off the top
+    # line, so the cut tree is 1,500 levels deep. A small min_gap lets every
+    # gap count; the default bounds the depth to about 1 / min_gap.
+    lines = [Detection(f"p{i:05d}", 0, BoundingBox(0.1, i / 2048, 0.9, i / 2048 + 1 / 4096),
+                       SemanticCategory.PARAGRAPH, 0.9, truth_text=f"line {i}")
+             for i in range(1500)]
+    ir = tmp_path / "lines.ir.json"
+    save_document(one_page_doc(lines, doc_id="lines"), ir)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_gap": 0.0001}), encoding="utf-8")
+    assert main(["parse", str(ir), "--config", str(config), "--emit", "order"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["# page 0", *(d.id for d in lines)]
 
 
 def test_parse_emit_layout(corpus_dir, capsys):

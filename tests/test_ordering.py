@@ -4,7 +4,7 @@ import itertools
 import random
 
 import workloads
-from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from uniparse import ordering
 from uniparse.config import EngineConfig
@@ -25,7 +25,7 @@ from uniparse.ordering import (
     xy_cut,
 )
 
-from conftest import box_lists, det, reading_order
+from conftest import box_lists, det, flatten_cut, reading_order, xy_cut_oracle
 
 
 def unit(uid, box, category=C.PARAGRAPH, page=0):
@@ -316,6 +316,81 @@ def _rand_box(rng):
     x0 = rng.uniform(0.0, 0.8)
     y0 = rng.uniform(0.0, 0.8)
     return (x0, y0, x0 + rng.uniform(0.05, 0.2), y0 + rng.uniform(0.02, 0.15))
+
+
+# Dyadic geometry: every coordinate, width and midpoint is exact, so gap
+# widths tie exactly, on one axis and across both, intervals touch, and a gap
+# can be exactly min_gap wide. In half the lists one box side in eight is
+# inverted, which can put a center exactly on the cut (or leave a side empty,
+# where the oracle never ends); up to a fifth of the boxes repeat an earlier
+# one; widths and heights can be 0.
+sixteenths = st.integers(0, 16).map(lambda k: k / 16)
+spans = st.sampled_from([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4])
+
+
+@st.composite
+def dyadic_box(draw, inverted):
+    x0, y0 = draw(sixteenths), draw(sixteenths)
+    x1, y1 = x0 + draw(spans), y0 + draw(spans)
+    if inverted and draw(st.integers(0, 7)) == 0:
+        y0, y1 = y1, y0
+    if inverted and draw(st.integers(0, 7)) == 0:
+        x0, x1 = x1, x0
+    return BoundingBox(x0, y0, x1, y1)
+
+
+@st.composite
+def dyadic_unit_lists(draw):
+    n = draw(st.integers(0, 50))
+    shapes = draw(st.lists(dyadic_box(draw(st.booleans())), min_size=n, max_size=n))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=n // 5)) if n else ():
+        shapes.append(shapes[k])
+    return _units(draw, shapes)
+
+
+def assert_cut_matches_oracle(units, cfg):
+    got = xy_cut(units, cfg=cfg)
+    assert sorted(uid for leaf in cut_leaves(got) for uid in leaf.unit_ids) == \
+        sorted(u.unit_id for u in units)
+    try:
+        want = xy_cut_oracle(units, cfg.min_gap)
+    except RecursionError:  # a cut left one side empty; xy_cut made a leaf
+        return
+    assert flatten_cut(got) == flatten_cut(want)
+
+
+# a's center lies on the cut between c and a; the tied 1/4 gaps on both axes
+@example([unit("c", (0.0, 0.0, 0.25, 0.25)), unit("a", (0.0, 0.5, 0.25, 0.25))],
+         EngineConfig())
+@example([unit("a", (0.0, 0.0, 0.25, 0.25)), unit("b", (0.5, 0.0, 0.75, 0.25)),
+          unit("c", (0.0, 0.5, 0.25, 0.75)), unit("d", (0.5, 0.5, 0.75, 0.75))],
+         EngineConfig(min_gap=0.25))
+@settings(max_examples=300, deadline=None)
+@given(dyadic_unit_lists(), st.sampled_from([1 / 64, 1 / 32, 1 / 16, 1 / 4]).map(
+    lambda g: EngineConfig(min_gap=g)))
+def test_xy_cut_matches_oracle(units, cfg):
+    assert_cut_matches_oracle(units, cfg)
+
+
+def test_xy_cut_matches_oracle_on_benchmark_pages():
+    pages = 0
+    for name in ("reference", "dense", "stream"):
+        for seed in (0, 1, 2):
+            wl = workloads.build(name, seed)
+            for doc in wl.docs:
+                for page in doc.pages:
+                    tree = build_page_tree(page.page_index, list(page.detections), wl.engine)
+                    assert_cut_matches_oracle(group_cluster(tree), wl.engine)
+                    pages += 1
+    assert pages == 2373
+
+
+def test_cut_never_leaves_a_side_empty():
+    # the inverted a spans y 0.3-0.5 backwards: its center is on the gap at
+    # y = 0.4 that a and b make, so both would go to the second side
+    detections = [det("a", (0.1, 0.5, 0.9, 0.3)), det("b", (0.1, 0.5, 0.9, 0.6))]
+    tree = build_page_tree(0, detections)
+    assert sorted(reading_order(tree)) == ["a", "b"]
 
 
 # --- gap_tree_order ----------------------------------------------------------
