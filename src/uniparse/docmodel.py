@@ -370,6 +370,8 @@ def canonical_json(obj) -> str:
     str-Enums, non-``str`` keys, a top-level scalar), a cycle, or nesting
     deeper than the recursion limit goes to the standard library call, so
     the output, or the exception raised, is always the standard library's.
+    This is the only caller of ``_encode``: the structured dump
+    (``formats.to_structured``) writes its fixed shapes through templates.
     """
     out: list[str] = []
     try:
@@ -404,14 +406,6 @@ def float_str(value: float) -> str:
     if value == -_INFINITY:
         return "-Infinity"
     return repr(value)
-
-
-def json_at(value, nl: str) -> str:
-    """`value` as canonical_json writes it on a line whose newline and indent
-    is `nl`. Only exact-type trees: anything else raises _NotCanonical."""
-    out: list[str] = []
-    _encode(value, out, nl)
-    return "".join(out)
 
 
 def _encode(value, out: list[str], nl: str) -> None:

@@ -10,9 +10,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .consolidate import FlowItem, SectionNode
-from .docmodel import SemanticCategory, float_str, json_at
+from .docmodel import SemanticCategory, float_str
 from .layout import RelationKind
 from .payloads import (
     Caption,
@@ -23,7 +24,6 @@ from .payloads import (
     TableGrid,
     Text,
     payload_text,
-    payload_to_dict,
     render_grid_html,
     render_inline,
 )
@@ -66,53 +66,134 @@ class ParsedDocument:
 def to_structured(doc: ParsedDocument) -> str:
     """canonical_json of the document's dict tree, written from the tree:
     ``structured_oracle`` in tests/conftest.py is the specification. Every key
-    is fixed, so items, sections and scalar payloads are templates for their
-    indent; parts whose shape varies go through the shared ``json_at``."""
-    stats = {"tokens_emitted": doc.tokens_emitted, "tokens_resolved": doc.tokens_resolved,
-             "tokens_failed": doc.tokens_failed, "failed_tasks": sorted(doc.failed_tasks)}
-    return ('{\n  "doc_id": %s,\n  "language_tag": %s,\n  "root": %s,\n  "stats": %s,'
-            '\n  "version": %s\n}\n') % (
+    of every shape in the dump is fixed, so each object (section, item,
+    partner, payload, grid cell, stats) is a template for its indent, a list
+    of strings or ints is one join, and no value goes through a shared
+    encoder."""
+    return _DOCUMENT_T % (
         _str(doc.doc_id), _str(doc.language_tag), _section_json(doc.root, "\n  "),
-        json_at(stats, "\n  "), _str(STRUCTURED_VERSION))
+        _array(sorted(doc.failed_tasks), "\n    "), _int(doc.tokens_emitted),
+        _int(doc.tokens_failed), _int(doc.tokens_resolved), _str(STRUCTURED_VERSION))
+
+
+_DOCUMENT_T = (
+    '{\n  "doc_id": %s,\n  "language_tag": %s,\n  "root": %s,\n  "stats": {'
+    '\n    "failed_tasks": %s,\n    "tokens_emitted": %s,\n    "tokens_failed": %s,'
+    '\n    "tokens_resolved": %s\n  },\n  "version": %s\n}\n'
+)
+
+# The enum values as JSON strings, looked up per item instead of read from
+# the enum (a property) and encoded each time.
+_CATEGORY_JSON = {c: _str(c.value) for c in SemanticCategory}
+_RELATION_JSON = {r: _str(r.value) for r in RelationKind}
+_SCALARS = (Text, Latex, ESmiles, Caption)
+
+
+def _list(members: list[str], nl: str) -> str:
+    """A list of members, each already JSON, opening on the line `nl`."""
+    if not members:
+        return "[]"
+    i = nl + "  "
+    return f"[{i}{(',' + i).join(members)}{nl}]"
+
+
+def _array(values, nl: str, encode=_str) -> str:
+    """A list of strings (or, with encode=_int, ints) opening on the line `nl`."""
+    if not values:
+        return "[]"
+    i = nl + "  "
+    return f"[{i}{(',' + i).join(map(encode, values))}{nl}]"
+
+
+class _Templates(NamedTuple):
+    """The fixed shapes of the dump, for an object opening on one line."""
+
+    section: str
+    item: str
+    scalar: str  # a Text, Latex, ESmiles or Caption payload
+    grid: str
+    chart: str
+    reaction: str
+    partner: str
+    cell: str
 
 
 @cache
-def _templates(nl: str) -> tuple[str, str, str]:
-    """Section, item and item-payload templates for an object opening at `nl`."""
+def _templates(nl: str) -> _Templates:
+    """The templates for an object opening on the line `nl`."""
     i, j = nl + "  ", nl + "    "
-    return (
-        f'{{{i}"body": %s,{i}"children": %s,{i}"level": %s,{i}"title": %s{nl}}}',
-        f'{{{i}"box": [{j}%s,{j}%s,{j}%s,{j}%s{i}],{i}"category": %s,{i}"group_hint": %s,'
-        f'{i}"id": %s,{i}"page_index": %s,{i}"partners": %s,{i}"payload": %s,'
-        f'{i}"provenance": {{{j}"merged_ids": %s,{j}"pages": %s{i}}}{nl}}}',
-        f'{{{j}"kind": %s,{j}"value": %s{i}}}',
+    return _Templates(
+        section=f'{{{i}"body": %s,{i}"children": %s,{i}"level": %s,{i}"title": %s{nl}}}',
+        item=f'{{{i}"box": [{j}%s,{j}%s,{j}%s,{j}%s{i}],{i}"category": %s,'
+             f'{i}"group_hint": %s,{i}"id": %s,{i}"page_index": %s,{i}"partners": %s,'
+             f'{i}"payload": %s,{i}"provenance": {{{j}"merged_ids": %s,{j}"pages": %s{i}}}{nl}}}',
+        scalar=f'{{{i}"kind": %s,{i}"value": %s{nl}}}',
+        grid=f'{{{i}"cells": %s,{i}"cols": %s,{i}"kind": {_str(TableGrid.kind)},'
+             f'{i}"rows": %s{nl}}}',
+        chart=f'{{{i}"grid": {{{j}"cells": %s,{j}"cols": %s,{j}"rows": %s{i}}},'
+              f'{i}"kind": {_str(ChartTable.kind)}{nl}}}',
+        reaction=f'{{{i}"conditions": %s,{i}"kind": {_str(Reaction.kind)},{i}"products": %s,'
+                 f'{i}"reactants": %s{nl}}}',
+        partner=f'{{{i}"category": %s,{i}"id": %s,{i}"payload": %s,{i}"relation": %s{nl}}}',
+        cell=f'{{{i}"col": %s,{i}"col_span": %s,{i}"content": %s,{i}"row": %s,'
+             f'{i}"row_span": %s{nl}}}',
     )
 
 
 def _section_json(section: SectionNode, nl: str) -> str:
     i, member = nl + "  ", nl + "    "
-    _, item_t, payload_t = _templates(member)
-    body = [_item_json(item, item_t, payload_t, member) for item in section.body]
+    item_t = _templates(member).item
+    body = [_item_json(item, item_t, member) for item in section.body]
     children = [_section_json(child, member) for child in section.children]
-    lists = [f"[{member}{(',' + member).join(m)}{i}]" if m else "[]" for m in (body, children)]
-    return _templates(nl)[0] % (*lists, _int(section.level), _str(section.title))
+    return _templates(nl).section % (_list(body, i), _list(children, i), _int(section.level),
+                                     _str(section.title))
 
 
-def _item_json(item: FlowItem, item_t: str, payload_t: str, nl: str) -> str:
+def _item_json(item: FlowItem, item_t: str, nl: str) -> str:
     i, j = nl + "  ", nl + "    "
     box, hint, payload = item.box, item.group_hint, item.payload
-    payload = ("null" if payload is None
-               else payload_t % (_str(payload.kind), _str(payload.value))
-               if type(payload) in (Text, Latex, ESmiles, Caption)
-               else json_at(payload_to_dict(payload), i))
-    partners = [{"relation": p.relation.value, "category": p.category.value, "id": p.detection_id,
-                 "payload": None if p.payload is None else payload_to_dict(p.payload)}
-                for p in item.partners]
+    payload = "null" if payload is None else _payload_json(payload, i)
+    partners = item.partners
+    if partners:
+        partner_t, k = _templates(j).partner, j + "  "
+        partners = _list([partner_t % (
+            _CATEGORY_JSON[p.category], _str(p.detection_id),
+            "null" if p.payload is None else _payload_json(p.payload, k),
+            _RELATION_JSON[p.relation]) for p in partners], i)
+    else:
+        partners = "[]"
     return item_t % (
         float_str(box.x0), float_str(box.y0), float_str(box.x1), float_str(box.y1),
-        _str(item.category.value), "null" if hint is None else _str(hint), _str(item.item_id),
-        _int(item.page_index), json_at(partners, i) if partners else "[]", payload,
-        json_at(item.merged_ids, j) if item.merged_ids else "[]", json_at(item.pages, j))
+        _CATEGORY_JSON[item.category], "null" if hint is None else _str(hint),
+        _str(item.item_id), _int(item.page_index), partners, payload,
+        _array(item.merged_ids, j), _array(item.pages, j, _int))
+
+
+def _payload_json(payload, nl: str) -> str:
+    """A payload opening on the line `nl`, as payloads.payload_to_dict
+    shapes it."""
+    templates = _templates(nl)
+    if isinstance(payload, _SCALARS):
+        return templates.scalar % (_str(payload.kind), _str(payload.value))
+    i, j = nl + "  ", nl + "    "
+    if isinstance(payload, TableGrid):
+        return templates.grid % (_cells_json(payload.cells, i), _int(payload.cols),
+                                 _int(payload.rows))
+    if isinstance(payload, ChartTable):
+        grid = payload.grid
+        return templates.chart % (_cells_json(grid.cells, j), _int(grid.cols), _int(grid.rows))
+    if isinstance(payload, Reaction):
+        return templates.reaction % (_array(payload.conditions, i),
+                                     _array(payload.products, i), _array(payload.reactants, i))
+    raise TypeError(f"not a payload: {payload!r}")
+
+
+def _cells_json(cells, nl: str) -> str:
+    """A grid's cells, a list opening on the line `nl`."""
+    i, j = nl + "  ", nl + "    "
+    cell_t = _templates(i).cell
+    return _list([cell_t % (_int(c.col), _int(c.col_span), _array(c.content, j), _int(c.row),
+                            _int(c.row_span)) for c in cells], nl)
 
 
 # ---------------------------------------------------------------------------

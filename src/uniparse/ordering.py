@@ -14,10 +14,11 @@ from .docmodel import (
     ANCHOR_CATEGORIES,
     PARTNER_CATEGORIES,
     BoundingBox,
+    Detection,
     SemanticCategory,
     hull_of,
 )
-from .layout import LayoutNode, LayoutTree
+from .layout import LayoutTree
 
 PAGE_REGION = BoundingBox(0.0, 0.0, 1.0, 1.0)
 
@@ -64,54 +65,57 @@ def group_cluster(tree: LayoutTree) -> list[OrderUnit]:
     """Collapse each group into one unit hulling all members.
 
     The anchor (the node owning partners) names the unit; members are kept in
-    their own reading order (top-to-bottom, then left-to-right).
+    their own reading order (top-to-bottom, then left-to-right). Each node's
+    detection is read once; partners are indexed by their position.
     """
     items = tree.top_items()
-    partner_of: dict[str, str] = {}
-    linked = [n for n in items if n.group_links]
+    dets = [n.detection for n in items]
+    anchor_of: dict[int, int] = {}  # partner position -> anchor position
+    linked = [k for k, n in enumerate(items) if n.group_links]
     if linked:
-        nodes = {n.id: n for n in items}
-        for node in linked:
-            for _kind, other in node.group_links:
-                if other not in nodes:
+        position = {d.id: k for k, d in enumerate(dets)}
+        for k in linked:
+            for _kind, other in items[k].group_links:
+                o = position.get(other)
+                if o is None:
                     continue  # link to a nested child; stays inside its parent
-                if _is_anchor_side(node, nodes[other]):
-                    partner_of[other] = node.id
+                if _is_anchor_side(dets[k], dets[o]):
+                    anchor_of[o] = k
 
-    partners_of: dict[str, list[LayoutNode]] = {}
-    for pid, aid in partner_of.items():
-        partners_of.setdefault(aid, []).append(nodes[pid])
+    partners_of: dict[int, list[Detection]] = {}
+    for o, k in anchor_of.items():
+        partners_of.setdefault(k, []).append(dets[o])
 
     page = tree.page_index
     units: list[OrderUnit] = []
-    for node in items:
-        if node.id in partner_of:
+    for k, d in enumerate(dets):
+        if k in anchor_of:
             continue
-        partners = partners_of.get(node.id)
+        partners = partners_of.get(k)
         if partners is None:
-            units.append(OrderUnit(node.id, page, node.category, (node.box,), (node.id,)))
+            units.append(OrderUnit(d.id, page, d.category, (d.box,), (d.id,)))
             continue
-        member_nodes = sorted([node, *partners], key=lambda n: (n.box.y0, n.box.x0, n.id))
+        members = sorted([d, *partners], key=lambda m: (m.box.y0, m.box.x0, m.id))
         units.append(
             OrderUnit(
-                unit_id=node.id,
+                unit_id=d.id,
                 page_index=page,
-                category=node.category,
-                boxes=tuple(n.box for n in member_nodes),
-                member_ids=tuple(n.id for n in member_nodes),
+                category=d.category,
+                boxes=tuple(m.box for m in members),
+                member_ids=tuple(m.id for m in members),
             )
         )
     return units
 
 
-def _is_anchor_side(node: LayoutNode, other: LayoutNode) -> bool:
-    if node.category in ANCHOR_CATEGORIES and other.category in PARTNER_CATEGORIES:
+def _is_anchor_side(det: Detection, other: Detection) -> bool:
+    if det.category in ANCHOR_CATEGORIES and other.category in PARTNER_CATEGORIES:
         return True
-    if node.category in PARTNER_CATEGORIES and other.category in ANCHOR_CATEGORIES:
+    if det.category in PARTNER_CATEGORIES and other.category in ANCHOR_CATEGORIES:
         return False
     # Degenerate pairings (hint groups without a clear anchor/partner split):
     # the lexicographically smaller id acts as the anchor.
-    return node.id < other.id
+    return det.id < other.id
 
 
 def xy_cut(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from contextlib import contextmanager
@@ -7,7 +8,7 @@ from enum import Enum, IntEnum
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from uniparse import server
 from uniparse.cli import main
@@ -26,6 +27,7 @@ from uniparse.docmodel import (
     canonical_json,
     category_layer,
     document_bytes,
+    document_from_dict,
     document_to_dict,
     load_document,
     save_document,
@@ -33,7 +35,7 @@ from uniparse.docmodel import (
 )
 from uniparse.engine import process_document
 from uniparse.formats import to_structured
-from uniparse.payloads import Cell, TableGrid
+from uniparse.payloads import INLINE_MARKER, Cell, TableGrid
 
 from conftest import (
     HUGE_INT,
@@ -185,6 +187,88 @@ def test_deeply_nested_file_is_a_schema_violation(tmp_path, capsys):
         load_document(path)
     assert main(["parse", str(path)]) == 1
     assert "uniparse: error:" in capsys.readouterr().err
+
+
+# --- mutated IR: a document or a SchemaViolation, never a traceback ----------
+
+_BASE_IRS = [document_to_dict(doc) for doc in
+             gen_corpus(CorpusSpec(seed=3, n_docs=4, pages_min=1, pages_max=2))[0]]
+_NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+_WRONG_TYPES = st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], [1], {}, {"a": 1}])
+_KEYS = {
+    "document": ("version", "doc_id", "language_tag", "outline", "pages"),
+    "page": ("page_index", "width_pt", "height_pt", "detections"),
+    "detection": ("id", "box", "category", "confidence", "group_hint", "truth_text",
+                  "truth_payload"),
+}
+
+
+@st.composite
+def mutated_irs(draw):
+    """A generated IR dict with one to three of: a NaN, infinite or inverted
+    box; an unknown category; a field of the wrong type or missing; a
+    U+FFFC count in some truth_text that no longer matches its nested
+    children."""
+    data = copy.deepcopy(draw(st.sampled_from(_BASE_IRS)))
+    pages = data["pages"]
+    dets = [d for page in pages for d in page["detections"]]
+    for _ in range(draw(st.integers(1, 3))):
+        det = draw(st.sampled_from(dets))
+        mutation = draw(st.sampled_from(["box", "category", "type", "marker"]))
+        if mutation == "box" and isinstance(det.get("box"), list):
+            box = det["box"]
+            if draw(st.booleans()):
+                box[draw(st.integers(0, 3))] = draw(st.sampled_from(_NON_FINITE))
+            else:
+                axis = draw(st.integers(0, 1))
+                box[axis], box[axis + 2] = box[axis + 2], box[axis]
+        elif mutation == "category":
+            det["category"] = draw(st.sampled_from(["hologram", "", "PARAGRAPH", 3, None]))
+        elif mutation == "type":
+            level = draw(st.sampled_from(sorted(_KEYS)))
+            target = {"document": data, "page": draw(st.sampled_from(pages)),
+                      "detection": det}[level]
+            key = draw(st.sampled_from(_KEYS[level]))
+            if draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = draw(_WRONG_TYPES)
+        elif isinstance(det.get("truth_text"), str):
+            text = det["truth_text"]
+            markers = [k for k, ch in enumerate(text) if ch == INLINE_MARKER]
+            if markers and draw(st.booleans()):
+                k = draw(st.sampled_from(markers))
+                det["truth_text"] = text[:k] + text[k + 1:]
+            else:
+                k = draw(st.integers(0, len(text)))
+                det["truth_text"] = text[:k] + INLINE_MARKER * draw(st.integers(1, 3)) + text[k:]
+    return data
+
+
+def test_mutation_base_documents_nest_inline_elements():
+    texts = [d.get("truth_text") or "" for ir in _BASE_IRS
+             for page in ir["pages"] for d in page["detections"]]
+    assert any(INLINE_MARKER in text for text in texts)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_irs())
+def test_mutated_ir_is_a_document_or_a_schema_violation(tmp_path, data):
+    try:
+        document_from_dict(data)
+    except SchemaViolation:
+        pass
+    path = tmp_path / "doc.ir.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    try:
+        load_document(path)
+    except SchemaViolation:
+        expected = 1
+    else:
+        expected = 0
+    out = tmp_path / "doc.structured.json"
+    assert main(["parse", str(path), "--out", str(out)]) == expected
 
 
 def test_wrong_version_rejected(tmp_path):

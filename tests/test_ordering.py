@@ -11,7 +11,14 @@ from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, SemanticCategory as C
 from uniparse.engine import analyze_pages
-from uniparse.layout import build_layout_tree, build_page_tree, pair_groups
+from uniparse.layout import (
+    LayoutNode,
+    LayoutTree,
+    RelationKind,
+    build_layout_tree,
+    build_page_tree,
+    pair_groups,
+)
 from uniparse.ordering import (
     HCut,
     Leaf,
@@ -216,6 +223,30 @@ def test_distant_hinted_pair_is_one_unit():
     units = group_cluster(tree)
     assert len(units) == 1
     assert units[0].hull.as_list() == [0.1, 0.1, 0.9, 0.75]
+
+
+def test_group_cluster_links_to_children_ties_and_two_partners():
+    R = RelationKind
+    inline = LayoutNode(det("x1", (0.2, 0.02, 0.3, 0.04), C.FORMULA_INLINE))
+    # a hint link to a nested child leaves both where they are
+    para = LayoutNode(det("p1", (0.1, 0.0, 0.9, 0.05)), children=[inline],
+                      group_links=[(R.CAPTION, "x1")])
+    # a degenerate pair (no anchor or partner category): the smaller id anchors
+    b2 = LayoutNode(det("b2", (0.1, 0.1, 0.4, 0.2)), group_links=[(R.CAPTION, "b1")])
+    b1 = LayoutNode(det("b1", (0.5, 0.1, 0.9, 0.2)), group_links=[(R.CAPTION, "b2")])
+    # an anchor with two partners; the footnote and the table share y0 and
+    # x0, so the id orders them
+    table = LayoutNode(det("t9", (0.1, 0.5, 0.9, 0.8), C.TABLE),
+                       group_links=[(R.TITLE, "c1"), (R.FOOTNOTE, "f1")])
+    caption = LayoutNode(det("c1", (0.1, 0.4, 0.9, 0.45), C.CAPTION),
+                         group_links=[(R.TITLE, "t9")])
+    footnote = LayoutNode(det("f1", (0.1, 0.5, 0.5, 0.55), C.TABLE_FOOTNOTE))
+    tree = LayoutTree(0, roots=[para, b2, b1, footnote, table, caption], orphans=[])
+    units = group_cluster(tree)
+    assert [(u.unit_id, u.member_ids) for u in units] == [
+        ("p1", ("p1",)), ("b1", ("b2", "b1")), ("t9", ("c1", "f1", "t9"))]
+    assert units[1].hull.as_list() == [0.1, 0.1, 0.9, 0.2]
+    assert units[2].category is C.TABLE
 
 
 @settings(max_examples=40, deadline=None)
