@@ -74,7 +74,8 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("simulate", help="run the pipeline simulator on a synthetic workload")
     s.add_argument("--mode", choices=("seq", "par", "pipe"), default="pipe")
-    s.add_argument("--workers", type=int, default=4)
+    s.add_argument("--workers", type=int, default=None,
+                   help="expert workers (default: the config's, 4 unless set)")
     s.add_argument("--docs", type=int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--scaling", default=None,
@@ -84,7 +85,8 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("bench", help="compare the three pipeline modes")
     b.add_argument("--docs", type=int, default=50)
-    b.add_argument("--workers", type=int, default=4)
+    b.add_argument("--workers", type=int, default=None,
+                   help="expert workers (default: the config's, 4 unless set)")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--report", choices=("json", "text"), default="text")
     b.add_argument("--config", default=None)
@@ -211,8 +213,14 @@ def _write_output(payload: str, args, out_dir: Path | None, doc_id: str, ext: st
         sys.stdout.write(payload)
 
 
+def _runtime_config(args) -> EngineConfig:
+    """The config file's values, with --workers over them when it is given."""
+    cfg = EngineConfig.from_env_or_default(args.config)
+    return cfg if args.workers is None else cfg.copy(workers=args.workers)
+
+
 def cmd_simulate(args) -> int:
-    cfg = EngineConfig.from_env_or_default(args.config).copy(workers=args.workers)
+    cfg = _runtime_config(args)
     docs = _workload(args.seed, args.docs)
     if args.scaling:
         counts = [int(x) for x in args.scaling.split(",")]
@@ -230,7 +238,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = EngineConfig.from_env_or_default(args.config).copy(workers=args.workers)
+    cfg = _runtime_config(args)
     docs = _workload(args.seed, args.docs)
     config = PipelineConfig(engine=cfg, seed=args.seed)
     comparison = compare_modes(docs, config)

@@ -359,100 +359,11 @@ def _validate_payload(det: Detection, report: ValidationReport) -> None:
 
 
 def canonical_json(obj) -> str:
-    """The one serialization used everywhere byte-stability matters.
-
-    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``
-    is both the specification and the fallback. With an indent the standard
-    library encodes in pure Python through a stack of generators, so a dict
-    or list made only of exact ``dict``/``list``/``tuple``/``str``/``int``/
-    ``float``/``bool``/``None`` values with ``str`` keys is written here
-    instead, to the same bytes. Any other value (subclasses such as
-    str-Enums, non-``str`` keys, a top-level scalar), a cycle, or nesting
-    deeper than the recursion limit goes to the standard library call, so
-    the output, or the exception raised, is always the standard library's.
-    This is the only caller of ``_encode``: the structured dump
-    (``formats.to_structured``) writes its fixed shapes through templates.
-    """
-    out: list[str] = []
-    try:
-        if type(obj) not in (dict, list, tuple):
-            raise _NotCanonical
-        _encode(obj, out, "\n")
-    except (_NotCanonical, RecursionError):
-        # A cycle recurses until RecursionError; the standard library then
-        # reports it as ValueError. Keys that do not sort (say 1 and "a")
-        # raise here the TypeError the standard library's own sort raises.
-        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    out.append("\n")
-    return "".join(out)
-
-
-class _NotCanonical(Exception):
-    """A value the fast encoder leaves to the standard library."""
-
-
-_encode_str = json.encoder.encode_basestring
-_int_repr = int.__repr__
-_INFINITY = float("inf")
-
-
-def float_str(value: float) -> str:
-    """The standard library's floatstr with allow_nan=True. An int is
-    written as the standard library writes it, too."""
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return repr(value)
-
-
-def _encode(value, out: list[str], nl: str) -> None:
-    """Append the JSON of `value` to `out`. `nl` is the newline and indent of
-    the line the value is on; container members go one indent (2 spaces)
-    deeper."""
-    t = type(value)
-    if t is str:
-        out.append(_encode_str(value))
-    elif t is int:
-        out.append(_int_repr(value))
-    elif t is float:
-        out.append(float_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif t is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if type(key) is not str:
-                raise _NotCanonical
-            out.append(sep)
-            out.append(_encode_str(key))
-            out.append(": ")
-            sep = "," + inner
-            _encode(value[key], out, inner)
-        out.append(nl + "}")
-    elif t is list or t is tuple:
-        if not value:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            sep = "," + inner
-            _encode(item, out, inner)
-        out.append(nl + "]")
-    else:
-        raise _NotCanonical
+    """The one serialization used everywhere byte-stability matters: IR
+    files, truth files, `parse --emit layout/order`. The structured dump
+    (``formats.to_structured``) writes the same bytes through templates and
+    does not call this."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def document_to_dict(doc: DocumentIR) -> dict:

@@ -130,8 +130,7 @@ def _unit_roll(seed: int, salt: str, task_ids: tuple[str, ...], attempt: int) ->
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
-# Default latency models per modality, in virtual milliseconds. The two OCR
-# profiles mirror a fast default engine and a slower high-quality one.
+# Default latency models per modality, in virtual milliseconds.
 DEFAULT_LATENCIES: dict[str, LatencyModel] = {
     "ocr": LatencyModel(base_ms=12.0, per_item_ms=3.0),
     "formula": LatencyModel(base_ms=18.0, per_item_ms=6.0),
@@ -140,11 +139,6 @@ DEFAULT_LATENCIES: dict[str, LatencyModel] = {
     "reaction": LatencyModel(base_ms=30.0, per_item_ms=12.0),
     "chart": LatencyModel(base_ms=28.0, per_item_ms=10.0),
     "caption": LatencyModel(base_ms=20.0, per_item_ms=6.0),
-}
-
-OCR_PROFILES: dict[str, LatencyModel] = {
-    "fast": DEFAULT_LATENCIES["ocr"],
-    "hq": LatencyModel(base_ms=45.0, per_item_ms=14.0),
 }
 
 

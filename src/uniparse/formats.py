@@ -13,7 +13,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .consolidate import FlowItem, SectionNode
-from .docmodel import SemanticCategory, float_str
+from .docmodel import SemanticCategory
 from .layout import RelationKind
 from .payloads import (
     Caption,
@@ -32,6 +32,20 @@ STRUCTURED_VERSION = "1"
 
 _str = json.encoder.encode_basestring
 _int = int.__repr__
+_INFINITY = float("inf")
+
+
+def float_str(value: float) -> str:
+    """The standard library's floatstr with allow_nan=True. An int is
+    written as the standard library writes it, too."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return repr(value)
+
 
 FIGURE_CATEGORIES = frozenset(
     {
@@ -68,8 +82,9 @@ def to_structured(doc: ParsedDocument) -> str:
     ``structured_oracle`` in tests/conftest.py is the specification. Every key
     of every shape in the dump is fixed, so each object (section, item,
     partner, payload, grid cell, stats) is a template for its indent, a list
-    of strings or ints is one join, and no value goes through a shared
-    encoder."""
+    of strings or ints is one join, and no value goes through json.dumps
+    (building the tree and dumping it that way takes about five times as
+    long)."""
     return _DOCUMENT_T % (
         _str(doc.doc_id), _str(doc.language_tag), _section_json(doc.root, "\n  "),
         _array(sorted(doc.failed_tasks), "\n    "), _int(doc.tokens_emitted),

@@ -113,8 +113,6 @@ class ChartTable:
 
 ContentPayload = Union[Text, Latex, TableGrid, ESmiles, Reaction, ChartTable, Caption]
 
-PAYLOAD_KINDS = ("text", "latex", "table_grid", "e_smiles", "reaction", "chart_table", "caption")
-
 _SCALAR_TYPES = {"text": Text, "latex": Latex, "e_smiles": ESmiles, "caption": Caption}
 
 # What decoding a malformed JSON document or payload raises: a missing key, a

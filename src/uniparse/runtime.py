@@ -238,8 +238,7 @@ class _Collector:
     def __init__(self, workers: int):
         self.workers = workers
         self.stage_busy: dict[str, float] = {s: 0.0 for s in CPU_STAGES}
-        # per worker id that served a batch; the pool hands out ids from 0 up
-        self.worker_busy: list[float] = []
+        self.expert_total = 0.0  # busy time summed over every expert worker
         self.expert_busy: dict[str, float] = {}
         self.expert_batches: dict[str, int] = {}
         self.expert_tasks: dict[str, int] = {}
@@ -254,11 +253,8 @@ class _Collector:
     def charge_stage(self, stage: str, ms: float) -> None:
         self.stage_busy[stage] = self.stage_busy.get(stage, 0.0) + ms
 
-    def charge_expert(self, worker: int, modality: str, ms: float, tasks: int) -> None:
-        if worker == len(self.worker_busy):
-            self.worker_busy.append(ms)
-        else:
-            self.worker_busy[worker] += ms
+    def charge_expert(self, modality: str, ms: float, tasks: int) -> None:
+        self.expert_total += ms
         self.expert_busy[modality] = self.expert_busy.get(modality, 0.0) + ms
         self.expert_batches[modality] = self.expert_batches.get(modality, 0) + 1
         self.expert_tasks[modality] = self.expert_tasks.get(modality, 0) + tasks
@@ -287,10 +283,9 @@ class _Collector:
             idle = 0.0 if degenerate else max(wall - busy, 0.0)
             per_stage.append(StageMetrics(stage, busy, idle, idle / wall if not degenerate else 0.0))
         expert_capacity = wall * self.workers
-        expert_total = sum(self.worker_busy, 0.0)
-        expert_idle = 0.0 if degenerate else max(expert_capacity - expert_total, 0.0)
+        expert_idle = 0.0 if degenerate else max(expert_capacity - self.expert_total, 0.0)
         bubble = 0.0 if degenerate else expert_idle / expert_capacity
-        per_stage.append(StageMetrics(EXPERT_STAGE, expert_total, expert_idle, bubble))
+        per_stage.append(StageMetrics(EXPERT_STAGE, self.expert_total, expert_idle, bubble))
         per_expert = [
             ExpertStageMetrics(
                 modality=m,
@@ -337,12 +332,7 @@ class _ExpertPool:
         self.on_task_done = on_task_done
         # invoked whenever a batch leaves the ready queue (backpressure relief)
         self.on_drain = on_drain
-        # Worker ids are handed out lowest first. Released ids wait in a heap;
-        # every id below next_fresh has been handed out, so a released id is
-        # always lower than any never-used one.
-        self.free: list[int] = []
-        self.next_fresh = 0
-        self.workers = workers
+        self.idle = workers  # expert workers not serving a batch
         self.in_flight: dict[str, int] = {m: 0 for m in backend.descriptors}
         self.ready: dict[str, deque] = {m: deque() for m in backend.descriptors}
 
@@ -358,28 +348,24 @@ class _ExpertPool:
         self.kick()
 
     def kick(self) -> None:
-        while self.free or self.next_fresh < self.workers:
+        while self.idle:
             depths = {m: len(q) for m, q in self.ready.items()}
             modality = balance(depths, {m: d.replicas for m, d in self.descriptors.items()},
                                self.in_flight)
             if modality is None:
                 return
-            if self.free:
-                worker = heapq.heappop(self.free)
-            else:
-                worker = self.next_fresh
-                self.next_fresh += 1
+            self.idle -= 1
             batch = self._take(modality)
             self.in_flight[modality] += 1
             descriptor = self.descriptors[modality]
             task_ids = tuple(t.task_id for t in batch.tasks)
             latency = descriptor.latency.latency_ms(task_ids, batch.attempt)
-            self.collector.charge_expert(worker, modality, latency, len(batch.tasks))
+            self.collector.charge_expert(modality, latency, len(batch.tasks))
             # The expert in force at dispatch serves the batch, even if a
             # descriptor swap lands before the batch completes.
             outcomes = call_batch(self.backend, batch, batch.attempt,
                                   self.config.engine.max_retries)
-            self.sim.after(latency, lambda w=worker, b=batch, o=outcomes: self._complete(w, b, o))
+            self.sim.after(latency, lambda b=batch, o=outcomes: self._complete(b, o))
             self.on_drain()
 
     def _take(self, modality: str) -> Batch:
@@ -393,8 +379,8 @@ class _ExpertPool:
         queue.appendleft(dataclasses.replace(batch, tasks=batch.tasks[cap:]))
         return dataclasses.replace(batch, tasks=batch.tasks[:cap])
 
-    def _complete(self, worker: int, batch: Batch, outcomes) -> None:
-        heapq.heappush(self.free, worker)
+    def _complete(self, batch: Batch, outcomes) -> None:
+        self.idle += 1
         self.in_flight[batch.modality] -= 1
         if outcomes is None:
             self.collector.record_retry(batch.modality)

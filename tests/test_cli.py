@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import closing
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,29 @@ def test_gen_corpus_eval_roundtrip(corpus_dir, tmp_path, capsys):
     assert report["grouping"]["f1"] == 1.0
 
 
+# sha256 of the files `gen-corpus --seed 0 --docs 3` writes (IR and truth, in
+# name order, concatenated) and of `parse --emit layout` and `--emit order` on
+# d000, as recorded while canonical_json still had its own encoder.
+CLI_CORPUS_DIGEST = "98f6b05b6936fa96f9283d5fe6022bf5fce378197e80b3039d6c82f27043628e"
+CLI_LAYOUT_DIGEST = "c3a550b5813091704c55435913c872b2a411bece8637d70d6fc5d4245c49ab0d"
+CLI_ORDER_DIGEST = "2c50192226a47afbba8803cd580390a2d255c065f189d6040811bd8cb7e7d9b8"
+
+
+def test_cli_canonical_files_are_unchanged(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus), "--docs", "3", "--seed", "0"]) == 0
+    files = sorted(corpus.iterdir())
+    assert [f.name for f in files] == [f"d00{i}.{kind}.json" for i in range(3)
+                                       for kind in ("ir", "truth")]
+    assert sha256(b"".join(f.read_bytes() for f in files)).hexdigest() == CLI_CORPUS_DIGEST
+    for emit, pinned in (("layout", CLI_LAYOUT_DIGEST), ("order", CLI_ORDER_DIGEST)):
+        out = tmp_path / f"d000.{emit}.json"
+        assert main(["parse", str(corpus / "d000.ir.json"), "--emit", emit,
+                     "--out", str(out)]) == 0
+        assert sha256(out.read_bytes()).hexdigest() == pinned
+    capsys.readouterr()
+
+
 def test_eval_missing_prediction_exits_1(corpus_dir, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -161,6 +185,35 @@ def test_bench_compare_modes_table(capsys):
     out = capsys.readouterr().out
     rows = [line for line in out.splitlines() if re.match(r"\s*(seq|par|pipe)\b", line)]
     assert len(rows) == 3
+
+
+def _simulated_workers(capsys, *args) -> int:
+    assert main(["simulate", "--docs", "2", "--seed", "1", *args]) == 0
+    return json.loads(capsys.readouterr().out)["workers"]
+
+
+def test_simulate_takes_workers_from_the_config(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "w2.json"
+    cfg.write_text('{"workers": 2}', encoding="utf-8")
+    assert _simulated_workers(capsys) == 4
+    assert _simulated_workers(capsys, "--config", str(cfg)) == 2
+    assert _simulated_workers(capsys, "--config", str(cfg), "--workers", "3") == 3
+    monkeypatch.setenv("UNIPARSE_CONFIG", str(cfg))
+    assert _simulated_workers(capsys) == 2
+    assert _simulated_workers(capsys, "--workers", "3") == 3
+
+
+def test_bench_takes_workers_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "w2.json"
+    cfg.write_text('{"workers": 2}', encoding="utf-8")
+
+    def bench(*args) -> str:
+        assert main(["bench", "--docs", "6", "--seed", "3", "--report", "json", *args]) == 0
+        return capsys.readouterr().out
+
+    two = bench("--workers", "2")
+    assert bench("--config", str(cfg)) == two != bench()
+    assert bench("--config", str(cfg), "--workers", "3") == bench("--workers", "3") != two
 
 
 @pytest.mark.parametrize("args, field", [

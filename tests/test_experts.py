@@ -4,6 +4,7 @@ import json
 import threading
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import get_args
 
 import pytest
 import requests
@@ -38,6 +39,8 @@ from uniparse.payloads import (
     INLINE_MARKER,
     Caption,
     Cell,
+    ChartTable,
+    ContentPayload,
     ESmiles,
     Latex,
     Reaction,
@@ -385,24 +388,11 @@ def test_echo_server_answers_undecodable_request_with_400(body):
         assert response.status_code == 400, response.text
 
 
-def test_ocr_profiles_fast_and_hq():
-    from uniparse.experts import OCR_PROFILES
-
-    assert set(OCR_PROFILES) == {"fast", "hq"}
-    ids = tuple(f"t{i}" for i in range(4))
-    assert OCR_PROFILES["hq"].latency_ms(ids) > OCR_PROFILES["fast"].latency_ms(ids)
-
-
 def test_payload_kind_strings_are_pinned():
-    from uniparse.payloads import PAYLOAD_KINDS
-
-    assert PAYLOAD_KINDS == (
-        "text", "latex", "table_grid", "e_smiles", "reaction", "chart_table", "caption"
-    )
-    assert Text("x").kind == "text"
-    assert ESmiles("C").kind == "e_smiles"
-    assert Caption("c").kind == "caption"
-    assert TableGrid(1, 1).kind == "table_grid"
+    pinned = {Text: "text", Latex: "latex", TableGrid: "table_grid", ESmiles: "e_smiles",
+              Reaction: "reaction", ChartTable: "chart_table", Caption: "caption"}
+    assert set(pinned) == set(get_args(ContentPayload))
+    assert {cls: cls.kind for cls in pinned} == pinned
 
 
 # --- inline marker substitution, against the character-loop reference -------
