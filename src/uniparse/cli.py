@@ -245,11 +245,11 @@ def cmd_bench(args) -> int:
     if args.report == "json":
         print(json.dumps(comparison, indent=2, sort_keys=True))
         return 0
-    print(f"{'mode':>6} {'wall_ms':>12} {'pages/s':>10} {'expert bubble':>14}")
+    print(f"{'mode':>6} {'workers':>8} {'wall_ms':>12} {'pages/s':>10} {'expert bubble':>14}")
     for row in comparison["modes"]:
         print(
-            f"{row['mode']:>6} {row['wall_ms']:>12.1f} {row['throughput_pps']:>10.2f} "
-            f"{row['expert_bubble_fraction']:>14.3f}"
+            f"{row['mode']:>6} {row['workers']:>8} {row['wall_ms']:>12.1f} "
+            f"{row['throughput_pps']:>10.2f} {row['expert_bubble_fraction']:>14.3f}"
         )
     return 0
 

@@ -254,25 +254,34 @@ def gather(
     tokens_resolved = 0
     tokens_failed = 0
 
-    def substitute(text: str, pairs: list[tuple[str, str]], task_of: dict[str, Task]) -> str:
-        nonlocal tokens_resolved, tokens_failed
+    def substitute(text: str, pairs: list[tuple[str, str]], task_of: dict[str, Task],
+                   found: set[str]) -> str:
         for token, child_id in pairs:
             if token not in text:
                 continue
+            found.add(token)
             if child_id in failed_ids:
                 child_task = task_of.get(child_id)
                 modality = child_task.modality if child_task else "unknown"
                 replacement = f"[[FAILED:{modality}:{child_id}]]"
-                tokens_failed += 1
             elif child_id in payloads:
                 replacement = render_inline(payloads[child_id])
-                tokens_resolved += 1
             else:
                 # Child produced no task (filtered or passthrough); render an
                 # empty span rather than leaking the token.
                 replacement = ""
             text = text.replace(token, replacement, 1)
         return text
+
+    def count(pairs: list[tuple[str, str]], found: set[str]) -> None:
+        """Each token counts once: failed when its child failed or the
+        parent's answer did not carry it, resolved when its child answered."""
+        nonlocal tokens_resolved, tokens_failed
+        for token, child_id in pairs:
+            if child_id in failed_ids or token not in found:
+                tokens_failed += 1
+            elif child_id in payloads:
+                tokens_resolved += 1
 
     task_of = {t.detection_id: t for t in plan.tasks}
 
@@ -288,8 +297,9 @@ def gather(
         if not pairs:
             resolved[det_id] = payload
             continue
+        found: set[str] = set()
         if isinstance(payload, Text):
-            resolved[det_id] = Text(substitute(payload.value, pairs, task_of))
+            resolved[det_id] = Text(substitute(payload.value, pairs, task_of, found))
         elif isinstance(payload, TableGrid):
             new_cells = tuple(
                 Cell(
@@ -297,13 +307,14 @@ def gather(
                     c.col,
                     c.row_span,
                     c.col_span,
-                    tuple(substitute(run, pairs, task_of) for run in c.content),
+                    tuple(substitute(run, pairs, task_of, found) for run in c.content),
                 )
                 for c in payload.cells
             )
             resolved[det_id] = TableGrid(payload.rows, payload.cols, new_cells)
         else:
             resolved[det_id] = payload
+        count(pairs, found)
     return GatherResult(
         resolved=resolved,
         failures=failures,

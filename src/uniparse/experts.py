@@ -24,8 +24,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import requests
-
 from .docmodel import Detection, DocumentIR
 from .payloads import (
     DECODE_ERRORS,
@@ -276,21 +274,33 @@ def substitute_markers(text: str, placeholders: tuple[str, ...]) -> str:
     are appended, space-separated, so no inline element is ever lost.
     """
     remaining = list(placeholders)
-    result = _take_tokens(text, remaining)
-    for token in remaining:
-        result = f"{result} {token}" if result else token
-    return result
+    return _append_tokens(_take_tokens(text, remaining), remaining)
 
 
 def _substitute_grid_markers(grid: TableGrid, placeholders: tuple[str, ...]) -> TableGrid:
-    """Markers inside cells map to tokens in row-major cell scan order."""
+    """Markers inside cells map to tokens in row-major cell scan order.
+
+    Extra tokens are appended to the last cell's last run, as
+    substitute_markers appends them to text.
+    """
     remaining = list(placeholders)
     new_cells = []
     for cell in sorted(grid.cells, key=lambda c: (c.row, c.col)):
         content = tuple(_take_tokens(run, remaining) for run in cell.content)
         new_cells.append(Cell(cell.row, cell.col, cell.row_span, cell.col_span, content))
-    new_cells.sort(key=lambda c: (c.row, c.col))
+    if remaining and new_cells:
+        last = new_cells[-1]
+        *head, tail = last.content or ("",)
+        content = (*head, _append_tokens(tail, remaining))
+        new_cells[-1] = Cell(last.row, last.col, last.row_span, last.col_span, content)
     return TableGrid(rows=grid.rows, cols=grid.cols, cells=tuple(new_cells))
+
+
+def _append_tokens(text: str, tokens: list[str]) -> str:
+    """text followed by tokens, space-separated."""
+    for token in tokens:
+        text = f"{text} {token}" if text else token
+    return text
 
 
 def _take_tokens(run: str, remaining: list[str]) -> str:
@@ -378,14 +388,23 @@ def responses_to_wire(responses: list[ExpertResponse]) -> dict:
 
 class RemoteBackend:
     """The remote experts: one service speaking the batch wire schema, reached
-    over one HTTP session (and so one connection pool) for every modality."""
+    over one HTTP session (and so one connection pool) for every modality.
+
+    requests is imported here, not at module level: it loads about 260 more
+    modules (urllib3, charset_normalizer, http.client) and 10 MB, which every
+    process would pay on import, and only a remote backend uses it.
+    """
 
     def __init__(self, endpoint: str, timeout_s: float = 10.0):
+        import requests
+
         self.endpoint = endpoint.rstrip("/")
         self.timeout_s = timeout_s
         self._session = requests.Session()
 
     def process(self, modality: str, batch: list[Task], attempt: int = 0) -> list[ExpertResponse]:
+        import requests
+
         url = f"{self.endpoint}/v1/experts/{modality}:batch"
         try:
             response = self._session.post(

@@ -751,6 +751,7 @@ def bubble_report(metrics: PipelineMetrics) -> dict:
     """Per-stage idle fractions for one completed run."""
     return {
         "mode": metrics.mode,
+        "workers": metrics.workers,
         "wall_ms": round(metrics.wall_ms, 6),
         "throughput_pps": round(metrics.throughput_pps, 6),
         "expert_bubble_fraction": round(metrics.bubble_fraction, 6),

@@ -19,6 +19,8 @@ from uniparse.docmodel import BoundingBox, Detection, SemanticCategory, save_doc
 
 from conftest import EchoServerThread, one_page_doc
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 @pytest.fixture()
 def corpus_dir(tmp_path):
@@ -185,6 +187,8 @@ def test_bench_compare_modes_table(capsys):
     out = capsys.readouterr().out
     rows = [line for line in out.splitlines() if re.match(r"\s*(seq|par|pipe)\b", line)]
     assert len(rows) == 3
+    assert out.split()[:2] == ["mode", "workers"]
+    assert [row.split()[1] for row in rows] == ["1", "4", "4"]
 
 
 def _simulated_workers(capsys, *args) -> int:
@@ -207,13 +211,13 @@ def test_bench_takes_workers_from_the_config(tmp_path, capsys):
     cfg = tmp_path / "w2.json"
     cfg.write_text('{"workers": 2}', encoding="utf-8")
 
-    def bench(*args) -> str:
+    def workers(*args) -> list[int]:
         assert main(["bench", "--docs", "6", "--seed", "3", "--report", "json", *args]) == 0
-        return capsys.readouterr().out
+        return [row["workers"] for row in json.loads(capsys.readouterr().out)["modes"]]
 
-    two = bench("--workers", "2")
-    assert bench("--config", str(cfg)) == two != bench()
-    assert bench("--config", str(cfg), "--workers", "3") == bench("--workers", "3") != two
+    assert workers() == [1, 4, 4]  # seq runs one expert worker
+    assert workers("--config", str(cfg)) == [1, 2, 2]
+    assert workers("--config", str(cfg), "--workers", "3") == [1, 3, 3]
 
 
 @pytest.mark.parametrize("args, field", [
@@ -306,12 +310,13 @@ def test_parse_builds_one_remote_backend_per_call(corpus_dir, tmp_path, monkeypa
 
 
 def test_parse_sends_every_modality_over_one_session(corpus_dir, tmp_path, monkeypatch, capsys):
-    import uniparse.experts
+    import requests
+
     from uniparse.docmodel import load_document
 
     sessions, urls, closed = [], [], []
 
-    class CountingSession(uniparse.experts.requests.Session):
+    class CountingSession(requests.Session):
         def __init__(self):
             super().__init__()
             sessions.append(self)
@@ -324,7 +329,7 @@ def test_parse_sends_every_modality_over_one_session(corpus_dir, tmp_path, monke
             closed.append(self)
             super().close()
 
-    monkeypatch.setattr(uniparse.experts.requests, "Session", CountingSession)
+    monkeypatch.setattr(requests, "Session", CountingSession)
     inputs = [str(p) for p in sorted(corpus_dir.glob("*.ir.json"))]
     assert len(inputs) == 3
     docs = [load_document(p) for p in inputs]
@@ -382,3 +387,28 @@ def test_serve_echo_subprocess_round_trip(corpus_dir, tmp_path):
                 proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter with this checkout's src/ as its only extra path."""
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_uniparse_runs_the_cli():
+    proc = _fresh_python("-m", "uniparse", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "gen-corpus" in proc.stdout
+
+
+def test_http_stack_is_imported_only_by_a_remote_backend():
+    proc = _fresh_python("-c", (
+        "import sys\n"
+        "import uniparse, uniparse.engine, uniparse.runtime, uniparse.cli\n"
+        "print(sorted({'requests', 'urllib3', 'http.client'} & set(sys.modules)))\n"
+        "from uniparse.experts import RemoteBackend\n"
+        "RemoteBackend('http://127.0.0.1:9').close()\n"
+        "print('requests' in sys.modules)\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

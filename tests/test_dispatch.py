@@ -4,6 +4,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
@@ -23,7 +24,7 @@ from uniparse.docmodel import SemanticCategory as C
 from uniparse.engine import analyze_pages, form_batches
 from uniparse.experts import ExpertResponse
 from uniparse.layout import build_page_tree
-from uniparse.payloads import INLINE_MARKER, Latex, Text
+from uniparse.payloads import INLINE_MARKER, Cell, Latex, TableGrid, Text
 
 from conftest import det, detections_by_id, find, one_page_doc
 
@@ -254,6 +255,65 @@ def test_failed_parent_counts_child_tokens(cfg):
     assert plan.tokens_emitted == 1
     assert result.tokens_failed == 1  # the child's landing site died with p1
     assert "p1" not in result.resolved
+
+
+def _one_marker_table_with_two_formulas():
+    grid = TableGrid(1, 2, (Cell(0, 0, content=(f"a {INLINE_MARKER}",)),
+                            Cell(0, 1, content=("b",))))
+    return [
+        det("t1", (0.1, 0.1, 0.6, 0.3), C.TABLE, truth_payload=grid),
+        det("f1", (0.15, 0.15, 0.2, 0.18), C.FORMULA_INLINE, truth_payload=Latex("x")),
+        det("f2", (0.4, 0.15, 0.45, 0.18), C.FORMULA_INLINE, truth_payload=Latex("y")),
+    ]
+
+
+def test_grid_tokens_without_a_marker_join_the_last_cell():
+    plan, outcomes = _plan_and_outcomes(_one_marker_table_with_two_formulas())
+    result = gather(plan, outcomes)
+    assert [c.text() for c in result.resolved["t1"].cells] == ["a $x$", "b $y$"]
+    assert plan.tokens_emitted == 2
+    assert result.tokens_resolved == 2 and result.tokens_failed == 0
+
+
+def test_token_missing_from_the_parents_answer_counts_as_failed():
+    plan, outcomes = _plan_and_outcomes(_inline_fixture())
+    outcomes["doc/p1"] = ExpertResponse("doc/p1", Text("see here"))
+    result = gather(plan, outcomes)
+    assert result.resolved["p1"] == Text("see here")
+    assert result.tokens_resolved == 0 and result.tokens_failed == 1
+
+
+def _answer(draw, tokens: list[str]):
+    """Any answer an expert might give a parent: text or a grid holding any
+    multiset of its tokens and stray ones, or a payload without text."""
+    run = st.lists(st.sampled_from([*tokens, "[[UPH:formula:zz]]", "w"]), max_size=4).map(" ".join)
+    kind = draw(st.sampled_from(["text", "grid", "latex"]))
+    if kind == "text":
+        return Text(draw(run))
+    if kind == "grid":
+        cells = draw(st.lists(st.lists(run, max_size=2), min_size=1, max_size=3))
+        return TableGrid(1, len(cells), tuple(Cell(0, i, content=tuple(runs))
+                                              for i, runs in enumerate(cells)))
+    return Latex("z")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_token_conservation_whatever_the_experts_return(data):
+    para = det("p1", (0.1, 0.5, 0.6, 0.7), truth_text=f"{INLINE_MARKER} and {INLINE_MARKER}")
+    inlines = [det(f"f{3 + i}", (0.15 + 0.2 * i, 0.55, 0.2 + 0.2 * i, 0.58), C.FORMULA_INLINE,
+                   truth_payload=Latex("q")) for i in (0, 1)]
+    plan, outcomes = _plan_and_outcomes([*_one_marker_table_with_two_formulas(), para, *inlines])
+    assert set(plan.parent_tokens) == {"t1", "p1"} and plan.tokens_emitted == 4
+    for task in plan.tasks:
+        if data.draw(st.booleans()):
+            outcomes[task.task_id] = TaskFailure(
+                task.task_id, task.modality, task.detection_id, "drawn")
+        elif task.detection_id in plan.parent_tokens:
+            tokens = [t for t, _child in plan.parent_tokens[task.detection_id]]
+            outcomes[task.task_id] = ExpertResponse(task.task_id, _answer(data.draw, tokens))
+    result = gather(plan, outcomes)
+    assert plan.tokens_emitted == result.tokens_resolved + result.tokens_failed
 
 
 def test_corpus_sources_never_contain_placeholder_literal(small_corpus):

@@ -430,6 +430,13 @@ def substitute_grid_markers_by_char(grid, placeholders):
             content.append("".join(parts))
         new_cells.append(Cell(cell.row, cell.col, cell.row_span, cell.col_span, tuple(content)))
     new_cells.sort(key=lambda c: (c.row, c.col))
+    if remaining and new_cells:
+        # leftover tokens join the last cell's last run, as for text
+        last = new_cells[-1]
+        runs = list(last.content) or [""]
+        for token in remaining:
+            runs[-1] = f"{runs[-1]} {token}" if runs[-1] else token
+        new_cells[-1] = Cell(last.row, last.col, last.row_span, last.col_span, tuple(runs))
     return TableGrid(rows=grid.rows, cols=grid.cols, cells=tuple(new_cells))
 
 

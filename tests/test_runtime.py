@@ -641,8 +641,9 @@ def test_bubble_report_fields():
     config = PipelineConfig(mode=Mode.SEQUENTIAL, engine=bare_engine(), experts=ocr_experts())
     _outs, metrics = run_pipeline(docs, config)
     report = bubble_report(metrics)
-    assert set(report) == {"mode", "wall_ms", "throughput_pps",
+    assert set(report) == {"mode", "workers", "wall_ms", "throughput_pps",
                            "expert_bubble_fraction", "per_stage"}
+    assert report["workers"] == 1
     stages = {row["stage"] for row in report["per_stage"]}
     assert "experts" in stages and "layout" in stages
 
