@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from .config import EngineConfig
 from .docmodel import BoundingBox, OutlineEntry, SemanticCategory
-from .layout import RelationKind, relation_for
+from .layout import COMPATIBLE_PARTNERS, RelationKind, relation_for
 from .payloads import Cell, ContentPayload, Reaction, TableGrid, Text, payload_text
 
 
@@ -215,41 +215,27 @@ def merge_cross_page(items: list[FlowItem], cfg: EngineConfig | None = None,
     """
     cfg = cfg or EngineConfig()
     no_space = cfg.joins_without_space(language_tag)
-    out = list(items)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            first, second = out[i], out[i + 1]
-            # Flow order puts all of page p before page p+1, so adjacency
-            # across a one-page step means last-of-p meets first-of-p+1.
-            if second.page_index != max(first.pages) + 1:
-                continue
-            merged = None
-            if (
-                _can_merge_paragraphs(first, second, cfg, caseless_ok=no_space)
-                and second.category is not SemanticCategory.SECTION_TITLE
-            ):
-                merged = _merge_paragraph_items(first, second, no_space)
-            if merged is None:
-                merged = _merge_tables(first, second)
-            if merged is None:
-                merged = _merge_reactions(first, second)
-            if merged is not None:
-                out[i : i + 2] = [merged]
-                changed = True
-                break
+    out: list[FlowItem] = []
+    for item in items:
+        merged = None
+        # Flow order puts all of page p before page p+1, so adjacency
+        # across a one-page step means last-of-p meets first-of-p+1.
+        if out and item.page_index == max(out[-1].pages) + 1:
+            first = out[-1]
+            if _can_merge_paragraphs(first, item, cfg, caseless_ok=no_space):
+                merged = _merge_paragraph_items(first, item, no_space)
+            else:
+                merged = _merge_tables(first, item) or _merge_reactions(first, item)
+        if merged is None:
+            out.append(item)
+        else:
+            out[-1] = merged
     return out
 
 
-_LINKABLE: dict[SemanticCategory, frozenset[SemanticCategory]] = {
-    SemanticCategory.MOLECULE: frozenset(
-        {SemanticCategory.MOLECULE_IDENTIFIER, SemanticCategory.MARKUSH_DESCRIPTION}
-    ),
-    SemanticCategory.FIGURE: frozenset(
-        {SemanticCategory.CAPTION, SemanticCategory.FIGURE_LEGEND}
-    ),
-}
+# Anchors whose partner may open the next page.
+_LINKABLE = {category: COMPATIBLE_PARTNERS[category]
+             for category in (SemanticCategory.MOLECULE, SemanticCategory.FIGURE)}
 
 
 def link_multimodal(items: list[FlowItem]) -> list[FlowItem]:

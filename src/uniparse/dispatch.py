@@ -4,7 +4,9 @@ are due; engine.form_batches cuts them), and result gathering.
 
 Placeholder tokens are the exact literal "[[UPH:" + kind + ":" + id + "]]".
 They exist only between dispatch and gather; no emitted format may contain
-one. Failed tasks resolve to "[[FAILED:" + modality + ":" + id + "]]".
+a planned one. Gather replaces every occurrence of each: a failed child's
+token with "[[FAILED:" + modality + ":" + id + "]]", the token of a child
+that got no task with the empty span.
 """
 
 from __future__ import annotations
@@ -98,21 +100,16 @@ class Batch:
     attempt: int = 0
 
 
-def make_placeholders(parent: LayoutNode) -> tuple[list[str], dict[str, str]]:
-    """Placeholder tokens for a parent's inline children, in reading order.
+def make_placeholders(parent: LayoutNode) -> list[tuple[str, str]]:
+    """(placeholder token, child detection id) for each of a parent's inline
+    children, in reading order.
 
     Children sort into line bands (vertical overlap >= 0.5 joins a band),
     bands top-to-bottom and left-to-right within a band. The k-th token
     replaces the k-th inline marker of the parent's text stream.
     """
-    ordered = _reading_sorted(parent.children)
-    tokens: list[str] = []
-    token_to_child: dict[str, str] = {}
-    for child in ordered:
-        token = placeholder_token(child.category, child.id)
-        tokens.append(token)
-        token_to_child[token] = child.id
-    return tokens, token_to_child
+    return [(placeholder_token(child.category, child.id), child.id)
+            for child in _reading_sorted(parent.children)]
 
 
 def _reading_sorted(children: list[LayoutNode]) -> list[LayoutNode]:
@@ -144,7 +141,10 @@ class DispatchPlan:
     tasks: list[Task] = field(default_factory=list)
     # parent detection id -> ordered (token, child detection id) pairs
     parent_tokens: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
-    tokens_emitted: int = 0
+
+    @property
+    def tokens_emitted(self) -> int:
+        return sum(len(pairs) for pairs in self.parent_tokens.values())
 
 
 def plan_document(
@@ -168,10 +168,9 @@ def plan_document(
             return
         placeholders: tuple[str, ...] = ()
         if node.children:
-            tokens, mapping = make_placeholders(node)
-            plan.parent_tokens[node.id] = [(t, mapping[t]) for t in tokens]
-            plan.tokens_emitted += len(tokens)
-            placeholders = tuple(tokens)
+            pairs = make_placeholders(node)
+            plan.parent_tokens[node.id] = pairs
+            placeholders = tuple(token for token, _child in pairs)
         plan.tasks.append(
             Task(
                 task_id=f"{doc.doc_id}/{node.id}",
@@ -224,7 +223,7 @@ class MissingResult(Exception):
 @dataclass
 class GatherResult:
     resolved: dict[str, ContentPayload]
-    failures: list[TaskFailure]
+    failures: dict[str, TaskFailure]  # by detection id
     tokens_resolved: int = 0
     tokens_failed: int = 0
 
@@ -233,91 +232,72 @@ def gather(
     plan: DispatchPlan,
     outcomes: dict[str, ExpertResponse | TaskFailure],
 ) -> GatherResult:
-    """Reintegrate expert results: replace every placeholder token with the
-    child's rendered payload (or a FAILED diagnostic span).
+    """Reintegrate expert results: replace every occurrence of each planned
+    placeholder token in its parent's answer with the child's rendered
+    payload, a FAILED diagnostic span, or the empty span when the child got
+    no task (filtered by only_modality, or a figure without captioning).
 
+    Each planned token counts once: failed when its child failed or the
+    parent's answer does not carry it (a failed parent carries none),
+    resolved otherwise. So tokens_emitted == tokens_resolved + tokens_failed.
     The result depends only on the outcome table, never on completion order.
     """
-    payloads: dict[str, ContentPayload] = {}
-    failures: list[TaskFailure] = []
-    failed_ids: set[str] = set()
+    resolved: dict[str, ContentPayload] = {}
+    failures: dict[str, TaskFailure] = {}
     for task in plan.tasks:
         outcome = outcomes.get(task.task_id)
         if outcome is None:
             raise MissingResult(task.task_id)
         if isinstance(outcome, TaskFailure):
-            failures.append(outcome)
-            failed_ids.add(task.detection_id)
+            failures[task.detection_id] = outcome
         else:
-            payloads[task.detection_id] = outcome.payload
+            resolved[task.detection_id] = outcome.payload
 
-    tokens_resolved = 0
+    # Parents are bottom-layer detections and children top-layer ones, so no
+    # child's payload is itself rewritten here.
     tokens_failed = 0
-
-    def substitute(text: str, pairs: list[tuple[str, str]], task_of: dict[str, Task],
-                   found: set[str]) -> str:
+    for parent_id, pairs in plan.parent_tokens.items():
+        answer = resolved.get(parent_id)
+        runs = _runs(answer)
+        spans: list[tuple[str, str]] = []
         for token, child_id in pairs:
-            if token not in text:
-                continue
-            found.add(token)
-            if child_id in failed_ids:
-                child_task = task_of.get(child_id)
-                modality = child_task.modality if child_task else "unknown"
-                replacement = f"[[FAILED:{modality}:{child_id}]]"
-            elif child_id in payloads:
-                replacement = render_inline(payloads[child_id])
+            failure = failures.get(child_id)
+            tokens_failed += failure is not None or not any(token in run for run in runs)
+            if failure is not None:
+                spans.append((token, f"[[FAILED:{failure.modality}:{child_id}]]"))
+            elif child_id in resolved:
+                spans.append((token, render_inline(resolved[child_id])))
             else:
-                # Child produced no task (filtered or passthrough); render an
-                # empty span rather than leaking the token.
-                replacement = ""
-            text = text.replace(token, replacement, 1)
-        return text
-
-    def count(pairs: list[tuple[str, str]], found: set[str]) -> None:
-        """Each token counts once: failed when its child failed or the
-        parent's answer did not carry it, resolved when its child answered."""
-        nonlocal tokens_resolved, tokens_failed
-        for token, child_id in pairs:
-            if child_id in failed_ids or token not in found:
-                tokens_failed += 1
-            elif child_id in payloads:
-                tokens_resolved += 1
-
-    task_of = {t.detection_id: t for t in plan.tasks}
-
-    # A failed parent takes its children's resolution sites down with it;
-    # those tokens count as failed so emission stays balanced.
-    for det_id, pairs in plan.parent_tokens.items():
-        if det_id in failed_ids:
-            tokens_failed += len(pairs)
-
-    resolved: dict[str, ContentPayload] = {}
-    for det_id, payload in payloads.items():
-        pairs = plan.parent_tokens.get(det_id)
-        if not pairs:
-            resolved[det_id] = payload
-            continue
-        found: set[str] = set()
-        if isinstance(payload, Text):
-            resolved[det_id] = Text(substitute(payload.value, pairs, task_of, found))
-        elif isinstance(payload, TableGrid):
-            new_cells = tuple(
-                Cell(
-                    c.row,
-                    c.col,
-                    c.row_span,
-                    c.col_span,
-                    tuple(substitute(run, pairs, task_of, found) for run in c.content),
-                )
-                for c in payload.cells
-            )
-            resolved[det_id] = TableGrid(payload.rows, payload.cols, new_cells)
-        else:
-            resolved[det_id] = payload
-        count(pairs, found)
+                spans.append((token, ""))
+        if runs:
+            resolved[parent_id] = _fill(answer, spans)
     return GatherResult(
         resolved=resolved,
         failures=failures,
-        tokens_resolved=tokens_resolved,
+        tokens_resolved=plan.tokens_emitted - tokens_failed,
         tokens_failed=tokens_failed,
     )
+
+
+def _runs(answer: ContentPayload | None) -> tuple[str, ...]:
+    """The text runs of a parent's answer: where its tokens can land."""
+    if isinstance(answer, Text):
+        return (answer.value,)
+    if isinstance(answer, TableGrid):
+        return tuple(run for cell in answer.cells for run in cell.content)
+    return ()
+
+
+def _fill(answer: Text | TableGrid, spans: list[tuple[str, str]]) -> Text | TableGrid:
+    """answer with every occurrence of each token replaced by its span."""
+
+    def fill(run: str) -> str:
+        for token, span in spans:
+            run = run.replace(token, span)
+        return run
+
+    if isinstance(answer, Text):
+        return Text(fill(answer.value))
+    return TableGrid(answer.rows, answer.cols, tuple(
+        Cell(c.row, c.col, c.row_span, c.col_span, tuple(fill(run) for run in c.content))
+        for c in answer.cells))

@@ -214,7 +214,7 @@ def assemble_document(
         tokens_emitted=plan.tokens_emitted,
         tokens_resolved=gathered.tokens_resolved,
         tokens_failed=gathered.tokens_failed,
-        failed_tasks=tuple(sorted(f.task_id for f in gathered.failures)),
+        failed_tasks=tuple(sorted(f.task_id for f in gathered.failures.values())),
     )
     return ProcessResult(parsed=parsed, analyses=analyses, plan=plan, gathered=gathered)
 

@@ -258,7 +258,7 @@ def _item_markdown(item: FlowItem) -> str:
         return _figure_markdown(item)
     if item.payload is None:
         return f"<!-- unparsed {cat.value} {item.item_id} -->"
-    return render_inline(item.payload) if not isinstance(item.payload, Text) else item.payload.value
+    return render_inline(item.payload)
 
 
 def _formula_markdown(item: FlowItem) -> str:
@@ -402,7 +402,7 @@ def _item_html(item: FlowItem) -> str:
         return _figure_html(item)
     if item.payload is None:
         return f"<!-- unparsed {cat.value} {item.item_id} -->"
-    return f"<p>{_escape_html(render_inline(item.payload) if not isinstance(item.payload, Text) else item.payload.value)}</p>"
+    return f"<p>{_escape_html(render_inline(item.payload))}</p>"
 
 
 def _table_html(item: FlowItem) -> str:

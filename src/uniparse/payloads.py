@@ -277,11 +277,7 @@ def payload_text(payload: ContentPayload | None) -> str:
     """Plain-text view of a payload, used for chunking and token estimates."""
     if payload is None:
         return ""
-    if isinstance(payload, (Text, Caption)):
-        return payload.value
-    if isinstance(payload, Latex):
-        return payload.value
-    if isinstance(payload, ESmiles):
+    if isinstance(payload, (Text, Caption, Latex, ESmiles)):
         return payload.value
     if isinstance(payload, Reaction):
         return " ".join((*payload.reactants, *payload.conditions, *payload.products))

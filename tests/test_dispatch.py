@@ -22,7 +22,7 @@ from uniparse.dispatch import (
 )
 from uniparse.docmodel import SemanticCategory as C
 from uniparse.engine import analyze_pages, form_batches
-from uniparse.experts import ExpertResponse
+from uniparse.experts import MODALITIES, ExpertResponse
 from uniparse.layout import build_page_tree
 from uniparse.payloads import INLINE_MARKER, Cell, Latex, TableGrid, Text
 
@@ -52,16 +52,13 @@ def test_make_placeholders_single_inline():
     para = det("p1", (0.1, 0.1, 0.5, 0.3), truth_text=f"see {INLINE_MARKER} here")
     inline = det("f1", (0.2, 0.15, 0.25, 0.18), C.FORMULA_INLINE)
     tree = build_page_tree(0, [para, inline])
-    tokens, mapping = make_placeholders(find(tree, "p1"))
-    assert tokens == ["[[UPH:formula:f1]]"]
-    assert mapping == {"[[UPH:formula:f1]]": "f1"}
+    assert make_placeholders(find(tree, "p1")) == [("[[UPH:formula:f1]]", "f1")]
 
 
 def test_make_placeholders_empty_for_plain_paragraph():
     para = det("p1", (0.1, 0.1, 0.5, 0.3), truth_text="plain")
     tree = build_page_tree(0, [para])
-    tokens, mapping = make_placeholders(find(tree, "p1"))
-    assert tokens == [] and mapping == {}
+    assert make_placeholders(find(tree, "p1")) == []
 
 
 def test_make_placeholders_reading_order_of_children():
@@ -71,8 +68,8 @@ def test_make_placeholders_reading_order_of_children():
     c_left = det("a1", (0.15, 0.12, 0.20, 0.15), C.MOLECULE)
     c_below = det("a3", (0.15, 0.22, 0.20, 0.25), C.FORMULA_INLINE)
     tree = build_page_tree(0, [para, c_right, c_left, c_below])
-    tokens, _ = make_placeholders(find(tree, "p1"))
-    assert tokens == ["[[UPH:molecule:a1]]", "[[UPH:formula:a2]]", "[[UPH:formula:a3]]"]
+    assert [token for token, _child in make_placeholders(find(tree, "p1"))] == [
+        "[[UPH:molecule:a1]]", "[[UPH:formula:a2]]", "[[UPH:formula:a3]]"]
 
 
 def cut(queue, now, max_batch, max_wait_ms):
@@ -127,11 +124,11 @@ def test_batch_stack_due_is_full_batches_then_the_aged_rest():
     assert [t.task_id for b in batches for t in b.tasks] == [f"d/t{i}" for i in range(19)]
 
 
-def _plan_and_outcomes(detections, cfg=None, fail_ids=()):
+def _plan_and_outcomes(detections, cfg=None, fail_ids=(), only_modality=None):
     cfg = cfg or EngineConfig()
     doc = one_page_doc(detections)
     analyses = analyze_pages(doc, cfg)
-    plan = plan_document(doc, [a.tree for a in analyses], cfg)
+    plan = plan_document(doc, [a.tree for a in analyses], cfg, only_modality=only_modality)
     outcomes = {}
     from uniparse.experts import mock_payload
 
@@ -160,6 +157,25 @@ def test_gather_substitution_matches_string_oracle():
     result = gather(plan, outcomes)
     # independent oracle: plain string substitution of the token
     assert result.resolved["p1"] == Text("see $x^2$ here")
+    assert result.tokens_resolved == 1 and result.tokens_failed == 0
+
+
+def test_gather_replaces_every_occurrence_of_a_token():
+    plan, outcomes = _plan_and_outcomes(_inline_fixture())
+    outcomes["doc/p1"] = ExpertResponse("doc/p1", Text("a [[UPH:formula:f1]] b [[UPH:formula:f1]]"))
+    result = gather(plan, outcomes)
+    assert result.resolved["p1"] == Text("a $x^2$ b $x^2$")
+    assert result.tokens_resolved == 1 and result.tokens_failed == 0
+
+
+def test_token_of_a_child_without_a_task_resolves_to_the_empty_span():
+    para = det("p1", (0.1, 0.1, 0.5, 0.3), truth_text=f"see {INLINE_MARKER} here")
+    figure = det("g1", (0.2, 0.15, 0.25, 0.18), C.FIGURE)
+    plan, outcomes = _plan_and_outcomes([para, figure], EngineConfig(captioning_enabled=False))
+    assert [t.detection_id for t in plan.tasks] == ["p1"]
+    result = gather(plan, outcomes)
+    assert result.resolved["p1"] == Text("see  here")
+    assert plan.tokens_emitted == 1
     assert result.tokens_resolved == 1 and result.tokens_failed == 0
 
 
@@ -303,8 +319,11 @@ def test_token_conservation_whatever_the_experts_return(data):
     para = det("p1", (0.1, 0.5, 0.6, 0.7), truth_text=f"{INLINE_MARKER} and {INLINE_MARKER}")
     inlines = [det(f"f{3 + i}", (0.15 + 0.2 * i, 0.55, 0.2 + 0.2 * i, 0.58), C.FORMULA_INLINE,
                    truth_payload=Latex("q")) for i in (0, 1)]
-    plan, outcomes = _plan_and_outcomes([*_one_marker_table_with_two_formulas(), para, *inlines])
-    assert set(plan.parent_tokens) == {"t1", "p1"} and plan.tokens_emitted == 4
+    only = data.draw(st.sampled_from([None, *MODALITIES]))
+    plan, outcomes = _plan_and_outcomes([*_one_marker_table_with_two_formulas(), para, *inlines],
+                                        only_modality=only)
+    if only is None:
+        assert set(plan.parent_tokens) == {"t1", "p1"} and plan.tokens_emitted == 4
     for task in plan.tasks:
         if data.draw(st.booleans()):
             outcomes[task.task_id] = TaskFailure(

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from uniparse.cli import main
 from uniparse.config import EngineConfig
 from uniparse.consolidate import FlowItem, Partner, SectionNode
+from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, SemanticCategory as C, load_document
 from uniparse.engine import MockBackend, process_document
-from uniparse.experts import DocumentStore, default_descriptors
+from uniparse.experts import MODALITIES, DocumentStore, default_descriptors
 from uniparse.formats import (
     Chunk,
     ChunkKind,
@@ -283,6 +284,23 @@ def test_no_placeholder_literal_in_any_format(small_corpus, cfg):
         for emitted in (to_structured(parsed), to_markdown(parsed), to_html(parsed)):
             assert "[[UPH:" not in emitted
         assert "[[UPH:" not in chunks_to_jsonl(chunk(parsed, 128))
+
+
+@pytest.mark.parametrize("only_modality", [None, *MODALITIES])
+def test_no_placeholder_literal_under_failures_and_modality_filters(only_modality):
+    """Failed batches (no retries at a 30% failure rate) and every
+    only_modality filter: every planned token is still counted once and no
+    format leaks one."""
+    cfg = EngineConfig(max_retries=0)
+    for seed in (1, 2):
+        docs, _ = gen_corpus(CorpusSpec(seed=seed, n_docs=8))
+        backend = MockBackend(DocumentStore(docs), default_descriptors(seed=seed, failure_rate=0.3))
+        for doc in docs:
+            parsed = process_document(doc, cfg, backend, only_modality=only_modality).parsed
+            assert parsed.tokens_emitted == parsed.tokens_resolved + parsed.tokens_failed
+            for emitted in (to_structured(parsed), to_markdown(parsed), to_html(parsed),
+                            chunks_to_jsonl(chunk(parsed))):
+                assert "[[UPH:" not in emitted
 
 
 # --- chunking ----------------------------------------------------------------
