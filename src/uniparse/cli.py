@@ -2,7 +2,8 @@
 serve-echo.
 
 Exit codes: 0 success, 1 operational error, 2 strict-mode failures,
-64 usage errors. All randomness flows from --seed.
+64 usage errors. All randomness flows from --seed (gen-corpus, simulate,
+bench); parse is deterministic.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def _build_parser() -> _Parser:
                    help="base URL of a remote expert service (default: mocks)")
     p.add_argument("--max-tokens", type=int, default=512, help="chunk budget")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help=f"config file (or ${ENV_CONFIG_VAR})")
 
     s = sub.add_parser("simulate", help="run the pipeline simulator on a synthetic workload")
@@ -181,7 +181,7 @@ def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
             continue
 
         backend = remote if remote is not None else MockBackend(
-            DocumentStore([doc]), default_descriptors(max_batch=cfg.max_batch, seed=args.seed)
+            DocumentStore([doc]), default_descriptors(max_batch=cfg.max_batch)
         )
         try:
             result = process_document(

@@ -4,16 +4,19 @@ are due; engine.form_batches cuts them), and result gathering.
 
 Placeholder tokens are the exact literal "[[UPH:" + kind + ":" + id + "]]".
 They exist only between dispatch and gather; no emitted format may contain
-a planned one. Gather replaces every occurrence of each: a failed child's
-token with "[[FAILED:" + modality + ":" + id + "]]", the token of a child
-that got no task with the empty span.
+one. Gather replaces every occurrence of each planned token: a failed
+child's token with "[[FAILED:" + modality + ":" + id + "]]", the token of a
+child that got no task with the empty span. Then it deletes any token
+literal still left in a text or grid answer.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .config import EngineConfig
 from .docmodel import DocumentIR, SemanticCategory
@@ -28,6 +31,7 @@ from .payloads import (
 )
 
 PLACEHOLDER_PREFIX = "[[UPH:"
+_TOKEN = re.compile(re.escape(PLACEHOLDER_PREFIX) + r"[^\[\]]*\]\]")
 
 ROUTE_TABLE: dict[SemanticCategory, str | None] = {
     SemanticCategory.DOCUMENT_TITLE: "ocr",
@@ -240,6 +244,8 @@ def gather(
     Each planned token counts once: failed when its child failed or the
     parent's answer does not carry it (a failed parent carries none),
     resolved otherwise. So tokens_emitted == tokens_resolved + tokens_failed.
+    Then every token literal still left in any text or grid answer, one the
+    plan did not make for that answer, is deleted and counted nowhere.
     The result depends only on the outcome table, never on completion order.
     """
     resolved: dict[str, ContentPayload] = {}
@@ -270,7 +276,10 @@ def gather(
             else:
                 spans.append((token, ""))
         if runs:
-            resolved[parent_id] = _fill(answer, spans)
+            resolved[parent_id] = _map_runs(answer, lambda run: _fill(run, spans))
+    for detection_id, answer in resolved.items():
+        if PLACEHOLDER_PREFIX in "".join(_runs(answer)):
+            resolved[detection_id] = _map_runs(answer, _scrub)
     return GatherResult(
         resolved=resolved,
         failures=failures,
@@ -288,16 +297,22 @@ def _runs(answer: ContentPayload | None) -> tuple[str, ...]:
     return ()
 
 
-def _fill(answer: Text | TableGrid, spans: list[tuple[str, str]]) -> Text | TableGrid:
-    """answer with every occurrence of each token replaced by its span."""
+def _fill(run: str, spans: list[tuple[str, str]]) -> str:
+    """run with every occurrence of each token replaced by its span."""
+    for token, span in spans:
+        run = run.replace(token, span)
+    return run
 
-    def fill(run: str) -> str:
-        for token, span in spans:
-            run = run.replace(token, span)
-        return run
 
+def _scrub(run: str) -> str:
+    """run with every token literal left in it deleted."""
+    return _TOKEN.sub("", run) if PLACEHOLDER_PREFIX in run else run
+
+
+def _map_runs(answer: Text | TableGrid, fn: Callable[[str], str]) -> Text | TableGrid:
+    """answer with each of its text runs mapped through fn."""
     if isinstance(answer, Text):
-        return Text(fill(answer.value))
+        return Text(fn(answer.value))
     return TableGrid(answer.rows, answer.cols, tuple(
-        Cell(c.row, c.col, c.row_span, c.col_span, tuple(fill(run) for run in c.content))
+        Cell(c.row, c.col, c.row_span, c.col_span, tuple(fn(run) for run in c.content))
         for c in answer.cells))

@@ -42,9 +42,6 @@ from .payloads import (
     str_list,
 )
 
-MODALITIES = ("ocr", "formula", "table_structure", "ocsr", "reaction", "chart", "caption")
-
-
 class ExpertError(Exception):
     pass
 
@@ -128,7 +125,8 @@ def _unit_roll(seed: int, salt: str, task_ids: tuple[str, ...], attempt: int) ->
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
-# Default latency models per modality, in virtual milliseconds.
+# Default latency models per modality, in virtual milliseconds. Its keys are
+# the modalities, in the order every table lists them.
 DEFAULT_LATENCIES: dict[str, LatencyModel] = {
     "ocr": LatencyModel(base_ms=12.0, per_item_ms=3.0),
     "formula": LatencyModel(base_ms=18.0, per_item_ms=6.0),
@@ -138,14 +136,14 @@ DEFAULT_LATENCIES: dict[str, LatencyModel] = {
     "chart": LatencyModel(base_ms=28.0, per_item_ms=10.0),
     "caption": LatencyModel(base_ms=20.0, per_item_ms=6.0),
 }
+MODALITIES = tuple(DEFAULT_LATENCIES)
 
 
 def default_descriptors(
     max_batch: int = 16, replicas: int = 2, seed: int = 0, failure_rate: float = 0.0
 ) -> dict[str, ExpertDescriptor]:
     out = {}
-    for modality in MODALITIES:
-        lat = DEFAULT_LATENCIES[modality]
+    for modality, lat in DEFAULT_LATENCIES.items():
         out[modality] = ExpertDescriptor(
             modality=modality,
             max_batch=max_batch,

@@ -38,6 +38,11 @@ answer the batch's tasks in request order, or a retryable error that exhausts
 max_retries, becomes one TaskFailure per task of the batch in every mode. It
 counts in tasks_failed, and with strict=True the run raises StrictModeFailure
 once it has finished.
+
+The run charges one record per stage and per expert modality as it goes;
+finish derives idle time, bubble, utilization and throughput. A report is
+its record with every float rounded to 6 places (PipelineMetrics drops
+doc_latency_ms and nests its task counters under "tasks").
 """
 
 from __future__ import annotations
@@ -98,19 +103,19 @@ class PipelineConfig:
 @dataclass
 class StageMetrics:
     stage: str
-    busy_ms: float
-    idle_ms: float
-    bubble_fraction: float
+    busy_ms: float = 0.0
+    idle_ms: float = 0.0
+    bubble_fraction: float = 0.0
 
 
 @dataclass
 class ExpertStageMetrics:
     modality: str
-    busy_ms: float
-    batches: int
-    tasks: int
-    retries: int
-    utilization: float  # busy_ms / wall_ms summed over replicas, so it can exceed 1
+    busy_ms: float = 0.0
+    batches: int = 0
+    tasks: int = 0
+    retries: int = 0
+    utilization: float = 0.0  # busy_ms / wall_ms summed over replicas, so it can exceed 1
 
 
 @dataclass
@@ -132,42 +137,25 @@ class PipelineMetrics:
     retries: int
 
     def to_report(self) -> dict:
-        return {
-            "mode": self.mode,
-            "workers": self.workers,
-            "wall_ms": round(self.wall_ms, 6),
-            "docs": self.docs,
-            "pages": self.pages,
-            "throughput_pps": round(self.throughput_pps, 6),
-            "bubble_fraction": round(self.bubble_fraction, 6),
-            "per_stage": [
-                {
-                    "stage": s.stage,
-                    "busy_ms": round(s.busy_ms, 6),
-                    "idle_ms": round(s.idle_ms, 6),
-                    "bubble_fraction": round(s.bubble_fraction, 6),
-                }
-                for s in self.per_stage
-            ],
-            "per_expert": [
-                {
-                    "modality": e.modality,
-                    "busy_ms": round(e.busy_ms, 6),
-                    "batches": e.batches,
-                    "tasks": e.tasks,
-                    "retries": e.retries,
-                    "utilization": round(e.utilization, 6),
-                }
-                for e in self.per_expert
-            ],
-            "max_queue_depth": dict(sorted(self.max_queue_depth.items())),
-            "tasks": {
-                "dispatched": self.tasks_dispatched,
-                "completed": self.tasks_completed,
-                "failed": self.tasks_failed,
-                "retries": self.retries,
-            },
+        """The record without doc_latency_ms, the task counters under "tasks"."""
+        report = dataclasses.asdict(self)
+        del report["doc_latency_ms"]
+        report["tasks"] = {
+            "dispatched": report.pop("tasks_dispatched"),
+            "completed": report.pop("tasks_completed"),
+            "failed": report.pop("tasks_failed"),
+            "retries": report.pop("retries"),
         }
+        return _rounded(report)
+
+
+def _rounded(value):
+    """value with every float in it, through lists and dicts, rounded to 6 places."""
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return round(value, 6) if isinstance(value, float) else value
 
 
 def balance(
@@ -235,14 +223,14 @@ class _DocJob:
 
 
 class _Collector:
+    """Charges one record per stage and per modality as the run goes; finish
+    derives the rest."""
+
     def __init__(self, workers: int):
         self.workers = workers
-        self.stage_busy: dict[str, float] = {s: 0.0 for s in CPU_STAGES}
-        self.expert_total = 0.0  # busy time summed over every expert worker
-        self.expert_busy: dict[str, float] = {}
-        self.expert_batches: dict[str, int] = {}
-        self.expert_tasks: dict[str, int] = {}
-        self.expert_retries: dict[str, int] = {}
+        # the expert stage's busy time is summed over every expert worker
+        self.stages = {s: StageMetrics(s) for s in (*CPU_STAGES, EXPERT_STAGE)}
+        self.experts: dict[str, ExpertStageMetrics] = {}
         self.max_depth: dict[str, int] = {}
         self.doc_latency: dict[str, float] = {}
         self.tasks_dispatched = 0
@@ -251,17 +239,19 @@ class _Collector:
         self.retries = 0
 
     def charge_stage(self, stage: str, ms: float) -> None:
-        self.stage_busy[stage] = self.stage_busy.get(stage, 0.0) + ms
+        self.stages[stage].busy_ms += ms
 
     def charge_expert(self, modality: str, ms: float, tasks: int) -> None:
-        self.expert_total += ms
-        self.expert_busy[modality] = self.expert_busy.get(modality, 0.0) + ms
-        self.expert_batches[modality] = self.expert_batches.get(modality, 0) + 1
-        self.expert_tasks[modality] = self.expert_tasks.get(modality, 0) + tasks
+        self.stages[EXPERT_STAGE].busy_ms += ms
+        record = self.experts.setdefault(modality, ExpertStageMetrics(modality))
+        record.busy_ms += ms
+        record.batches += 1
+        record.tasks += tasks
 
     def record_retry(self, modality: str) -> None:
+        # a retried batch was charged first
         self.retries += 1
-        self.expert_retries[modality] = self.expert_retries.get(modality, 0) + 1
+        self.experts[modality].retries += 1
 
     def record_outcome(self, outcome) -> None:
         if isinstance(outcome, TaskFailure):
@@ -277,26 +267,13 @@ class _Collector:
         # A zero-cost run has no wall time and, by definition, no idle time.
         degenerate = wall_ms <= 0.0
         wall = max(wall_ms, 1e-9)
-        per_stage = []
-        for stage in CPU_STAGES:
-            busy = self.stage_busy.get(stage, 0.0)
-            idle = 0.0 if degenerate else max(wall - busy, 0.0)
-            per_stage.append(StageMetrics(stage, busy, idle, idle / wall if not degenerate else 0.0))
-        expert_capacity = wall * self.workers
-        expert_idle = 0.0 if degenerate else max(expert_capacity - self.expert_total, 0.0)
-        bubble = 0.0 if degenerate else expert_idle / expert_capacity
-        per_stage.append(StageMetrics(EXPERT_STAGE, self.expert_total, expert_idle, bubble))
-        per_expert = [
-            ExpertStageMetrics(
-                modality=m,
-                busy_ms=self.expert_busy[m],
-                batches=self.expert_batches.get(m, 0),
-                tasks=self.expert_tasks.get(m, 0),
-                retries=self.expert_retries.get(m, 0),
-                utilization=self.expert_busy[m] / wall,
-            )
-            for m in sorted(self.expert_busy)
-        ]
+        if not degenerate:
+            for record in self.stages.values():
+                capacity = wall * self.workers if record.stage == EXPERT_STAGE else wall
+                record.idle_ms = max(capacity - record.busy_ms, 0.0)
+                record.bubble_fraction = record.idle_ms / capacity
+        for record in self.experts.values():
+            record.utilization = record.busy_ms / wall
         return PipelineMetrics(
             mode=mode.value,
             workers=self.workers,
@@ -304,10 +281,10 @@ class _Collector:
             docs=docs,
             pages=pages,
             throughput_pps=0.0 if degenerate else pages / (wall / 1000.0),
-            bubble_fraction=bubble,
-            per_stage=per_stage,
-            per_expert=per_expert,
-            max_queue_depth=self.max_depth,
+            bubble_fraction=self.stages[EXPERT_STAGE].bubble_fraction,
+            per_stage=list(self.stages.values()),
+            per_expert=sorted(self.experts.values(), key=lambda record: record.modality),
+            max_queue_depth=dict(sorted(self.max_depth.items())),
             doc_latency_ms=self.doc_latency,
             tasks_dispatched=self.tasks_dispatched,
             tasks_completed=self.tasks_completed,
@@ -483,6 +460,14 @@ class _StageWorker:
         self.sim.after(cost, complete)
 
 
+def _chain(sim, collector, table, done_fn: Callable) -> Callable:
+    """Stage workers for a table of (name, cost_fn), each handing its job to
+    the next and the last to done_fn; returns the first one's submit."""
+    for name, cost_fn in reversed(table):
+        done_fn = _StageWorker(sim, collector, name, cost_fn, done_fn).submit
+    return done_fn
+
+
 def _drive(sim, jobs, config, backend) -> _Collector:
     """The one driver. The mode sets five values; everything else is shared.
     Returns the collector the run reports from."""
@@ -515,7 +500,7 @@ def _drive(sim, jobs, config, backend) -> _Collector:
         if (job.dispatch_done and len(job.outcomes) == len(job.plan.tasks)
                 and not job.gathering):
             job.gathering = True
-            gather_worker.submit(job)
+            finish_doc(job)
 
     # --- batching: batch_stack says what is due, form_batches cuts it -------
 
@@ -554,19 +539,7 @@ def _drive(sim, jobs, config, backend) -> _Collector:
         job = admission.popleft()
         swap(job.index)
         state["in_flight"] += 1
-        preprocess_worker.submit(job)
-
-    preprocess_worker = _StageWorker(
-        sim, collector, "preprocess",
-        cost_fn=lambda j: engine.preprocess_ms_per_page * max(len(j.doc.pages), 1),
-        done_fn=lambda j: layout_worker.submit(j),
-    )
-
-    layout_worker = _StageWorker(
-        sim, collector, "layout",
-        cost_fn=lambda j: engine.layout_ms_per_page * max(len(j.doc.pages), 1),
-        done_fn=lambda j: dispatcher.submit(j),
-    )
+        ingest(job)
 
     class _Dispatcher:
         """Feeds each document's tasks to the task queues in dispatch steps of
@@ -632,21 +605,15 @@ def _drive(sim, jobs, config, backend) -> _Collector:
                 try_form(modality)
             self._step()
 
+    def per_page(ms: float) -> Callable:
+        return lambda j: ms * max(len(j.doc.pages), 1)
+
     dispatcher = _Dispatcher()
+    ingest = _chain(sim, collector, (
+        ("preprocess", per_page(engine.preprocess_ms_per_page)),
+        ("layout", per_page(engine.layout_ms_per_page)),
+    ), dispatcher.submit)
     pool = _ExpertPool(sim, config, backend, collector, on_task_done, dispatcher.wake, workers)
-
-    gather_worker = _StageWorker(
-        sim, collector, "gather",
-        cost_fn=lambda j: engine.gather_ms_per_doc
-        + engine.gather_ms_per_task * len(j.plan.tasks),
-        done_fn=lambda j: consolidate_worker.submit(j),
-    )
-
-    consolidate_worker = _StageWorker(
-        sim, collector, "consolidate",
-        cost_fn=lambda j: engine.consolidate_ms_per_doc,
-        done_fn=lambda j: format_worker.submit(j),
-    )
 
     def complete(job) -> None:
         job.parsed = assemble_document(job.doc, engine, job.analyses, job.plan,
@@ -655,11 +622,12 @@ def _drive(sim, jobs, config, backend) -> _Collector:
         state["in_flight"] -= 1
         admit_next()
 
-    format_worker = _StageWorker(
-        sim, collector, "format",
-        cost_fn=lambda j: engine.format_ms_per_doc,
-        done_fn=complete,
-    )
+    finish_doc = _chain(sim, collector, (
+        ("gather", lambda j: engine.gather_ms_per_doc
+         + engine.gather_ms_per_task * len(j.plan.tasks)),
+        ("consolidate", lambda j: engine.consolidate_ms_per_doc),
+        ("format", lambda j: engine.format_ms_per_doc),
+    ), complete)
 
     for _ in range(docs_in_flight):
         admit_next()
@@ -686,16 +654,7 @@ class ScalingReport:
     efficiency: float  # per-worker efficiency at the largest count
 
     def to_report(self) -> dict:
-        return {
-            "points": [
-                {"workers": p.workers, "throughput_pps": round(p.throughput_pps, 6)}
-                for p in self.points
-            ],
-            "slope": round(self.slope, 6),
-            "intercept": round(self.intercept, 6),
-            "r_squared": round(self.r_squared, 6),
-            "efficiency": round(self.efficiency, 6),
-        }
+        return _rounded(dataclasses.asdict(self))
 
 
 def contention_free_config(seed: int = 0, max_workers: int = 8,

@@ -191,6 +191,34 @@ def test_bench_compare_modes_table(capsys):
     assert [row.split()[1] for row in rows] == ["1", "4", "4"]
 
 
+# sha256 of the stdout of each runtime report command, recorded before the
+# reports were derived from their metrics records.
+CLI_REPORT_DIGESTS = {
+    ("simulate", "--docs", "6", "--seed", "2", "--report", "json"):
+        "12b336150250a46b35dd9c836ccfbf4515ce12147e603b9f4093ca86fb11f29e",
+    ("simulate", "--docs", "6", "--seed", "2", "--report", "text"):
+        "a8fb6dde82a714a213f093bb7214bfe26d03ee697a33b481440a5fc8974333a6",
+    ("simulate", "--docs", "6", "--seed", "2", "--scaling", "1,2", "--report", "json"):
+        "c0d50674ea7f68e33e3da6a48c79ed1e180e85c4ccc78424c9d4200ffc85ea22",
+    ("bench", "--docs", "6", "--seed", "3", "--report", "json"):
+        "b6b40901c01f924bcb4c3e8adcb7ccf07e87e08b56a7882bc1efcb6ac3bf91eb",
+    ("bench", "--docs", "6", "--seed", "3"):
+        "93ab458ea5cd3d9f58771181ec344812d0ab4de8817530101d8691dd0ba23aac",
+}
+
+
+@pytest.mark.parametrize("args", list(CLI_REPORT_DIGESTS), ids=" ".join)
+def test_cli_report_bytes_are_unchanged(args, capsys):
+    assert main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode("utf-8")).hexdigest() == CLI_REPORT_DIGESTS[args]
+
+
+def test_parse_takes_no_seed(corpus_dir, capsys):
+    assert main(["parse", str(corpus_dir / "d000.ir.json"), "--seed", "7"]) == 64
+    capsys.readouterr()
+
+
 def _simulated_workers(capsys, *args) -> int:
     assert main(["simulate", "--docs", "2", "--seed", "1", *args]) == 0
     return json.loads(capsys.readouterr().out)["workers"]

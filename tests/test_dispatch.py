@@ -168,6 +168,26 @@ def test_gather_replaces_every_occurrence_of_a_token():
     assert result.tokens_resolved == 1 and result.tokens_failed == 0
 
 
+def test_unplanned_tokens_in_an_answer_are_deleted_and_counted_nowhere():
+    plan, outcomes = _plan_and_outcomes(_inline_fixture())
+    outcomes["doc/p1"] = ExpertResponse(
+        "doc/p1", Text("see [[UPH:formula:f1]] and [[UPH:formula:zz]]"))
+    result = gather(plan, outcomes)
+    assert result.resolved["p1"] == Text("see $x^2$ and ")
+    assert result.tokens_resolved == 1 and result.tokens_failed == 0
+
+    plan, outcomes = _plan_and_outcomes([det("p1", (0.1, 0.1, 0.5, 0.3), truth_text="plain"),
+                                         _one_marker_table_with_two_formulas()[0]])
+    assert plan.tokens_emitted == 0
+    outcomes["doc/p1"] = ExpertResponse("doc/p1", Text("plain [[UPH:chart:c9]] text"))
+    outcomes["doc/t1"] = ExpertResponse("doc/t1", TableGrid(1, 1, (
+        Cell(0, 0, content=("[[UPH:molecule:m1]]a", "[[FAILED:ocr:x]]")),)))
+    result = gather(plan, outcomes)
+    assert result.resolved["p1"] == Text("plain  text")
+    assert result.resolved["t1"].cells[0].content == ("a", "[[FAILED:ocr:x]]")
+    assert result.tokens_resolved == 0 and result.tokens_failed == 0
+
+
 def test_token_of_a_child_without_a_task_resolves_to_the_empty_span():
     para = det("p1", (0.1, 0.1, 0.5, 0.3), truth_text=f"see {INLINE_MARKER} here")
     figure = det("g1", (0.2, 0.15, 0.25, 0.18), C.FIGURE)
@@ -333,6 +353,9 @@ def test_token_conservation_whatever_the_experts_return(data):
             outcomes[task.task_id] = ExpertResponse(task.task_id, _answer(data.draw, tokens))
     result = gather(plan, outcomes)
     assert plan.tokens_emitted == result.tokens_resolved + result.tokens_failed
+    for answer in result.resolved.values():
+        runs = answer.cells if isinstance(answer, TableGrid) else [answer]
+        assert "[[UPH:" not in repr(runs)
 
 
 def test_corpus_sources_never_contain_placeholder_literal(small_corpus):

@@ -31,8 +31,10 @@ from uniparse.experts import (
 from uniparse.formats import to_structured
 from uniparse.payloads import Text
 from uniparse.runtime import (
+    ExpertStageMetrics,
     Mode,
     PipelineConfig,
+    PipelineMetrics,
     balance,
     bubble_report,
     compare_modes,
@@ -664,6 +666,29 @@ def test_metrics_report_schema():
     assert "throughput_pps" in report and "bubble_fraction" in report
     assert isinstance(report["per_stage"], list)
     assert {"stage", "busy_ms", "idle_ms", "bubble_fraction"} <= set(report["per_stage"][0])
+    # every field but doc_latency_ms, the task counters nested under "tasks"
+    counters = {"tasks_dispatched": "dispatched", "tasks_completed": "completed",
+                "tasks_failed": "failed", "retries": "retries"}
+    fields = {f.name for f in dataclasses.fields(PipelineMetrics)}
+    assert set(report) == fields - {"doc_latency_ms", *counters} | {"tasks"}
+    assert report["tasks"] == {key: getattr(metrics, name) for name, key in counters.items()}
+    assert set(report["per_expert"][0]) == {f.name for f in dataclasses.fields(ExpertStageMetrics)}
+    # every float rounded to 6 places, on a run whose raw floats are not
+    docs = gen_corpus(CorpusSpec(seed=3, n_docs=4, pages_min=1, pages_max=2))[0]
+    _outs, metrics = run_pipeline(docs, PipelineConfig(seed=3))
+    assert metrics.wall_ms != round(metrics.wall_ms, 6)
+    report = metrics.to_report()
+    floats = list(_floats(report))
+    assert len(floats) > 20 and all(x == round(x, 6) for x in floats)
+    assert report["wall_ms"] == round(metrics.wall_ms, 6)
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _floats(item)
 
 
 def test_descriptor_hot_swap_between_documents():
