@@ -3,6 +3,9 @@ linkage across page boundaries, and section-hierarchy integration.
 
 All continuity rules are lexical and geometric; there is no language model in
 the loop. The punctuation set and CJK join behavior come from EngineConfig.
+
+`frozen` marks objects shared beyond the parse that built them; Partner and
+FlowItem are not, so they are slotted and mutable.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .layout import COMPATIBLE_PARTNERS, RelationKind, relation_for
 from .payloads import Cell, ContentPayload, Reaction, TableGrid, Text, payload_text
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Partner:
     relation: RelationKind
     category: SemanticCategory
@@ -24,7 +27,7 @@ class Partner:
     payload: ContentPayload | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FlowItem:
     """One reading-order unit with its resolved content."""
 

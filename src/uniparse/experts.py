@@ -16,6 +16,10 @@ An item carries "placeholders", a list of strings, only when its task has
 inline children: their placeholder tokens in reading order, which the expert
 writes in place of the detection's inline markers. A request thus carries
 everything the expert needs; the expert keeps no plan of its own.
+
+`frozen` marks objects shared beyond the parse that built them, such as a
+descriptor and its latency model; Task and ExpertResponse are not, so they
+are slotted and mutable.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class ExpertDescriptor:
                              f"got {self.max_batch} and {self.replicas}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Task:
     """One detection's work for one expert: what the dispatch plan holds and
     what the backend is sent."""
@@ -112,7 +116,7 @@ class Task:
     placeholders: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExpertResponse:
     task_id: str
     payload: ContentPayload | None = None

@@ -1,5 +1,8 @@
 """Per-page reading order: group clustering, XY whitespace cuts,
 and a gap/alignment fallback for regions the cuts cannot separate.
+
+`frozen` marks objects shared beyond the parse that built them; order units
+and cut-tree nodes are not, so they are slotted and mutable.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .layout import LayoutTree
 PAGE_REGION = BoundingBox(0.0, 0.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OrderUnit:
     """One orderable unit: a standalone block, or a whole group collapsed."""
 
@@ -32,27 +35,25 @@ class OrderUnit:
     category: SemanticCategory
     boxes: tuple[BoundingBox, ...]
     member_ids: tuple[str, ...]
-    # Every unit's hull is read at least once, by xy_cut: computed here, it
-    # costs a fraction of a cached_property's first read.
     hull: BoundingBox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         boxes = self.boxes
-        object.__setattr__(self, "hull", boxes[0] if len(boxes) == 1 else hull_of(boxes))
+        self.hull = boxes[0] if len(boxes) == 1 else hull_of(boxes)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Leaf:
     unit_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HCut:
     y: float
     children: tuple["CutTree", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VCut:
     x: float
     children: tuple["CutTree", ...]

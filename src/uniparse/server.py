@@ -56,8 +56,11 @@ class _Handler(BaseHTTPRequestHandler):
         if match is None:
             self._reply(404, {"error": "unknown endpoint"})
             return
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self._reply(400, {"error": f"malformed request: Content-Length {length!r}"})
+            return
+        raw = self.rfile.read(int(length))
         try:
             body = json.loads(raw.decode("utf-8"))
             result = self.service.handle(match.group(1), body)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -386,6 +387,22 @@ def test_echo_server_answers_undecodable_request_with_400(body):
         response = session.post(f"{srv.endpoint}/v1/experts/ocr:batch", data=body.encode(),
                                 headers={"Content-Type": "application/json"})
         assert response.status_code == 400, response.text
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", "1_0"])
+def test_echo_server_answers_bad_content_length_with_400(length):
+    # A raw socket: requests writes Content-Length itself.
+    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="x")])
+    with EchoServerThread([doc]) as srv:
+        with closing(socket.create_connection(srv.server.server_address[:2], timeout=5)) as sock:
+            sock.sendall(f"POST /v1/experts/ocr:batch HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {length}\r\n\r\n{{}}".encode())
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    assert status_line.split()[1] == b"400", reply
+    assert b"malformed request" in rest
 
 
 def test_payload_kind_strings_are_pinned():

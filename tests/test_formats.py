@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -193,7 +194,7 @@ def test_cli_structured_dump_is_unchanged(tmp_path, capsys):
 
 def test_merged_provenance_recorded():
     item = flow("t1", category=C.TABLE, payload=TableGrid(1, 1, (Cell(0, 0, content=("x",)),)))
-    item = FlowItem(**{**item.__dict__, "merged_ids": ("t2",)})
+    item = dataclasses.replace(item, merged_ids=("t2",))
     data = json.loads(to_structured(doc_of([item])))
     assert data["root"]["body"][0]["provenance"]["merged_ids"] == ["t2"]
 
