@@ -515,7 +515,12 @@ def chunk(doc: ParsedDocument, max_tokens: int = 512) -> list[Chunk]:
             )
         )
 
-    def walk(section: SectionNode, path: tuple[str, ...]) -> None:
+    # Sections in pre-order on an explicit stack, not a function calling
+    # itself through its own closure: that would be a reference cycle, and
+    # only the cyclic collector would free the chunks.
+    stack: list[tuple[SectionNode, tuple[str, ...]]] = [(doc.root, ())]
+    while stack:
+        section, path = stack.pop()
         here = path if section.level == 0 else (*path, section.title)
         pending: list[FlowItem] = []
         tokens = 0
@@ -530,10 +535,7 @@ def chunk(doc: ParsedDocument, max_tokens: int = 512) -> list[Chunk]:
                 flush(pending, here, tokens)
                 pending, tokens = [], 0
         flush(pending, here, tokens)
-        for child in section.children:
-            walk(child, here)
-
-    walk(doc.root, ())
+        stack.extend((child, here) for child in reversed(section.children))
     return chunks
 
 

@@ -18,8 +18,9 @@ from .docmodel import (
     ANCHOR_CATEGORIES,
     FUNCTIONAL_CATEGORIES,
     PARTNER_CATEGORIES,
+    TOP_LAYER_CATEGORIES,
+    BoundingBox,
     Detection,
-    Layer,
     SemanticCategory,
 )
 
@@ -68,23 +69,21 @@ COMPATIBLE_PARTNERS: dict[SemanticCategory, frozenset[SemanticCategory]] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class LayoutNode:
+    """One detection in the page tree. Lives for one parse, so it is slotted
+    and mutable; id, category and box are copies of its detection's."""
+
     detection: Detection
     children: list["LayoutNode"] = field(default_factory=list)
     group_links: list[tuple[RelationKind, str]] = field(default_factory=list)
+    id: str = field(init=False, compare=False, repr=False)
+    category: SemanticCategory = field(init=False, compare=False, repr=False)
+    box: BoundingBox = field(init=False, compare=False, repr=False)
 
-    @property
-    def id(self) -> str:
-        return self.detection.id
-
-    @property
-    def category(self) -> SemanticCategory:
-        return self.detection.category
-
-    @property
-    def box(self):
-        return self.detection.box
+    def __post_init__(self) -> None:
+        det = self.detection
+        self.id, self.category, self.box = det.id, det.category, det.box
 
 
 @dataclass
@@ -130,7 +129,7 @@ def assign_children(
     stands for all of them.
     """
     cfg = cfg or EngineConfig()
-    bottoms = [d for d in detections if d.layer is Layer.BOTTOM]
+    bottoms = [d for d in detections if d.category not in TOP_LAYER_CATEGORIES]
     solid = sorted(
         (d for d in bottoms if d.box.x0 < d.box.x1 and d.box.y0 < d.box.y1),
         key=lambda d: d.box.y0,
@@ -145,7 +144,7 @@ def assign_children(
     parent_map: dict[str, str] = {}
     orphans: set[str] = set()
     for det in detections:
-        if det.layer is not Layer.TOP:
+        if det.category not in TOP_LAYER_CATEGORIES:
             continue
         box = det.box
         child_area = box.area
@@ -181,7 +180,7 @@ def build_layout_tree(
     tree = LayoutTree(page_index=page_index)
     for det in detections:
         node = nodes[det.id]
-        if det.layer is Layer.BOTTOM:
+        if det.category not in TOP_LAYER_CATEGORIES:
             tree.roots.append(node)
         elif det.id in parent_map:
             nodes[parent_map[det.id]].children.append(node)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
+from math import isfinite
 from typing import Union
 
 from .config import EngineConfig
@@ -248,12 +250,13 @@ def gap_tree_order(units: list[OrderUnit], cfg: EngineConfig | None = None) -> l
     acyclic graph its order depends only on the graph's transitive closure
     (the placed units are always closed under predecessors). It therefore
     runs on the reduced edges of _precedence_edges, a few per unit: the cost
-    is one mask query per axis per unit plus the kept edges, and the memory
-    n*n/8 bytes per mask family (about 2.3 MB at 4,326 units; five families
-    per axis) where the full rule would list millions of edges. The reduced
-    graph has a cycle exactly when the rule's graph has one; which units a
-    cycle releases depends on the edges themselves, so such a leaf is sorted
-    again on the full edge list.
+    is one _OverlapMasks query, one x0 prefix query and one y0 window per
+    unit plus the kept edges, and the memory n*n/8 bytes per mask family
+    (about 2.3 MB at 4,326 units; six families: the _OverlapMasks' five and
+    the x0 family) where the full rule would list millions of edges. The
+    reduced graph has a cycle exactly when the rule's graph has one; which
+    units a cycle releases depends on the edges themselves, so such a leaf
+    is sorted again on the full edge list.
     """
     cfg = cfg or EngineConfig()
     if len(units) <= 1:
@@ -308,11 +311,10 @@ def _heap_order(
 
 
 # Leaves of at most this many units test every pair instead of building masks.
-# Both paths keep the same edges. Building ten masks costs more than testing a
+# Both paths keep the same edges. Building six masks costs more than testing a
 # few pairs: on stream's leaves (seed 1: 1,400 leaves, all but one of 2-5
-# units) gap_tree_order takes 22 ms with this branch and 85 ms without, and
-# the benchmark's stream ordering.ms_per_page is 0.50 against 0.65-0.68. On
-# windows of dense leaves all-pairs stays faster up to about 32 units; 8 sits
+# units) gap_tree_order takes 22 ms with this branch and 75 ms without. On
+# windows of dense leaves all-pairs stays faster up to 24-32 units; 8 sits
 # below that crossover and above the leaves stream produces.
 _FEW_UNITS = 8
 
@@ -323,11 +325,15 @@ def _precedence_edges(
     """Successor lists of the precedence rule over hulls sorted by y0.
 
     A unit a's candidates are the units the "fully above" rule can admit,
-    those starting at or after a.y1 whose x-intervals overlap enough, and
-    those the band rule can admit, whose y-intervals overlap enough: one
-    _OverlapMasks query per axis (every unit, in leaves of at most
-    _FEW_UNITS). The rule's exact float test confirms each candidate, and
-    each pair is tested at most once, so the lists hold no duplicates.
+    those starting at or after a.y1 whose x-intervals overlap enough (one
+    _OverlapMasks query), and those the band rule can admit. A band partner
+    b starts at least align_tol right of a (one x0 prefix family), and with
+    v_overlap > 0 overlaps a's y-interval, so b.y0 < a.y1 and b.y1 > a.y0:
+    with b no taller than the tallest unit, b lies in one window of the
+    y0 order. A leaf of at most _FEW_UNITS units, or with a coordinate that
+    is not finite (in-memory IR is not validated), takes every unit as a
+    candidate. The rule's exact float test confirms each candidate, and each
+    pair is tested at most once, so the lists hold no duplicates.
 
     With prune, units are visited bottom-up and a->j is kept only when j is
     not already known to be reachable from a through kept edges. Candidates
@@ -341,10 +347,16 @@ def _precedence_edges(
     n = len(geo)
     h_overlap, v_overlap, align_tol = cfg.h_overlap, cfg.v_overlap, cfg.align_tol
     ys = [g[1] for g in geo]
-    few = n <= _FEW_UNITS
+    few = n <= _FEW_UNITS or not all(map(isfinite, chain.from_iterable(geo)))
     if not few:
         across = _OverlapMasks([(g[0], g[2], g[4]) for g in geo], h_overlap)
-        along = _OverlapMasks([(g[1], g[3], g[5]) for g in geo], v_overlap)
+        # The overlap never exceeds the shorter height: v_overlap > 1 admits
+        # no band partner.
+        tall = [j for j, g in enumerate(geo) if g[5] > 0] if v_overlap <= 1 else []
+        right = _prefix_masks(tall, [g[0] for g in geo])
+        tallest = max((geo[j][5] for j in tall), default=0.0)
+        # far above the rounding error of the thresholds and the rule's terms
+        pad = 1e-9 * (1.0 + 4 * max(map(abs, chain.from_iterable(geo))) + abs(align_tol))
     # reach[j]: j and the units known reachable from it through kept edges.
     # Units above a are visited after it, so what they reach is not yet known.
     reach = [0] * n
@@ -358,7 +370,13 @@ def _precedence_edges(
         else:
             below = bisect_left(ys, ay1)  # units from here on start at or after a.y1
             cand = across.candidates(ax0, ax1, aw) >> below << below
-            cand |= along.candidates(ay0, ay1, ah)
+            if ah > 0:
+                band = _at_least(right, ax0 + align_tol - pad)
+                if v_overlap > 0:
+                    band &= (1 << bisect_right(ys, ay1 + pad)) - 1
+                    start = bisect_left(ys, ay0 - tallest - pad)
+                    band = band >> start << start
+                cand |= band
         cand &= ~seen
         while cand:
             low = cand & -cand

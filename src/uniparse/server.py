@@ -47,6 +47,10 @@ class EchoExpertService:
 
 class _Handler(BaseHTTPRequestHandler):
     service: EchoExpertService
+    # Seconds one socket read may wait. A client that sends fewer bytes than
+    # its Content-Length, or nothing at all, loses its connection after this
+    # instead of holding a handler thread until it hangs up.
+    timeout = 10.0
 
     def log_message(self, fmt, *args):  # silence request logging
         pass

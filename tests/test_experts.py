@@ -405,6 +405,32 @@ def test_echo_server_answers_bad_content_length_with_400(length):
     assert b"malformed request" in rest
 
 
+def test_echo_server_drops_a_request_shorter_than_its_content_length():
+    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), truth_text="x")])
+    handlers = []
+    with EchoServerThread([doc]) as srv:
+        bound = srv.server.RequestHandlerClass
+        assert bound.timeout is not None and bound.timeout > 0
+
+        class QuickHandler(bound):  # the same rule, sooner
+            timeout = 0.5
+
+            def setup(self):
+                handlers.append(threading.current_thread())
+                super().setup()
+
+        srv.server.RequestHandlerClass = QuickHandler
+        with closing(socket.create_connection(srv.server.server_address[:2], timeout=5)) as sock:
+            sock.sendall(b"POST /v1/experts/ocr:batch HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 100\r\n\r\n{}")
+            # b"" once the server closes the connection; TimeoutError after 5 s
+            reply = sock.recv(4096)
+        for thread in handlers:
+            thread.join(timeout=5)
+    assert reply == b""
+    assert len(handlers) == 1 and not handlers[0].is_alive()
+
+
 def test_payload_kind_strings_are_pinned():
     pinned = {Text: "text", Latex: "latex", TableGrid: "table_grid", ESmiles: "e_smiles",
               Reaction: "reaction", ChartTable: "chart_table", Caption: "caption"}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -143,6 +144,31 @@ def test_structured_dump_is_the_oracle_on_the_benchmark_workloads(workload, seed
     for doc in wl.docs:
         parsed = process_document(doc, wl.engine, backend).parsed
         assert to_structured(parsed) == structured_oracle(parsed)
+
+
+@pytest.mark.parametrize("workload", ["reference", "dense", "stream"])
+def test_parses_and_formats_leave_no_cyclic_garbage(workload):
+    # Reference counting alone must free a parse and its four renderings:
+    # with the collector off, every cycle would stay in gc.garbage.
+    wl = build(workload, 1)
+    backend = MockBackend(DocumentStore(wl.docs), wl.experts)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for doc in wl.docs[:5]:
+            parsed = process_document(doc, wl.engine, backend).parsed
+            to_structured(parsed), to_markdown(parsed), to_html(parsed)
+            chunks_to_jsonl(chunk(parsed))
+        del parsed
+        cyclic = gc.collect()
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert cyclic == 0
 
 
 def _no_generic_encoder(*args, **kwargs):

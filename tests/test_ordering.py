@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+import pytest
 import workloads
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
@@ -519,6 +521,52 @@ def test_gap_tree_order_matches_all_pairs_oracle(units, cfg):
 @given(crowded_unit_lists(), order_configs)
 def test_gap_tree_order_matches_oracle_on_crowded_pages(units, cfg):
     assert_matches_all_pairs(units, cfg)
+
+
+_ULP_ABOVE_HALF = math.nextafter(0.5, 1.0)
+_ULP_BELOW_HALF = math.nextafter(0.5, 0.0)
+
+# Pages of more than _FEW_UNITS units whose band partners sit on the edges of
+# the y0 window and the x0 threshold; boxes are (x0, y0, x1, y1).
+WINDOW_PAGES = {
+    # 0.25 of overlap against heights 0.5 and 0.25: exactly 0.5 of the shorter
+    "overlap_exactly_v_overlap": [
+        (k / 16, (k % 2) * 0.25, k / 16 + 1 / 32, (k % 2) * 0.25 + 0.5) for k in range(10)
+    ] + [(0.75, 0.375, 0.8125, 0.625), (0.875, 0.125, 0.9375, 0.375)],
+    # a full-height unit on each side of a short row: the window reaches back
+    # to y0 = 0 from every unit of the row
+    "one_unit_far_taller": [(0.05 + k / 20, 0.6 + k / 1000, 0.07 + k / 20, 0.61 + k / 1000)
+                            for k in range(12)] + [(0.0, 0.0, 0.02, 1.0), (0.9, 0.0, 0.95, 1.0)],
+    # one y0 for a whole row, with two heights, and a row starting at its y1
+    "equal_y0s": [(k / 12, 0.25, k / 12 + 1 / 24, 0.5 if k % 3 else 0.75) for k in range(10)]
+    + [(k / 12, 0.5, k / 12 + 1 / 24, 0.625) for k in range(4)],
+    # b.y1 one ulp above, at and one ulp below a.y0 = 0.5
+    "b_y1_within_an_ulp_of_a_y0": [
+        (0.1 * k, 0.25 + k / 128, 0.1 * k + 0.05, y1)
+        for k, y1 in enumerate([_ULP_ABOVE_HALF, 0.5, _ULP_BELOW_HALF] * 2)
+    ] + [(0.1 * k + 0.03, 0.5, 0.1 * k + 0.08, 0.75) for k in range(6)],
+    # not finite in memory: the loader rejects such boxes, the engine does not.
+    # The y0s differ, so the sort keys never compare a NaN.
+    "nan_y1": [(0.1 * k, 0.3 + k / 100, 0.1 * k + 0.05, 0.5) for k in range(9)]
+    + [(0.95, 0.355, 0.99, math.nan)],
+    "nan_x0": [(0.1 * k, 0.3 + k / 100, 0.1 * k + 0.05, 0.5) for k in range(9)]
+    + [(math.nan, 0.355, 0.99, 0.45)],
+}
+WINDOW_CONFIGS = [
+    EngineConfig(),
+    EngineConfig(v_overlap=1.0),
+    EngineConfig(v_overlap=2.0 ** -52),  # admits one ulp of overlap on height 0.25
+    EngineConfig(v_overlap=0.0, align_tol=-0.02),
+    EngineConfig(v_overlap=1.5),
+]
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_PAGES))
+def test_gap_tree_order_matches_oracle_on_window_boundaries(name):
+    units = [unit(f"u{k:02d}", box) for k, box in enumerate(WINDOW_PAGES[name])]
+    assert len(units) > ordering._FEW_UNITS
+    for cfg in WINDOW_CONFIGS:
+        assert_matches_all_pairs(units, cfg)
 
 
 def dense_trees(cfg, seeds=(0, 1, 2)):

@@ -1,7 +1,7 @@
 """Record types: what frozen dataclasses used to guarantee for the per-parse
-records (Task, ExpertResponse, OrderUnit, FlowItem, Partner), now that they
-are slotted and mutable, and that every type shared beyond one parse stays
-frozen."""
+records (Task, ExpertResponse, OrderUnit, FlowItem, Partner, LayoutNode), now
+that they are slotted and mutable, and that every type shared beyond one
+parse stays frozen."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from uniparse.docmodel import OutlineEntry
 from uniparse.engine import process_document
 from uniparse.experts import ExpertDescriptor, ExpertResponse, LatencyModel, Task
 from uniparse.formats import to_structured
+from uniparse.layout import LayoutNode
 from uniparse.ordering import OrderUnit
 from uniparse.payloads import Caption, Cell, ChartTable, ESmiles, Latex, Reaction, TableGrid, Text
 from uniparse.runtime import (
@@ -31,7 +32,7 @@ from uniparse.runtime import (
 
 from conftest import det, one_page_doc
 
-PER_PARSE_RECORDS = (Task, ExpertResponse, OrderUnit, FlowItem, Partner)
+PER_PARSE_RECORDS = (Task, ExpertResponse, OrderUnit, FlowItem, Partner, LayoutNode)
 
 
 def _docs():
@@ -46,12 +47,22 @@ def test_a_parses_records_are_not_shared_with_a_later_parse():
         kept = to_structured(result.parsed)
         items = list(result.parsed.iter_items())
         records = [*items, *(p for item in items for p in item.partners), *result.plan.tasks,
-                   *(unit for a in result.analyses for unit in a.units)]
+                   *(unit for a in result.analyses for unit in a.units),
+                   *(node for a in result.analyses for node in a.tree.iter_nodes())]
         assert records
         for record in records:
             for f in dataclasses.fields(record):
                 setattr(record, f.name, None)
         assert to_structured(process_document(doc).parsed) == kept
+
+
+def test_layout_nodes_hold_their_detections_fields():
+    for doc in _docs():
+        nodes = [node for a in process_document(doc).analyses for node in a.tree.iter_nodes()]
+        assert nodes
+        for node in nodes:
+            det = node.detection
+            assert (node.id, node.category, node.box) == (det.id, det.category, det.box)
 
 
 def test_the_simulator_leaves_a_shared_plan_as_it_was(monkeypatch):
