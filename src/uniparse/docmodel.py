@@ -7,20 +7,22 @@ box:[x0,y0,x1,y1], category, confidence and the optional group_hint,
 truth_text, truth_payload channels. Coordinates are page-normalized to [0,1]
 with the origin top-left and y increasing downward.
 
-Loading rejects malformed input instead of repairing it; validation of
-in-memory documents returns a report instead of raising.
+Loading decodes shapes and types (`document_from_dict`), then checks the
+semantic rules in one pass (`validate_document`); both raise SchemaViolation
+at the first error instead of repairing the input.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .payloads import (
     DECODE_ERRORS,
+    ChartTable,
     ContentPayload,
     Reaction,
     TableGrid,
@@ -29,11 +31,6 @@ from .payloads import (
 )
 
 IR_VERSION = "1"
-
-
-class Layer(Enum):
-    BOTTOM = "bottom"
-    TOP = "top"
 
 
 class SemanticCategory(str, Enum):
@@ -113,10 +110,6 @@ PARTNER_CATEGORIES = frozenset(
         SemanticCategory.FIGURE_LEGEND,
     }
 )
-
-
-def category_layer(category: SemanticCategory) -> Layer:
-    return Layer.TOP if category in TOP_LAYER_CATEGORIES else Layer.BOTTOM
 
 
 class SchemaViolation(Exception):
@@ -216,10 +209,6 @@ class Detection:
     truth_text: str | None = None
     truth_payload: ContentPayload | None = None
 
-    @property
-    def layer(self) -> Layer:
-        return category_layer(self.category)
-
 
 @dataclass(frozen=True)
 class OutlineEntry:
@@ -248,109 +237,70 @@ class DocumentIR:
             yield from page.detections
 
 
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
+def validate_document(doc: DocumentIR) -> None:
+    """The IR's semantic rules, checked in one pass: raise SchemaViolation,
+    its `field` the rule's code, at the first broken rule.
 
-
-@dataclass(frozen=True)
-class Finding:
-    severity: Severity
-    code: str
-    message: str
-    detection_id: str | None = None
-
-
-@dataclass
-class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
-
-    @property
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARNING]
-
-
-def validate_document(doc: DocumentIR) -> ValidationReport:
-    """Check every IR invariant. Errors are violations; warnings are smells."""
-    report = ValidationReport()
-    err = lambda code, msg, det=None: report.findings.append(
-        Finding(Severity.ERROR, code, msg, det)
-    )
-    warn = lambda code, msg, det=None: report.findings.append(
-        Finding(Severity.WARNING, code, msg, det)
-    )
-
+    The pass visits each page (its index, then its size: finite and > 0),
+    then that page's detections in file order (unique id as `DuplicateId`,
+    page index, box, confidence in [0, 1], payload: table and chart grids
+    tile, a reaction has reactants and products), then the outline (levels
+    start at 1 and deepen one step at a time; pages exist). A document
+    that breaks several rules names the first one in this order.
+    """
+    seen: set[str] = set()
     for i, page in enumerate(doc.pages):
         if page.page_index != i:
-            err("page_index", f"page {i} carries index {page.page_index}")
-        if page.width_pt <= 0 or page.height_pt <= 0:
-            err("page_size", f"page {page.page_index} has non-positive dimensions")
-
-    seen_ids: set[str] = set()
-    hint_members: dict[str, list[Detection]] = {}
-    for page in doc.pages:
+            raise SchemaViolation("page_index", f"page {i} carries index {page.page_index}")
+        size = (page.width_pt, page.height_pt)
+        if not all(0.0 < v < math.inf for v in size):
+            kind = "non-positive" if all(map(math.isfinite, size)) else "non-finite"
+            raise SchemaViolation("page_size", f"page {page.page_index} has {kind} dimensions")
         for det in page.detections:
-            if det.id in seen_ids:
-                err("duplicate_id", f"duplicate detection id {det.id!r}", det.id)
-            seen_ids.add(det.id)
+            if det.id in seen:
+                raise DuplicateId(det.id)
+            seen.add(det.id)
             if det.page_index != page.page_index:
-                err(
+                raise SchemaViolation(
                     "page_index",
                     f"detection {det.id} claims page {det.page_index}, found on {page.page_index}",
-                    det.id,
                 )
-            if not det.box.is_valid():
-                if det.box.x0 >= det.box.x1 or det.box.y0 >= det.box.y1:
-                    err("degenerate_box", f"detection {det.id} has a degenerate box", det.id)
-                else:
-                    err("box_bounds", f"detection {det.id} box outside [0,1]", det.id)
+            box = det.box
+            if not box.is_valid():
+                if box.x0 >= box.x1 or box.y0 >= box.y1:
+                    raise SchemaViolation(
+                        "degenerate_box", f"detection {det.id} has a degenerate box"
+                    )
+                raise SchemaViolation("box_bounds", f"detection {det.id} box outside [0,1]")
             if not (0.0 <= det.confidence <= 1.0):
-                err("confidence", f"detection {det.id} confidence {det.confidence}", det.id)
-            if det.group_hint is not None:
-                hint_members.setdefault(det.group_hint, []).append(det)
-            if det.truth_payload is not None:
-                _validate_payload(det, report)
-
-    for hint, members in sorted(hint_members.items()):
-        if len(members) < 2:
-            warn("orphan_group_hint", f"group hint {hint!r} has a single member", members[0].id)
-            continue
-        pages = sorted(m.page_index for m in members)
-        if pages[-1] - pages[0] > 1:
-            warn("scattered_group_hint", f"group hint {hint!r} spans non-adjacent pages")
+                raise SchemaViolation(
+                    "confidence", f"detection {det.id} confidence {det.confidence}"
+                )
+            p = det.truth_payload
+            grid = p.grid if isinstance(p, ChartTable) else p
+            if isinstance(grid, TableGrid) and not grid.spans_tile():
+                raise SchemaViolation("grid_spans", f"table {det.id} spans overlap or overflow")
+            if isinstance(p, Reaction) and (not p.reactants or not p.products):
+                raise SchemaViolation(
+                    "reaction_arity", f"reaction {det.id} needs reactants and products"
+                )
 
     prev_level = None
     for entry in doc.outline:
         if entry.level < 1:
-            err("outline_level", f"outline level {entry.level} < 1 ({entry.title!r})")
-        elif prev_level is not None and entry.level > prev_level + 1:
-            err(
+            raise SchemaViolation(
+                "outline_level", f"outline level {entry.level} < 1 ({entry.title!r})"
+            )
+        if prev_level is not None and entry.level > prev_level + 1:
+            raise SchemaViolation(
                 "outline_level",
                 f"outline level jumps from {prev_level} to {entry.level} ({entry.title!r})",
             )
         if not (0 <= entry.page_index < len(doc.pages)):
-            err("outline_page", f"outline entry {entry.title!r} points at missing page")
-        prev_level = entry.level
-
-    return report
-
-
-def _validate_payload(det: Detection, report: ValidationReport) -> None:
-    p = det.truth_payload
-    if isinstance(p, TableGrid) and not p.spans_tile():
-        report.findings.append(
-            Finding(Severity.ERROR, "grid_spans", f"table {det.id} spans overlap or overflow", det.id)
-        )
-    if isinstance(p, Reaction) and (not p.reactants or not p.products):
-        report.findings.append(
-            Finding(
-                Severity.ERROR, "reaction_arity", f"reaction {det.id} needs reactants and products", det.id
+            raise SchemaViolation(
+                "outline_page", f"outline entry {entry.title!r} points at missing page"
             )
-        )
+        prev_level = entry.level
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +375,6 @@ def document_from_dict(data: dict) -> DocumentIR:
             raise SchemaViolation(f"outline[{i}]", f"malformed entry: {exc}") from exc
 
     pages = []
-    seen: set[str] = set()
     for i, page in enumerate(_list_field(data, "pages", "pages")):
         try:
             page_index = int(page["page_index"])
@@ -435,11 +384,9 @@ def document_from_dict(data: dict) -> DocumentIR:
             raise SchemaViolation(f"pages[{i}]", f"malformed page: {exc}") from exc
         detections = []
         for j, det in enumerate(_list_field(page, "detections", f"pages[{i}].detections")):
-            parsed = _detection_from_dict(det, page_index, f"pages[{i}].detections[{j}]")
-            if parsed.id in seen:
-                raise DuplicateId(parsed.id)
-            seen.add(parsed.id)
-            detections.append(parsed)
+            detections.append(
+                _detection_from_dict(det, page_index, f"pages[{i}].detections[{j}]")
+            )
         pages.append(PageIR(page_index, width_pt, height_pt, tuple(detections)))
 
     return DocumentIR(
@@ -504,7 +451,8 @@ def _detection_from_dict(data: dict, page_index: int, where: str) -> Detection:
 
 
 def load_document(path: str | Path) -> DocumentIR:
-    """Parse and fully validate an IR file. Raises instead of repairing."""
+    """Decode an IR file, then `validate_document` it. Raises instead of
+    repairing."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -513,10 +461,7 @@ def load_document(path: str | Path) -> DocumentIR:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation("document", f"not valid JSON: {exc}") from exc
     doc = document_from_dict(data)
-    report = validate_document(doc)
-    if report.errors:
-        first = report.errors[0]
-        raise SchemaViolation(first.code, first.message)
+    validate_document(doc)
     return doc
 
 

@@ -1,10 +1,11 @@
 """Tier-1 guard: src/uniparse/ holds only code the package runs or exports.
 
-An AST scan of every module fails on an unused import, and on a module-level
+An AST scan of every module fails on an unused import; on a module-level
 function, class or assigned name (a constant) that no package module names
-or imports and that `uniparse.__all__` does not export. Test helpers and
-oracles belong in tests/; a name kept for a caller outside the package goes
-in ALLOWED with the reason.
+or imports and that `uniparse.__all__` does not export; and on a non-dunder
+method or property of a package class whose name no package module reads,
+as an attribute or a name. Test helpers and oracles belong in tests/; a name
+kept for a caller outside the package goes in ALLOWED with the reason.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "uniparse"
 
 # "module.name" -> why the package keeps a name it does not use itself.
 ALLOWED = {
+    "cli._Parser.error": "argparse calls it on a usage error",
     "dispatch.PLACEHOLDER_PREFIX": "benchmark's placeholder-leak check, perfbench/checks.py",
     "docmodel.document_bytes": "benchmark self-test comparing IR bytes, perfbench/test_bench.py",
+    "layout.LayoutTree.detection_count": "benchmark's layout.detections counter, perfbench/run.py",
+    "server._Handler.do_POST": "http.server calls it for each POST",
+    "server._Handler.log_message": "http.server calls it to log each request",
 }
 
 
@@ -33,6 +38,12 @@ def _loads(tree: ast.AST) -> set[str]:
     """Names the code under tree reads."""
     return {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names the code under tree reads, as a name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -92,6 +103,18 @@ def dead_code(sources: dict[str, str]) -> list[str]:
                         or readers[name] > (name in _loads(node))):
                     continue
                 findings.append(f"{mod}: {name} is never used")
+    # a method or property lives while any module reads its name
+    reads = set().union(*map(_reads, trees.values()))
+    for mod, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))
+                        and f"{mod}.{cls.name}.{node.name}" not in ALLOWED
+                        and node.name not in reads):
+                    findings.append(f"{mod}: {cls.name}.{node.name} is never used")
     return sorted(findings)
 
 
@@ -131,3 +154,19 @@ def test_guard_reports_a_planted_unread_constant():
     }
     assert dead_code(sources) == ["a: PAIR_B is never used", "a: SELF is never used",
                                   "a: UNREAD is never used", "b: NEVER is never used"]
+
+
+def test_guard_reports_a_planted_unread_method_and_property():
+    sources = {
+        "__init__": "from .a import Live\n__all__ = ['Live']\n",
+        "a": (
+            "class Live:\n"
+            "    def __init__(self):\n        self.n = self.read_method()\n\n"
+            "    def read_method(self):\n        return self.read_property\n\n"
+            "    @property\n    def read_property(self):\n        return 1\n\n"
+            "    @property\n    def unread_property(self):\n        return 2\n\n"
+            "    def unread_method(self):\n        return 3\n"
+        ),
+    }
+    assert dead_code(sources) == ["a: Live.unread_method is never used",
+                                  "a: Live.unread_property is never used"]

@@ -14,14 +14,9 @@ from uniparse.dispatch import ROUTE_TABLE
 from uniparse.docmodel import (
     BoundingBox,
     Detection,
-    DocumentIR,
     DuplicateId,
-    OutlineEntry,
-    PageIR,
     SchemaViolation,
     SemanticCategory,
-    Severity,
-    category_layer,
     document_bytes,
     document_from_dict,
     document_to_dict,
@@ -296,52 +291,79 @@ def test_corpus_roundtrip_byte_identical(tmp_path):
 
 
 def test_validate_clean_document():
-    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2))])
-    assert not validate_document(doc).findings
+    assert validate_document(one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2))])) is None
 
 
-def test_validate_degenerate_box_is_error():
-    doc = one_page_doc([det("b1", (0.5, 0.1, 0.5, 0.2))])
-    report = validate_document(doc)
-    assert [f.code for f in report.errors] == ["degenerate_box"]
+def _overlapping_grid() -> dict:
+    # two cells at (0, 0): rendering would keep only the last
+    cells = [{"row": 0, "col": 0, "content": [text]} for text in ("A", "B")]
+    return {"rows": 2, "cols": 2, "cells": cells}
 
 
-def test_validate_out_of_bounds_box_is_error():
-    doc = one_page_doc([det("b1", (0.1, 0.1, 1.5, 0.2))])
-    assert [f.code for f in validate_document(doc).errors] == ["box_bounds"]
+def _outline(*entries):
+    return lambda data: data.update(
+        outline=[{"level": level, "title": "A", "page_index": page} for level, page in entries])
 
 
-def test_validate_confidence_out_of_range():
-    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), confidence=1.2)])
-    assert [f.code for f in validate_document(doc).errors] == ["confidence"]
+def _on_first_page(**fields):
+    return lambda data: data["pages"][0].update(fields)
 
 
-def test_validate_orphan_group_hint_warns():
-    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), group_hint="g9")])
-    report = validate_document(doc)
-    assert not report.errors
-    assert [f.code for f in report.warnings] == ["orphan_group_hint"]
+# One file per rule the check raises: (edit of minimal_ir(), the error's field).
+SEMANTIC_ERRORS = {
+    "page_index": (_on_first_page(page_index=1), "page_index"),
+    "page_size": (_on_first_page(width_pt=0.0), "page_size"),
+    "page_size_nan": (_on_first_page(width_pt=float("nan")), "page_size"),
+    "page_size_inf": (_on_first_page(height_pt=float("inf")), "page_size"),
+    "duplicate": (_on_first_page(detections=[_detection(), _detection()]), "detections.id"),
+    "degenerate_box": (_on_page(box=[0.5, 0.1, 0.5, 0.2]), "degenerate_box"),
+    "box_bounds": (_on_page(box=[0.1, 0.1, 1.5, 0.2]), "box_bounds"),
+    "confidence": (_on_page(confidence=1.2), "confidence"),
+    "grid_spans_table": (_on_page(category="table", truth_payload={
+        "kind": "table_grid", **_overlapping_grid()}), "grid_spans"),
+    "grid_spans_chart": (_on_page(category="chart", truth_payload={
+        "kind": "chart_table", "grid": _overlapping_grid()}), "grid_spans"),
+    "reaction_arity": (_on_page(category="chemical_reaction", truth_payload={
+        "kind": "reaction", "reactants": ["A"], "products": []}), "reaction_arity"),
+    "outline_level_below_1": (_outline((0, 0)), "outline_level"),
+    "outline_level_jump": (_outline((1, 0), (3, 0)), "outline_level"),
+    "outline_page": (_outline((1, 5)), "outline_page"),
+}
 
 
-def test_validate_outline_level_jump():
-    doc = DocumentIR(
-        doc_id="t",
-        pages=(PageIR(0, 612.0, 792.0, ()),),
-        outline=(OutlineEntry(1, "Intro", 0), OutlineEntry(3, "Deep", 0)),
-    )
-    assert any(f.code == "outline_level" for f in validate_document(doc).errors)
+@pytest.mark.parametrize("name", sorted(SEMANTIC_ERRORS))
+def test_validate_raises_each_error_code(tmp_path, capsys, name):
+    edit, code = SEMANTIC_ERRORS[name]
+    data = minimal_ir()
+    edit(data)
+    error = DuplicateId if code == "detections.id" else SchemaViolation
+    with pytest.raises(error) as err:
+        validate_document(document_from_dict(data))
+    assert err.value.field == code
+    path = write_ir(tmp_path, data)
+    with pytest.raises(error) as err:
+        load_document(path)
+    assert err.value.field == code
+    assert main(["parse", path]) == 1
+    assert "uniparse: error:" in capsys.readouterr().err
+
+
+def test_validate_detection_on_another_page():
+    # only an in-memory document can disagree: the loader takes the page's index
+    doc = one_page_doc([det("b1", (0.1, 0.1, 0.5, 0.2), page=1)])
+    with pytest.raises(SchemaViolation) as err:
+        validate_document(doc)
+    assert err.value.field == "page_index"
 
 
 def test_corpus_documents_validate_clean(small_corpus):
     docs, _ = small_corpus
     for doc in docs:
-        report = validate_document(doc)
-        assert not report.errors, report.errors
+        validate_document(doc)
 
 
 def test_every_category_has_one_layer_and_route():
     for category in SemanticCategory:
-        assert category_layer(category) is not None
         assert category in ROUTE_TABLE
 
 

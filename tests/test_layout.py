@@ -6,7 +6,12 @@ import workloads
 from hypothesis import given, settings, strategies as st
 
 from uniparse.config import EngineConfig
-from uniparse.docmodel import BoundingBox, Detection, Layer, SemanticCategory as C
+from uniparse.docmodel import (
+    TOP_LAYER_CATEGORIES,
+    BoundingBox,
+    Detection,
+    SemanticCategory as C,
+)
 from uniparse.layout import (
     RelationKind,
     assign_children,
@@ -35,10 +40,10 @@ def exhaustive_parent_oracle(child, bottoms, threshold):
 
 def all_pairs_assign_children(detections, cfg):
     """Reference assignment: every top-layer child scored against every parent."""
-    bottoms = [d for d in detections if d.layer is Layer.BOTTOM]
+    bottoms = [d for d in detections if d.category not in TOP_LAYER_CATEGORIES]
     parent_map, orphans = {}, set()
     for d in detections:
-        if d.layer is not Layer.TOP:
+        if d.category not in TOP_LAYER_CATEGORIES:
             continue
         parent = (exhaustive_parent_oracle(d, bottoms, cfg.ioa_threshold)
                   if d.box.area > 0.0 else None)
@@ -115,8 +120,8 @@ def test_assign_children_matches_all_pairs_oracle(detections, threshold):
 def test_parent_search_scores_only_overlapping_parents(monkeypatch):
     doc = workloads._dense_page("guard", 300, random.Random("guard"), {})
     detections = list(doc.pages[0].detections)
-    tops = [d for d in detections if d.layer is Layer.TOP]
-    bottoms = [d for d in detections if d.layer is Layer.BOTTOM]
+    tops = [d for d in detections if d.category in TOP_LAYER_CATEGORIES]
+    bottoms = [d for d in detections if d.category not in TOP_LAYER_CATEGORIES]
     assert len(tops) > 100 and len(bottoms) > 300
     calls = 0
     scored = BoundingBox.intersection_area
