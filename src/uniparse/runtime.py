@@ -1,17 +1,24 @@
 """Pipeline execution engine and simulator.
 
-Each document is laid out and planned once, before the event loop, so the
-simulator only schedules: its layout stage charges layout_ms_per_page and
-computes nothing. Layout and planning read neither the mode, the worker count
-nor the descriptor table, so compare_modes and simulate_scaling share one set
-of plans across their runs.
+A run holds only the documents in flight. run_pipeline lays out and plans a
+document (engine.analyze_and_plan) when the driver admits it, and drops its
+analyses, plan and expert outcomes once its format stage has assembled it. So
+it holds the plan state of at most the documents in flight (max_in_flight_docs
+in pipe, one in par and seq) plus the outputs it returns. The host work moves
+no virtual clock: the layout stage charges layout_ms_per_page, whatever the
+layout took. Layout and planning read neither the mode, the worker count nor
+the descriptor table, so compare_modes and simulate_scaling plan each document
+once and keep only its DispatchPlan, which all their runs share. They return
+only metrics, so their runs assemble no document; with strict=True they raise
+from the recorded TaskFailures.
 
 A virtual (discrete-event) clock drives one driver over the document stream.
 Every mode runs the same stage workers (preprocess, layout, dispatch, gather,
 consolidate, format), feeds the same per-modality task queues, cuts batches
 the same way (dispatch.batch_stack says which queued tasks are due,
-engine.form_batches cuts them) for the same expert pool, and finishes
-documents with engine.assemble_document. The mode sets five values:
+engine.form_batches cuts them) for the same expert pool, and (in
+run_pipeline) finishes documents with engine.assemble_document. The mode sets
+five values:
 
     value                    pipe                par       seq
     documents in flight      max_in_flight_docs  1         1
@@ -210,16 +217,21 @@ class _Sim:
 
 
 class _DocJob:
-    def __init__(self, index: int, doc: DocumentIR, analyses: list[PageAnalysis],
-                 plan: DispatchPlan):
+    """One document of a run. A job that comes without a plan is laid out and
+    planned when it is admitted and assembled by its format stage; either
+    way its analyses, plan and outcomes go once it is done, leaving only
+    the output and the ids of its failed tasks."""
+
+    def __init__(self, index: int, doc: DocumentIR, plan: DispatchPlan | None):
         self.index = index
         self.doc = doc
-        self.analyses = analyses
+        self.analyses: list[PageAnalysis] | None = None
         self.plan = plan
         self.outcomes: dict = {}
         self.dispatch_done = False
         self.gathering = False
         self.parsed: ParsedDocument | None = None
+        self.failed: tuple[str, ...] | None = None  # sorted; None until done
 
 
 class _Collector:
@@ -312,10 +324,17 @@ class _ExpertPool:
         self.idle = workers  # expert workers not serving a batch
         self.in_flight: dict[str, int] = {m: 0 for m in backend.descriptors}
         self.ready: dict[str, deque] = {m: deque() for m in backend.descriptors}
+        self.updates = deque(sorted(config.descriptor_updates, key=lambda update: update[0]))
 
     @property
     def descriptors(self) -> dict[str, ExpertDescriptor]:
         return self.backend.descriptors
+
+    def swap(self, index: int) -> None:
+        """Put in force the descriptor_updates due at the document with this
+        admission index; call it before any of the document's work."""
+        while self.updates and self.updates[0][0] <= index:
+            self.backend.descriptors = self.updates.popleft()[1]
 
     def ready_tasks(self, modality: str) -> int:
         return sum(len(b.tasks) for b in self.ready.get(modality, ()))
@@ -377,55 +396,38 @@ class _ExpertPool:
 # ---------------------------------------------------------------------------
 
 
-_Planned = tuple[DocumentIR, list[PageAnalysis], DispatchPlan]
-
-
 def run_pipeline(
     docs: list[DocumentIR], config: PipelineConfig
 ) -> tuple[list[ParsedDocument], PipelineMetrics]:
     """Run the document stream under the configured mode and virtual clock."""
-    return _simulate(_plan_docs(docs, config.engine), config)
+    jobs, metrics = _simulate(docs, [None] * len(docs), config)
+    return [job.parsed for job in jobs], metrics
 
 
-def _plan_docs(docs: list[DocumentIR], engine: EngineConfig) -> list[_Planned]:
-    """Every document's page analyses and dispatch plan, as _simulate takes them."""
-    return [(doc, *analyze_and_plan(doc, engine)) for doc in docs]
+def _plan_docs(docs: list[DocumentIR], engine: EngineConfig) -> list[DispatchPlan]:
+    """Every document's dispatch plan, for a sweep's runs to share."""
+    return [analyze_and_plan(doc, engine)[1] for doc in docs]
 
 
 def _simulate(
-    planned: list[_Planned], config: PipelineConfig
-) -> tuple[list[ParsedDocument], PipelineMetrics]:
-    """The event loop over laid-out and planned documents."""
-    store = DocumentStore([doc for doc, _analyses, _plan in planned])
-    backend = MockBackend(store, config.resolved_experts())
-    sim = _Sim()
-    jobs = [_DocJob(i, *p) for i, p in enumerate(planned)]
-    collector = _drive(sim, jobs, config, backend)
-    sim.run()
-
-    wall = sim.now
-    pages = sum(len(j.doc.pages) for j in jobs)
-    metrics = collector.finish(config.mode, wall, len(jobs), pages)
+    docs: list[DocumentIR], plans: list[DispatchPlan | None], config: PipelineConfig
+) -> tuple[list[_DocJob], PipelineMetrics]:
+    """The event loop over the documents, one job each: a None plan is made
+    at admission and its document assembled, a given plan is only
+    scheduled."""
+    # a task names its document by id, so one run cannot hold two alike
+    if len({doc.doc_id for doc in docs}) != len(docs):
+        raise ValueError("document ids must be unique within a run")
+    backend = MockBackend(DocumentStore(docs), config.resolved_experts())
+    jobs = [_DocJob(i, doc, plan) for i, (doc, plan) in enumerate(zip(docs, plans))]
+    metrics = _drive(jobs, config, backend)
     for job in jobs:
-        if job.parsed is None:
+        if job.failed is None:
             raise RuntimeError(f"document {job.doc.doc_id} never completed")
-    outputs = [job.parsed for job in jobs]
-    failed = [parsed for parsed in outputs if parsed.failed_tasks]
+    failed = [job for job in jobs if job.failed]
     if config.strict and failed:
-        raise StrictModeFailure(failed[0].doc_id, list(failed[0].failed_tasks))
-    return outputs, metrics
-
-
-def _descriptor_swapper(config: PipelineConfig, backend: MockBackend) -> Callable[[int], None]:
-    """swap(index) puts in force the descriptor_updates due at the document
-    with that admission index; call it before any of the document's work."""
-    updates = deque(sorted(config.descriptor_updates, key=lambda update: update[0]))
-
-    def swap(index: int) -> None:
-        while updates and updates[0][0] <= index:
-            backend.descriptors = updates.popleft()[1]
-
-    return swap
+        raise StrictModeFailure(failed[0].doc.doc_id, list(failed[0].failed))
+    return jobs, metrics
 
 
 class _StageWorker:
@@ -468,9 +470,9 @@ def _chain(sim, collector, table, done_fn: Callable) -> Callable:
     return done_fn
 
 
-def _drive(sim, jobs, config, backend) -> _Collector:
+def _drive(jobs, config, backend) -> PipelineMetrics:
     """The one driver. The mode sets five values; everything else is shared.
-    Returns the collector the run reports from."""
+    Runs the jobs to the end and returns the run's metrics."""
     engine = config.engine
     streamed = config.mode is Mode.PIPELINE_PARALLEL
     docs_in_flight = engine.max_in_flight_docs if streamed else 1
@@ -479,12 +481,12 @@ def _drive(sim, jobs, config, backend) -> _Collector:
     max_wait_ms = engine.max_wait_ms if streamed else 0.0
     queue_bound = engine.queue_capacity if streamed else None
 
+    sim = _Sim()
     collector = _Collector(workers)
 
     max_batch = engine.max_batch if queue_bound is None else min(engine.max_batch, queue_bound)
-    jobs_by_doc = {j.doc.doc_id: j for j in jobs}
+    jobs_by_doc: dict[str, _DocJob] = {}  # the documents in flight
     admission = deque(jobs)
-    swap = _descriptor_swapper(config, backend)
     state = {"in_flight": 0}
 
     # per modality, FIFO of (task, enqueued_at)
@@ -537,7 +539,10 @@ def _drive(sim, jobs, config, backend) -> _Collector:
         if not admission or state["in_flight"] >= docs_in_flight:
             return
         job = admission.popleft()
-        swap(job.index)
+        pool.swap(job.index)
+        if job.plan is None:
+            job.analyses, job.plan = analyze_and_plan(job.doc, engine)
+        jobs_by_doc[job.doc.doc_id] = job
         state["in_flight"] += 1
         ingest(job)
 
@@ -616,8 +621,15 @@ def _drive(sim, jobs, config, backend) -> _Collector:
     pool = _ExpertPool(sim, config, backend, collector, on_task_done, dispatcher.wake, workers)
 
     def complete(job) -> None:
-        job.parsed = assemble_document(job.doc, engine, job.analyses, job.plan,
-                                       job.outcomes).parsed
+        if job.analyses is None:  # a sweep's shared plan: metrics only
+            job.failed = tuple(sorted(task_id for task_id, outcome in job.outcomes.items()
+                                      if isinstance(outcome, TaskFailure)))
+        else:
+            job.parsed = assemble_document(job.doc, engine, job.analyses, job.plan,
+                                           job.outcomes).parsed
+            job.failed = job.parsed.failed_tasks
+        job.analyses = job.plan = job.outcomes = None
+        del jobs_by_doc[job.doc.doc_id]
         collector.doc_latency[job.doc.doc_id] = sim.now
         state["in_flight"] -= 1
         admit_next()
@@ -631,7 +643,13 @@ def _drive(sim, jobs, config, backend) -> _Collector:
 
     for _ in range(docs_in_flight):
         admit_next()
-    return collector
+    sim.run()
+    # The closures above refer to one another, so only the cyclic collector
+    # frees them. Release the backend, whose document store grows with the
+    # corpus: what they leave is then the same few objects for any corpus.
+    pool.backend = None
+    pages = sum(len(job.doc.pages) for job in jobs)
+    return collector.finish(config.mode, sim.now, len(jobs), pages)
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +694,11 @@ def simulate_scaling(
     """Same seeded workload under each worker count, with a least-squares fit."""
     if not worker_counts or sorted(worker_counts) != list(worker_counts):
         raise ValueError("worker_counts must be nonempty and ascending")
-    planned = _plan_docs(docs, config.engine)
+    plans = _plan_docs(docs, config.engine)
     points = []
     for n in worker_counts:
         cfg = dataclasses.replace(config, engine=config.engine.copy(workers=n))
-        _outputs, metrics = _simulate(planned, cfg)
+        _jobs, metrics = _simulate(docs, plans, cfg)
         points.append(ScalingPoint(workers=n, throughput_pps=metrics.throughput_pps))
     xs = [p.workers for p in points]
     ys = [p.throughput_pps for p in points]
@@ -723,10 +741,10 @@ def bubble_report(metrics: PipelineMetrics) -> dict:
 
 def compare_modes(docs: list[DocumentIR], config: PipelineConfig) -> dict:
     """The three-way mode comparison on one workload."""
-    planned = _plan_docs(docs, config.engine)
+    plans = _plan_docs(docs, config.engine)
     rows = []
     for mode in (Mode.SEQUENTIAL, Mode.PARALLEL_GATHER, Mode.PIPELINE_PARALLEL):
-        _outputs, metrics = _simulate(planned, dataclasses.replace(config, mode=mode))
+        _jobs, metrics = _simulate(docs, plans, dataclasses.replace(config, mode=mode))
         rows.append(bubble_report(metrics))
     return {"workload_docs": len(docs), "modes": rows}
 

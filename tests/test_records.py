@@ -79,9 +79,10 @@ def test_the_simulator_leaves_a_shared_plan_as_it_was(monkeypatch):
     compare_modes(docs, PipelineConfig(mode=Mode.PIPELINE_PARALLEL, engine=EngineConfig(), seed=1))
     simulate_scaling(docs, [1, 2, 4], contention_free_config(seed=1, max_workers=4))
     assert len(planned_runs) == 2
-    for planned, before in planned_runs:
-        assert any(plan.tasks for _doc, _analyses, plan in planned)
-        assert planned == before
+    for plans, before in planned_runs:
+        assert [plan.doc_id for plan in plans] == [doc.doc_id for doc in docs]
+        assert any(plan.tasks for plan in plans)
+        assert plans == before
 
 
 _GRID = TableGrid(1, 1, (Cell(0, 0, content=("x",)),))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uniparse.engine
+import uniparse.runtime as runtime
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, Detection, DocumentIR, PageIR, SemanticCategory as C
@@ -507,6 +510,36 @@ def test_strict_mode_raises_on_fatal_tasks():
         run_pipeline(docs, config)
 
 
+def test_sweeps_raise_the_strict_failure_of_run_pipeline():
+    # the formula document passes; the two ocr documents fail fatally
+    formula = one_page_doc([det("f1", (0.1, 0.1, 0.5, 0.2), C.FORMULA, truth_text="x")],
+                           doc_id="f")
+    docs = [formula, ocr_only_doc("b", 5), ocr_only_doc("c", 2)]
+    config = PipelineConfig(engine=bare_engine(), experts=wrong_expert_table(), strict=True)
+    with pytest.raises(StrictModeFailure) as direct:
+        run_pipeline(docs, config)
+    assert direct.value.doc_id == "b"
+    assert direct.value.failed == sorted(f"b/{d.id}" for d in docs[1].pages[0].detections)
+    for sweep in (lambda: compare_modes(docs, config),
+                  lambda: simulate_scaling(docs, [1, 2], config)):
+        with pytest.raises(StrictModeFailure) as swept:
+            sweep()
+        assert (swept.value.doc_id, swept.value.failed) == (direct.value.doc_id,
+                                                            direct.value.failed)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda docs, config: run_pipeline(docs, config),
+    lambda docs, config: compare_modes(docs, config),
+    lambda docs, config: simulate_scaling(docs, [1, 2], config),
+], ids=["run_pipeline", "compare_modes", "simulate_scaling"])
+def test_a_run_rejects_two_documents_with_one_id(sweep):
+    a = ocr_only_doc("a", 3)
+    with pytest.raises(ValueError, match="unique"):
+        sweep([a, ocr_only_doc("b", 2), a], PipelineConfig(engine=bare_engine(),
+                                                           experts=ocr_experts()))
+
+
 def test_metrics_deterministic_across_runs():
     spec = CorpusSpec(seed=6, n_docs=10, pages_min=1, pages_max=2)
     docs, _ = gen_corpus(spec)
@@ -554,6 +587,47 @@ def test_workers_are_allocated_only_when_used():
     assert peak < 4 * 2**20
     few, _metrics = run_pipeline(docs, config)
     assert [to_structured(p) for p in outs] == [to_structured(p) for p in few]
+
+
+# --- memory ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_run_holds_only_the_plans_of_the_documents_in_flight(monkeypatch, mode):
+    docs, _ = gen_corpus(CorpusSpec(seed=2, n_docs=12, pages_min=1, pages_max=3))
+    engine = EngineConfig(max_in_flight_docs=3)
+    in_flight = 1 if mode is not Mode.PIPELINE_PARALLEL else engine.max_in_flight_docs
+    alive = weakref.WeakValueDictionary()  # a plan is an eq dataclass, so unhashable
+    alive_at_admission = []
+    real_analyze_and_plan = runtime.analyze_and_plan
+
+    def keeping(doc, cfg=None):
+        analyses, plan = real_analyze_and_plan(doc, cfg)
+        alive[doc.doc_id] = plan
+        alive_at_admission.append(len(alive))
+        return analyses, plan
+
+    monkeypatch.setattr(runtime, "analyze_and_plan", keeping)
+    outs, _metrics = run_pipeline(docs, PipelineConfig(mode=mode, engine=engine, seed=2))
+    assert len(alive_at_admission) == len(docs) == len(outs)
+    assert max(alive_at_admission) <= in_flight
+    assert len(alive) == 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_runs_cyclic_garbage_does_not_grow_with_the_documents(mode):
+    def garbage_after_a_run(n_docs):
+        docs, _ = gen_corpus(CorpusSpec(seed=1, n_docs=n_docs))
+        config = PipelineConfig(mode=mode, engine=EngineConfig(), seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            run_pipeline(docs, config)
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    assert garbage_after_a_run(40) == garbage_after_a_run(10)
 
 
 # --- scaling -----------------------------------------------------------------
