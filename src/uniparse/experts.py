@@ -181,10 +181,9 @@ class MockBackend:
     """The in-process experts: a deterministic mock per modality.
 
     Each task is answered with its detection's ground-truth payload (or a
-    fixed transform of its ground-truth text), under the descriptor table in
-    force: `descriptors`, which a runtime swap may replace. Failures, when
-    enabled, hit whole batches and re-roll per attempt. Latency is the
-    descriptors' model, which the simulator charges.
+    fixed transform of its ground-truth text), under one descriptor table,
+    `descriptors`. Failures, when enabled, hit whole batches and re-roll per
+    attempt. Latency is the descriptors' model, which the simulator charges.
     """
 
     def __init__(self, store: DocumentStore, descriptors: dict[str, ExpertDescriptor] | None = None):

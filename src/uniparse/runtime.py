@@ -8,9 +8,9 @@ in pipe, one in par and seq) plus the outputs it returns. The host work moves
 no virtual clock: the layout stage charges layout_ms_per_page, whatever the
 layout took. Layout and planning read neither the mode, the worker count nor
 the descriptor table, so compare_modes and simulate_scaling plan each document
-once and keep only its DispatchPlan, which all their runs share. They return
-only metrics, so their runs assemble no document; with strict=True they raise
-from the recorded TaskFailures.
+once and keep only its DispatchPlan; all their runs share the plans and one
+MockBackend. They return only metrics, so their runs assemble no document;
+with strict=True they raise from the recorded TaskFailures.
 
 A virtual (discrete-event) clock drives one driver over the document stream.
 Every mode runs the same stage workers (preprocess, layout, dispatch, gather,
@@ -39,7 +39,7 @@ injection enabled, batching composition differs between modes, so tasks that
 exhaust retries can diverge; keep failure_rate at 0 when comparing outputs.
 
 Batch size, in every mode, is at most min(engine max_batch, the queue bound,
-the serving expert's max_batch in the descriptor table in force). No expert
+the serving expert's max_batch in the run's descriptor table). No expert
 error aborts a run: a fatal or protocol error, a response that does not
 answer the batch's tasks in request order, or a retryable error that exhausts
 max_retries, becomes one TaskFailure per task of the batch in every mode. It
@@ -59,7 +59,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .config import EngineConfig
 from .dispatch import Batch, DispatchPlan, TaskFailure, batch_stack
@@ -92,14 +92,6 @@ class PipelineConfig:
     experts: dict[str, ExpertDescriptor] | None = None
     seed: int = 0
     strict: bool = False
-    # (admitted-doc index, descriptor table): in every mode the table swaps in
-    # when the document with that index is admitted, before any of its work
-    # starts; it must keep the same modality set. In pipeline parallel, work of
-    # earlier documents may still be in flight: a batch already dispatched is
-    # served under the table it was dispatched with, and a batch formed but not
-    # yet dispatched is re-split to the new table's max_batch when dispatched,
-    # never recorded as failed.
-    descriptor_updates: tuple[tuple[int, dict[str, ExpertDescriptor]], ...] = ()
 
     def resolved_experts(self) -> dict[str, ExpertDescriptor]:
         if self.experts is not None:
@@ -222,8 +214,7 @@ class _DocJob:
     way its analyses, plan and outcomes go once it is done, leaving only
     the output and the ids of its failed tasks."""
 
-    def __init__(self, index: int, doc: DocumentIR, plan: DispatchPlan | None):
-        self.index = index
+    def __init__(self, doc: DocumentIR, plan: DispatchPlan | None):
         self.doc = doc
         self.analyses: list[PageAnalysis] | None = None
         self.plan = plan
@@ -306,11 +297,8 @@ class _Collector:
 
 
 class _ExpertPool:
-    """Shared worker pool with per-modality replica caps and retry logic.
-
-    Descriptors (replicas, latency, max_batch) are read from the backend's
-    table, which is the one in force after a hot swap.
-    """
+    """Shared worker pool with per-modality replica caps and retry logic; each
+    modality's replicas and latency come from the backend's descriptor table."""
 
     def __init__(self, sim, config: PipelineConfig, backend: MockBackend, collector: _Collector,
                  on_task_done: Callable, on_drain: Callable[[], None], workers: int):
@@ -322,19 +310,10 @@ class _ExpertPool:
         # invoked whenever a batch leaves the ready queue (backpressure relief)
         self.on_drain = on_drain
         self.idle = workers  # expert workers not serving a batch
-        self.in_flight: dict[str, int] = {m: 0 for m in backend.descriptors}
-        self.ready: dict[str, deque] = {m: deque() for m in backend.descriptors}
-        self.updates = deque(sorted(config.descriptor_updates, key=lambda update: update[0]))
-
-    @property
-    def descriptors(self) -> dict[str, ExpertDescriptor]:
-        return self.backend.descriptors
-
-    def swap(self, index: int) -> None:
-        """Put in force the descriptor_updates due at the document with this
-        admission index; call it before any of the document's work."""
-        while self.updates and self.updates[0][0] <= index:
-            self.backend.descriptors = self.updates.popleft()[1]
+        self.descriptors = backend.descriptors
+        self.replicas = {m: d.replicas for m, d in self.descriptors.items()}
+        self.in_flight: dict[str, int] = {m: 0 for m in self.descriptors}
+        self.ready: dict[str, deque] = {m: deque() for m in self.descriptors}
 
     def ready_tasks(self, modality: str) -> int:
         return sum(len(b.tasks) for b in self.ready.get(modality, ()))
@@ -346,34 +325,20 @@ class _ExpertPool:
     def kick(self) -> None:
         while self.idle:
             depths = {m: len(q) for m, q in self.ready.items()}
-            modality = balance(depths, {m: d.replicas for m, d in self.descriptors.items()},
-                               self.in_flight)
+            modality = balance(depths, self.replicas, self.in_flight)
             if modality is None:
                 return
             self.idle -= 1
-            batch = self._take(modality)
+            batch = self.ready[modality].popleft()
             self.in_flight[modality] += 1
             descriptor = self.descriptors[modality]
             task_ids = tuple(t.task_id for t in batch.tasks)
             latency = descriptor.latency.latency_ms(task_ids, batch.attempt)
             self.collector.charge_expert(modality, latency, len(batch.tasks))
-            # The expert in force at dispatch serves the batch, even if a
-            # descriptor swap lands before the batch completes.
             outcomes = call_batch(self.backend, batch, batch.attempt,
                                   self.config.engine.max_retries)
             self.sim.after(latency, lambda b=batch, o=outcomes: self._complete(b, o))
             self.on_drain()
-
-    def _take(self, modality: str) -> Batch:
-        """Pop the head batch, re-split to the expert's current max_batch: a
-        swap may have lowered the cap after the batch was formed."""
-        queue = self.ready[modality]
-        batch = queue.popleft()
-        cap = self.descriptors[modality].max_batch
-        if len(batch.tasks) <= cap:
-            return batch
-        queue.appendleft(dataclasses.replace(batch, tasks=batch.tasks[cap:]))
-        return dataclasses.replace(batch, tasks=batch.tasks[:cap])
 
     def _complete(self, batch: Batch, outcomes) -> None:
         self.idle += 1
@@ -400,7 +365,7 @@ def run_pipeline(
     docs: list[DocumentIR], config: PipelineConfig
 ) -> tuple[list[ParsedDocument], PipelineMetrics]:
     """Run the document stream under the configured mode and virtual clock."""
-    jobs, metrics = _simulate(docs, [None] * len(docs), config)
+    ((jobs, metrics),) = _simulate(docs, [None] * len(docs), [config])
     return [job.parsed for job in jobs], metrics
 
 
@@ -410,24 +375,26 @@ def _plan_docs(docs: list[DocumentIR], engine: EngineConfig) -> list[DispatchPla
 
 
 def _simulate(
-    docs: list[DocumentIR], plans: list[DispatchPlan | None], config: PipelineConfig
-) -> tuple[list[_DocJob], PipelineMetrics]:
-    """The event loop over the documents, one job each: a None plan is made
-    at admission and its document assembled, a given plan is only
-    scheduled."""
+    docs: list[DocumentIR], plans: list[DispatchPlan | None], configs: list[PipelineConfig]
+) -> Iterator[tuple[list[_DocJob], PipelineMetrics]]:
+    """The event loop over the documents once per config, one job each: a
+    None plan is made at admission and its document assembled, a given plan
+    is only scheduled. The configs differ at most in mode and worker count,
+    so one MockBackend serves every run."""
     # a task names its document by id, so one run cannot hold two alike
     if len({doc.doc_id for doc in docs}) != len(docs):
         raise ValueError("document ids must be unique within a run")
-    backend = MockBackend(DocumentStore(docs), config.resolved_experts())
-    jobs = [_DocJob(i, doc, plan) for i, (doc, plan) in enumerate(zip(docs, plans))]
-    metrics = _drive(jobs, config, backend)
-    for job in jobs:
-        if job.failed is None:
-            raise RuntimeError(f"document {job.doc.doc_id} never completed")
-    failed = [job for job in jobs if job.failed]
-    if config.strict and failed:
-        raise StrictModeFailure(failed[0].doc.doc_id, list(failed[0].failed))
-    return jobs, metrics
+    backend = MockBackend(DocumentStore(docs), configs[0].resolved_experts())
+    for config in configs:
+        jobs = [_DocJob(doc, plan) for doc, plan in zip(docs, plans)]
+        metrics = _drive(jobs, config, backend)
+        for job in jobs:
+            if job.failed is None:
+                raise RuntimeError(f"document {job.doc.doc_id} never completed")
+        failed = [job for job in jobs if job.failed]
+        if config.strict and failed:
+            raise StrictModeFailure(failed[0].doc.doc_id, list(failed[0].failed))
+        yield jobs, metrics
 
 
 class _StageWorker:
@@ -484,10 +451,10 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
     sim = _Sim()
     collector = _Collector(workers)
 
-    max_batch = engine.max_batch if queue_bound is None else min(engine.max_batch, queue_bound)
+    cap = engine.max_batch if queue_bound is None else min(engine.max_batch, queue_bound)
+    batch_size = {m: min(cap, d.max_batch) for m, d in backend.descriptors.items()}
     jobs_by_doc: dict[str, _DocJob] = {}  # the documents in flight
     admission = deque(jobs)
-    state = {"in_flight": 0}
 
     # per modality, FIFO of (task, enqueued_at)
     task_queues: dict[str, deque] = {m: deque() for m in backend.descriptors}
@@ -508,7 +475,7 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
 
     def try_form(modality: str) -> None:
         queue = task_queues[modality]
-        size = min(max_batch, pool.descriptors[modality].max_batch)
+        size = batch_size[modality]
         due = batch_stack(queue, sim.now, size, max_wait_ms)
         if due:
             for batch in form_batches([queue.popleft()[0] for _ in range(due)], size):
@@ -536,14 +503,12 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
     # --- stage workers ------------------------------------------------------
 
     def admit_next() -> None:
-        if not admission or state["in_flight"] >= docs_in_flight:
+        if not admission or len(jobs_by_doc) >= docs_in_flight:
             return
         job = admission.popleft()
-        pool.swap(job.index)
         if job.plan is None:
             job.analyses, job.plan = analyze_and_plan(job.doc, engine)
         jobs_by_doc[job.doc.doc_id] = job
-        state["in_flight"] += 1
         ingest(job)
 
     class _Dispatcher:
@@ -631,7 +596,6 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
         job.analyses = job.plan = job.outcomes = None
         del jobs_by_doc[job.doc.doc_id]
         collector.doc_latency[job.doc.doc_id] = sim.now
-        state["in_flight"] -= 1
         admit_next()
 
     finish_doc = _chain(sim, collector, (
@@ -694,15 +658,12 @@ def simulate_scaling(
     """Same seeded workload under each worker count, with a least-squares fit."""
     if not worker_counts or sorted(worker_counts) != list(worker_counts):
         raise ValueError("worker_counts must be nonempty and ascending")
-    plans = _plan_docs(docs, config.engine)
-    points = []
-    for n in worker_counts:
-        cfg = dataclasses.replace(config, engine=config.engine.copy(workers=n))
-        _jobs, metrics = _simulate(docs, plans, cfg)
-        points.append(ScalingPoint(workers=n, throughput_pps=metrics.throughput_pps))
-    xs = [p.workers for p in points]
-    ys = [p.throughput_pps for p in points]
-    slope, intercept, r2 = _least_squares(xs, ys)
+    configs = [dataclasses.replace(config, engine=config.engine.copy(workers=n))
+               for n in worker_counts]
+    runs = _simulate(docs, _plan_docs(docs, config.engine), configs)
+    points = [ScalingPoint(workers=n, throughput_pps=metrics.throughput_pps)
+              for n, (_jobs, metrics) in zip(worker_counts, runs)]
+    slope, intercept, r2 = _least_squares(worker_counts, [p.throughput_pps for p in points])
     base = points[0]
     top = points[-1]
     efficiency = (top.throughput_pps / base.throughput_pps) / (top.workers / base.workers)
@@ -740,11 +701,8 @@ def bubble_report(metrics: PipelineMetrics) -> dict:
 
 
 def compare_modes(docs: list[DocumentIR], config: PipelineConfig) -> dict:
-    """The three-way mode comparison on one workload."""
-    plans = _plan_docs(docs, config.engine)
-    rows = []
-    for mode in (Mode.SEQUENTIAL, Mode.PARALLEL_GATHER, Mode.PIPELINE_PARALLEL):
-        _jobs, metrics = _simulate(docs, plans, dataclasses.replace(config, mode=mode))
-        rows.append(bubble_report(metrics))
-    return {"workload_docs": len(docs), "modes": rows}
+    """The three-way mode comparison on one workload: seq, par, pipe."""
+    configs = [dataclasses.replace(config, mode=mode) for mode in Mode]
+    runs = _simulate(docs, _plan_docs(docs, config.engine), configs)
+    return {"workload_docs": len(docs), "modes": [bubble_report(m) for _jobs, m in runs]}
 

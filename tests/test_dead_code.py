@@ -4,8 +4,9 @@ An AST scan of every module fails on an unused import; on a module-level
 function, class or assigned name (a constant) that no package module names
 or imports and that `uniparse.__all__` does not export; and on a non-dunder
 method or property of a package class whose name no package module reads,
-as an attribute or a name. Test helpers and oracles belong in tests/; a name
-kept for a caller outside the package goes in ALLOWED with the reason.
+as an attribute or a name, outside the method's own body. Test helpers and
+oracles belong in tests/; a name kept for a caller outside the package goes
+in ALLOWED with the reason.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "dispatch.PLACEHOLDER_PREFIX": "benchmark's placeholder-leak check, perfbench/checks.py",
     "docmodel.document_bytes": "benchmark self-test comparing IR bytes, perfbench/test_bench.py",
+    "formats.ParsedDocument.iter_items": "benchmark's consolidate.merges counter, perfbench/run.py",
     "layout.LayoutTree.detection_count": "benchmark's layout.detections counter, perfbench/run.py",
     "server._Handler.do_POST": "http.server calls it for each POST",
     "server._Handler.log_message": "http.server calls it to log each request",
@@ -40,10 +42,11 @@ def _loads(tree: ast.AST) -> set[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
-def _reads(tree: ast.AST) -> set[str]:
-    """Names the code under tree reads, as a name or as an attribute."""
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+def _reads(tree: ast.AST) -> Counter:
+    """How often the code under tree reads each name, as a name or as an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -103,8 +106,9 @@ def dead_code(sources: dict[str, str]) -> list[str]:
                         or readers[name] > (name in _loads(node))):
                     continue
                 findings.append(f"{mod}: {name} is never used")
-    # a method or property lives while any module reads its name
-    reads = set().union(*map(_reads, trees.values()))
+    # a method or property lives while a module reads its name outside the
+    # method's own body
+    reads = sum(map(_reads, trees.values()), Counter())
     for mod, tree in trees.items():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
@@ -113,7 +117,7 @@ def dead_code(sources: dict[str, str]) -> list[str]:
                 if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (node.name.startswith("__") and node.name.endswith("__"))
                         and f"{mod}.{cls.name}.{node.name}" not in ALLOWED
-                        and node.name not in reads):
+                        and reads[node.name] <= _reads(node)[node.name]):
                     findings.append(f"{mod}: {cls.name}.{node.name} is never used")
     return sorted(findings)
 
@@ -165,8 +169,11 @@ def test_guard_reports_a_planted_unread_method_and_property():
             "    def read_method(self):\n        return self.read_property\n\n"
             "    @property\n    def read_property(self):\n        return 1\n\n"
             "    @property\n    def unread_property(self):\n        return 2\n\n"
-            "    def unread_method(self):\n        return 3\n"
+            "    def unread_method(self):\n        return 3\n\n"
+            "    def self_read_method(self, n):\n"
+            "        return self.self_read_method(n - 1) if n else 0\n"
         ),
     }
-    assert dead_code(sources) == ["a: Live.unread_method is never used",
+    assert dead_code(sources) == ["a: Live.self_read_method is never used",
+                                  "a: Live.unread_method is never used",
                                   "a: Live.unread_property is never used"]

@@ -409,54 +409,6 @@ def test_contract_breaking_response_fails_its_batch(monkeypatch, fault, path):
     assert parsed.failed_tasks == tuple(sorted(f"a/{d.id}" for d in doc.pages[0].detections))
 
 
-def small_batch_table():
-    table = ocr_experts(base=30.0, per_item=4.0)
-    table["ocr"] = ExpertDescriptor("ocr", max_batch=2, latency=LatencyModel(30.0, 4.0))
-    return table
-
-
-def test_compare_modes_and_scaling_keep_descriptor_updates():
-    # a swap at the first document is the same as starting with that table,
-    # in every mode and at every worker count
-    docs = [ocr_only_doc("a", 9), ocr_only_doc("b", 5)]
-    swapped = PipelineConfig(engine=bare_engine(), experts=ocr_experts(),
-                             descriptor_updates=((0, small_batch_table()),))
-    direct = PipelineConfig(engine=bare_engine(), experts=small_batch_table())
-    assert compare_modes(docs, swapped) == compare_modes(docs, direct)
-    assert compare_modes(docs, swapped) != compare_modes(
-        docs, PipelineConfig(engine=bare_engine(), experts=ocr_experts()))
-    assert (simulate_scaling(docs, [1, 2], swapped).to_report()
-            == simulate_scaling(docs, [1, 2], direct).to_report())
-
-
-def test_swap_lowering_cap_resplits_formed_batches(monkeypatch):
-    # doc "b"'s batches of 4 wait behind one slow worker; admitting doc "c"
-    # swaps in a table with max_batch 2, so they are re-split, not failed
-    docs = [ocr_only_doc("a", 4), ocr_only_doc("b", 16), ocr_only_doc("c", 2)]
-    engine = bare_engine(workers=1, max_in_flight_docs=2, max_batch=8)
-    sizes = []
-    real_process = MockBackend.process
-
-    def recording(self, modality, batch, attempt=0):
-        sizes.append((len(batch), self.descriptors[modality].max_batch))
-        return real_process(self, modality, batch, attempt)
-
-    monkeypatch.setattr(MockBackend, "process", recording)
-    swapped = PipelineConfig(mode=Mode.PIPELINE_PARALLEL, engine=engine,
-                             experts=ocr_experts(replicas=1),
-                             descriptor_updates=((2, small_batch_table()),))
-    outs, metrics = run_pipeline(docs, swapped)
-    assert metrics.tasks_failed == 0
-    assert metrics.tasks_dispatched == metrics.tasks_completed == 22
-    assert all(size <= cap for size, cap in sizes)
-    # the swap found formed batches of 4 still waiting: some were split
-    assert (4, 4) in sizes and (2, 2) in sizes
-    assert len(sizes) > 22 // 4 + 1
-    plain = PipelineConfig(mode=Mode.PIPELINE_PARALLEL, engine=engine, experts=ocr_experts())
-    plain_outs, _m = run_pipeline(docs, plain)
-    assert [to_structured(p) for p in outs] == [to_structured(p) for p in plain_outs]
-
-
 def test_no_task_loss_with_failures_and_retries():
     spec = CorpusSpec(seed=4, n_docs=8, pages_min=1, pages_max=2)
     docs, _ = gen_corpus(spec)
@@ -663,10 +615,13 @@ def test_scaling_consistent_with_single_run():
     assert report.points[0].throughput_pps == pytest.approx(metrics.throughput_pps)
 
 
-@pytest.mark.parametrize("sweep", [
+SWEEPS = pytest.mark.parametrize("sweep", [
     lambda docs, config: compare_modes(docs, config),
     lambda docs, config: simulate_scaling(docs, [1, 2, 4], config),
 ], ids=["compare_modes", "simulate_scaling"])
+
+
+@SWEEPS
 def test_sweeps_lay_out_each_document_once(monkeypatch, sweep):
     docs, _ = gen_corpus(CorpusSpec(seed=5, n_docs=6, pages_min=1, pages_max=2))
     calls = Counter()
@@ -682,12 +637,29 @@ def test_sweeps_lay_out_each_document_once(monkeypatch, sweep):
     assert calls == Counter(d.doc_id for d in docs)
 
 
-@pytest.mark.parametrize("swap", [False, True])
-def test_sweeps_match_separate_runs(swap):
+@SWEEPS
+def test_a_sweep_builds_one_document_store(monkeypatch, sweep):
+    # every run of a sweep is served by one MockBackend over one store
+    docs, _ = gen_corpus(CorpusSpec(seed=5, n_docs=6, pages_min=1, pages_max=2))
+    built = []
+
+    class CountingStore(DocumentStore):
+        def __init__(self, docs=None):
+            built.append(docs)
+            super().__init__(docs)
+
+    monkeypatch.setattr(runtime, "DocumentStore", CountingStore)
+    sweep(docs, PipelineConfig(engine=EngineConfig(), seed=0))
+    assert built == [docs]
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_sweeps_match_separate_runs(capped):
+    # a sweep's runs share one backend, under the config's own table
     docs, _ = gen_corpus(CorpusSpec(seed=7, n_docs=8, pages_min=1, pages_max=3))
-    updates = ((3, default_descriptors(max_batch=3, replicas=1, seed=2)),) if swap else ()
-    config = PipelineConfig(engine=EngineConfig(), experts=default_descriptors(seed=2), seed=2,
-                            descriptor_updates=updates)
+    table = {"max_batch": 3, "replicas": 1} if capped else {}
+    config = PipelineConfig(engine=EngineConfig(), experts=default_descriptors(seed=2, **table),
+                            seed=2)
     rows = [bubble_report(run_pipeline(docs, dataclasses.replace(config, mode=mode))[1])
             for mode in (Mode.SEQUENTIAL, Mode.PARALLEL_GATHER, Mode.PIPELINE_PARALLEL)]
     assert compare_modes(docs, config) == {"workload_docs": len(docs), "modes": rows}
@@ -763,33 +735,3 @@ def _floats(value):
     elif isinstance(value, (dict, list)):
         for item in value.values() if isinstance(value, dict) else value:
             yield from _floats(item)
-
-
-def test_descriptor_hot_swap_between_documents():
-    docs = [ocr_only_doc(f"d{i}", 4) for i in range(4)]
-    slow = ocr_experts(base=100.0, per_item=10.0)
-    fast = ocr_experts(base=1.0, per_item=0.5)
-    swapped = PipelineConfig(
-        mode=Mode.PIPELINE_PARALLEL, engine=bare_engine(max_in_flight_docs=1),
-        experts=slow, descriptor_updates=((2, fast),),
-    )
-    _outs, m_swapped = run_pipeline(docs, swapped)
-    _outs2, m_slow = run_pipeline(
-        docs, PipelineConfig(mode=Mode.PIPELINE_PARALLEL,
-                             engine=bare_engine(max_in_flight_docs=1), experts=slow)
-    )
-    assert m_swapped.wall_ms < m_slow.wall_ms
-
-
-@pytest.mark.parametrize("mode", [Mode.SEQUENTIAL, Mode.PARALLEL_GATHER])
-def test_descriptor_updates_sharing_an_index_apply_in_order(mode):
-    # both updates are due at doc "b"; the later one, which misroutes ocr,
-    # is the one in force
-    docs = [ocr_only_doc("a", 4), ocr_only_doc("b", 4)]
-    config = PipelineConfig(mode=mode, engine=bare_engine(), experts=ocr_experts(),
-                            descriptor_updates=((1, ocr_experts(base=5.0)),
-                                                (1, wrong_expert_table())))
-    outs, metrics = run_pipeline(docs, config)
-    assert outs[0].failed_tasks == ()
-    assert len(outs[1].failed_tasks) == 4
-    assert metrics.tasks_dispatched == metrics.tasks_completed + metrics.tasks_failed == 8

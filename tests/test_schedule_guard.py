@@ -3,10 +3,9 @@
 A runtime refactor that claims to keep every schedule must leave these
 digests alone. A change that moves the schedule on purpose updates them and
 says why. The workload injects retryable failures, some of which exhaust
-their retries, swaps in a descriptor table with a lower cap and one replica
-while earlier documents are still in flight (so pipeline batches formed
-before the swap are re-split), and keeps the pipeline's queues tight enough
-for backpressure.
+their retries, and keeps the pipeline's queues tight enough for
+backpressure. Every mode runs it under two descriptor tables: the default
+one, and a capped one (max_batch 3, one replica per expert).
 """
 
 from __future__ import annotations
@@ -28,17 +27,24 @@ from uniparse.runtime import (
 )
 
 SEED = 11
+TABLES = {"default": {}, "capped": {"max_batch": 3, "replicas": 1}}
 
-# sha256 of the canonical JSON of [to_report(), doc_latency_ms] per mode, and
-# of the scaling report. Recorded before the held dispatch path was folded
-# into the streamed one, which kept every one of them. The seq digest was
-# re-recorded when seq reports began to count the one expert worker seq runs
-# (workers 1, and an expert bubble without three never-used workers); its
-# schedule did not move.
+# sha256 of the canonical JSON of [to_report(), doc_latency_ms] per table and
+# mode, and of the scaling report. The table digests were recorded before the
+# runtime's mid-run table replacement was deleted, which kept them. The
+# scaling digest was recorded before the held dispatch path was folded into
+# the streamed one, which kept it.
 REPORT_DIGESTS = {
-    Mode.SEQUENTIAL: "0c7324a1f5d51112bf5da9623af2697b4bd80e3a8782c5e79f92853e3b67f48d",
-    Mode.PARALLEL_GATHER: "b9ba8e458f1e5b88e9ec48953a5f706c064b80b83ff14726f070d80b1846d96a",
-    Mode.PIPELINE_PARALLEL: "feea94759b1650aad74140cecdbc549ef0a529fe340906b77324f7c1d692f72c",
+    "default": {
+        Mode.SEQUENTIAL: "c699474e8e8921d8e13b8fd0e1730993e01074a930e59e74395d76bec82691ee",
+        Mode.PARALLEL_GATHER: "e3ab8d3139fca5f5b331b75ebe758137faa5d0b7557f8348247d0e3f3f4be15a",
+        Mode.PIPELINE_PARALLEL: "e0f79da4ebf032e0a10cc5cd9fffd42567f512a657219929c53f7ef6476447ae",
+    },
+    "capped": {
+        Mode.SEQUENTIAL: "47f5e945e44c5609547b81a250471de4b37f333158bae312410c5b17bbf36cc5",
+        Mode.PARALLEL_GATHER: "9993c33571233e3c14fcbb1be73d1156735a344bbddb1ceddbc0f53f6cb4337c",
+        Mode.PIPELINE_PARALLEL: "ce09569c0099bd589ebfae2364ebda46e555cd8d5abdc5d04053686a24bd632f",
+    },
 }
 SCALING_DIGEST = "dbd87629960ee71ee53b0a7e176ed2133ff7d4594da9e3ae62c1685973fb039d"
 
@@ -52,23 +58,29 @@ def docs():
     return gen_corpus(CorpusSpec(seed=SEED, n_docs=6, pages_min=1, pages_max=3))[0]
 
 
-def guard_config(mode: Mode) -> PipelineConfig:
-    table = default_descriptors(seed=SEED, failure_rate=0.15)
-    swapped = default_descriptors(max_batch=3, replicas=1, seed=SEED, failure_rate=0.15)
+def guard_config(mode: Mode, table: str) -> PipelineConfig:
     return PipelineConfig(
         mode=mode,
         engine=EngineConfig(queue_capacity=6, max_in_flight_docs=3, max_retries=2),
-        experts=table,
+        experts=default_descriptors(seed=SEED, failure_rate=0.15, **TABLES[table]),
         seed=SEED,
-        descriptor_updates=((4, swapped),),
     )
+
+
+def assert_pinned(docs, mode: Mode, table: str) -> None:
+    _outputs, metrics = run_pipeline(docs, guard_config(mode, table))
+    assert metrics.retries > 0 and metrics.tasks_failed > 0
+    assert digest([metrics.to_report(), metrics.doc_latency_ms]) == REPORT_DIGESTS[table][mode]
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
 def test_report_and_latencies_are_pinned(docs, mode):
-    _outputs, metrics = run_pipeline(docs, guard_config(mode))
-    assert metrics.retries > 0 and metrics.tasks_failed > 0
-    assert digest([metrics.to_report(), metrics.doc_latency_ms]) == REPORT_DIGESTS[mode]
+    assert_pinned(docs, mode, "default")
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+def test_capped_table_report_and_latencies_are_pinned(docs, mode):
+    assert_pinned(docs, mode, "capped")
 
 
 def test_scaling_sweep_is_pinned(docs):
