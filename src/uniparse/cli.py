@@ -4,6 +4,11 @@ serve-echo.
 Exit codes: 0 success, 1 operational error, 2 strict-mode failures,
 64 usage errors. All randomness flows from --seed (gen-corpus, simulate,
 bench); parse is deterministic.
+
+parse goes on past an input that fails, to the last one. An input that fails
+to load is reported on stderr with its path; one that fails in strict mode
+is reported and gives 2. When both happen, 1 wins: it says that some input
+was not parsed at all.
 """
 
 from __future__ import annotations
@@ -161,7 +166,13 @@ def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
                   remote: RemoteBackend | None) -> int:
     exit_code = 0
     for input_path in args.inputs:
-        doc = load_document(input_path)
+        try:
+            doc = load_document(input_path)
+        except (OSError, SchemaViolation, ValueError) as exc:
+            reason = "no such file" if isinstance(exc, FileNotFoundError) else exc
+            print(f"uniparse: error: {input_path}: {reason}", file=sys.stderr)
+            exit_code = 1
+            continue
         if args.emit == "layout":
             payload = canonical_json(
                 {"doc_id": doc.doc_id,
@@ -189,7 +200,7 @@ def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
             )
         except StrictModeFailure as exc:
             print(f"strict mode: {exc}", file=sys.stderr)
-            exit_code = 2
+            exit_code = exit_code or 2
             continue
         parsed = result.parsed
         if args.fmt == "structured":

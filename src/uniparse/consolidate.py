@@ -4,8 +4,9 @@ linkage across page boundaries, and section-hierarchy integration.
 All continuity rules are lexical and geometric; there is no language model in
 the loop. The punctuation set and CJK join behavior come from EngineConfig.
 
-`frozen` marks objects shared beyond the parse that built them; Partner and
-FlowItem are not, so they are slotted and mutable.
+`frozen` marks objects shared beyond the parse that built them, such as the
+IR and the payloads, and those are slotted too; Partner and FlowItem are not
+shared, so they are slotted and mutable.
 """
 
 from __future__ import annotations

@@ -210,7 +210,7 @@ def batch_stack(queue: deque, now: float, max_batch: int, max_wait_ms: float) ->
     return full
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskFailure:
     task_id: str
     modality: str

@@ -127,7 +127,7 @@ class DuplicateId(SchemaViolation):
         super().__init__("detections.id", f"duplicate id {detection_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in normalized page coordinates, origin top-left."""
 
@@ -198,7 +198,7 @@ def hull_of(boxes) -> BoundingBox:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     id: str
     page_index: int
@@ -210,14 +210,14 @@ class Detection:
     truth_payload: ContentPayload | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutlineEntry:
     level: int
     title: str
     page_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageIR:
     page_index: int
     width_pt: float
@@ -225,7 +225,7 @@ class PageIR:
     detections: tuple[Detection, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocumentIR:
     doc_id: str
     pages: tuple[PageIR, ...] = ()

@@ -18,8 +18,8 @@ writes in place of the detection's inline markers. A request thus carries
 everything the expert needs; the expert keeps no plan of its own.
 
 `frozen` marks objects shared beyond the parse that built them, such as a
-descriptor and its latency model; Task and ExpertResponse are not, so they
-are slotted and mutable.
+descriptor and its latency model, and those are slotted too; Task and
+ExpertResponse are not shared, so they are slotted and mutable.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class ProtocolError(ExpertError):
         super().__init__(f"unexpected response (status {status}): {body[:200]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencyModel:
     base_ms: float = 10.0
     per_item_ms: float = 2.0
@@ -87,7 +87,7 @@ class LatencyModel:
         return latency
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpertDescriptor:
     modality: str
     max_batch: int = 16
@@ -184,6 +184,10 @@ class MockBackend:
     fixed transform of its ground-truth text), under one descriptor table,
     `descriptors`. Failures, when enabled, hit whole batches and re-roll per
     attempt. Latency is the descriptors' model, which the simulator charges.
+    A ground-truth payload is answered as it is, not copied: for formula,
+    SMILES, reaction and chart, and for a table grid when its task has no
+    placeholders, no run of its cells holds an inline marker and its cells
+    are in (row, col) order. Any other grid is answered re-sorted and rebuilt.
     """
 
     def __init__(self, store: DocumentStore, descriptors: dict[str, ExpertDescriptor] | None = None):
@@ -282,8 +286,12 @@ def _substitute_grid_markers(grid: TableGrid, placeholders: tuple[str, ...]) -> 
     """Markers inside cells map to tokens in row-major cell scan order.
 
     Extra tokens are appended to the last cell's last run, as
-    substitute_markers appends them to text.
+    substitute_markers appends them to text. A grid with no tokens to place,
+    no marker in any run and its cells already in (row, col) order is
+    answered as it is: rebuilding it would give an equal grid.
     """
+    if not placeholders and _unmarked_in_order(grid.cells):
+        return grid
     remaining = list(placeholders)
     new_cells = []
     for cell in sorted(grid.cells, key=lambda c: (c.row, c.col)):
@@ -295,6 +303,15 @@ def _substitute_grid_markers(grid: TableGrid, placeholders: tuple[str, ...]) -> 
         content = (*head, _append_tokens(tail, remaining))
         new_cells[-1] = Cell(last.row, last.col, last.row_span, last.col_span, content)
     return TableGrid(rows=grid.rows, cols=grid.cols, cells=tuple(new_cells))
+
+
+def _unmarked_in_order(cells: tuple[Cell, ...]) -> bool:
+    """True when no run of any cell holds an inline marker and the cells
+    are in (row, col) order."""
+    if INLINE_MARKER in "".join([run for c in cells for run in c.content]):
+        return False
+    keys = [(c.row, c.col) for c in cells]
+    return keys == sorted(keys)
 
 
 def _append_tokens(text: str, tokens: list[str]) -> str:

@@ -124,7 +124,8 @@ class _Templates(NamedTuple):
     """The fixed shapes of the dump, for an object opening on one line."""
 
     section: str
-    item: str
+    item: str  # the box written by %r, as float_str writes a finite number
+    item_written_box: str  # the box already written by float_str
     scalar: str  # a Text, Latex, ESmiles or Caption payload
     grid: str
     chart: str
@@ -137,11 +138,13 @@ class _Templates(NamedTuple):
 def _templates(nl: str) -> _Templates:
     """The templates for an object opening on the line `nl`."""
     i, j = nl + "  ", nl + "    "
+    item = (f'{{{i}"box": [{j}%r,{j}%r,{j}%r,{j}%r{i}],{i}"category": %s,'
+            f'{i}"group_hint": %s,{i}"id": %s,{i}"page_index": %s,{i}"partners": %s,'
+            f'{i}"payload": %s,{i}"provenance": {{{j}"merged_ids": %s,{j}"pages": %s{i}}}{nl}}}')
     return _Templates(
         section=f'{{{i}"body": %s,{i}"children": %s,{i}"level": %s,{i}"title": %s{nl}}}',
-        item=f'{{{i}"box": [{j}%s,{j}%s,{j}%s,{j}%s{i}],{i}"category": %s,'
-             f'{i}"group_hint": %s,{i}"id": %s,{i}"page_index": %s,{i}"partners": %s,'
-             f'{i}"payload": %s,{i}"provenance": {{{j}"merged_ids": %s,{j}"pages": %s{i}}}{nl}}}',
+        item=item,
+        item_written_box=item.replace("%r", "%s"),
         scalar=f'{{{i}"kind": %s,{i}"value": %s{nl}}}',
         grid=f'{{{i}"cells": %s,{i}"cols": %s,{i}"kind": {_str(TableGrid.kind)},'
              f'{i}"rows": %s{nl}}}',
@@ -157,31 +160,41 @@ def _templates(nl: str) -> _Templates:
 
 def _section_json(section: SectionNode, nl: str) -> str:
     i, member = nl + "  ", nl + "    "
-    item_t = _templates(member).item
-    body = [_item_json(item, item_t, member) for item in section.body]
+    item_templates = _templates(member)
+    body = [_item_json(item, item_templates, member) for item in section.body]
     children = [_section_json(child, member) for child in section.children]
     return _templates(nl).section % (_list(body, i), _list(children, i), _int(section.level),
                                      _str(section.title))
 
 
-def _item_json(item: FlowItem, item_t: str, nl: str) -> str:
-    i, j = nl + "  ", nl + "    "
+def _item_json(item: FlowItem, templates: _Templates, nl: str) -> str:
+    i, j, k = nl + "  ", nl + "    ", nl + "      "
     box, hint, payload = item.box, item.group_hint, item.payload
+    x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
+    # x - x is 0 for a finite number, and NaN for NaN and the infinities; it
+    # does not overflow on an int beyond float range, as a product with 0.0
+    # would.
+    if x0 - x0 == y0 - y0 == x1 - x1 == y1 - y1 == 0:
+        item_t = templates.item
+    else:
+        item_t = templates.item_written_box
+        x0, y0, x1, y1 = float_str(x0), float_str(y0), float_str(x1), float_str(y1)
     payload = "null" if payload is None else _payload_json(payload, i)
     partners = item.partners
     if partners:
-        partner_t, k = _templates(j).partner, j + "  "
+        partner_t = _templates(j).partner
         partners = _list([partner_t % (
             _CATEGORY_JSON[p.category], _str(p.detection_id),
             "null" if p.payload is None else _payload_json(p.payload, k),
             _RELATION_JSON[p.relation]) for p in partners], i)
     else:
         partners = "[]"
+    pages = item.pages
+    pages = f"[{k}{_int(pages[0])}{j}]" if len(pages) == 1 else _array(pages, j, _int)
     return item_t % (
-        float_str(box.x0), float_str(box.y0), float_str(box.x1), float_str(box.y1),
-        _CATEGORY_JSON[item.category], "null" if hint is None else _str(hint),
+        x0, y0, x1, y1, _CATEGORY_JSON[item.category], "null" if hint is None else _str(hint),
         _str(item.item_id), _int(item.page_index), partners, payload,
-        _array(item.merged_ids, j), _array(item.pages, j, _int))
+        _array(item.merged_ids, j), pages)
 
 
 def _payload_json(payload, nl: str) -> str:
@@ -205,10 +218,12 @@ def _payload_json(payload, nl: str) -> str:
 
 def _cells_json(cells, nl: str) -> str:
     """A grid's cells, a list opening on the line `nl`."""
-    i, j = nl + "  ", nl + "    "
+    i, j, k = nl + "  ", nl + "    ", nl + "      "
     cell_t = _templates(i).cell
-    return _list([cell_t % (_int(c.col), _int(c.col_span), _array(c.content, j), _int(c.row),
-                            _int(c.row_span)) for c in cells], nl)
+    return _list([cell_t % (
+        _int(c.col), _int(c.col_span),
+        f"[{k}{_str(c.content[0])}{j}]" if len(c.content) == 1 else _array(c.content, j),
+        _int(c.row), _int(c.row_span)) for c in cells], nl)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +363,12 @@ def _escape_html(text: str) -> str:
     return "".join(out)
 
 
+def _escape_attribute(text: str) -> str:
+    """Escape text for a double-quoted attribute value: no span is raw."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;"))
+
+
 def to_html(doc: ParsedDocument) -> str:
     lines = [
         "<!DOCTYPE html>",
@@ -426,8 +447,8 @@ def _figure_html(item: FlowItem) -> str:
     elif isinstance(item.payload, ChartTable):
         inner.append(render_grid_html(item.payload.grid))
     else:
-        alt = _escape_html(payload_text(item.payload)) if item.payload is not None else ""
-        inner.append(f'<img src="{item.item_id}" alt="{alt}"/>')
+        alt = _escape_attribute(payload_text(item.payload))
+        inner.append(f'<img src="{_escape_attribute(item.item_id)}" alt="{alt}"/>')
     caption_parts = []
     for relation in (
         RelationKind.CAPTION,

@@ -1,8 +1,9 @@
 """Per-page reading order: group clustering, XY whitespace cuts,
 and a gap/alignment fallback for regions the cuts cannot separate.
 
-`frozen` marks objects shared beyond the parse that built them; order units
-and cut-tree nodes are not, so they are slotted and mutable.
+`frozen` marks objects shared beyond the parse that built them, such as the
+IR's boxes, and those are slotted too; order units and cut-tree nodes are
+not shared, so they are slotted and mutable.
 """
 
 from __future__ import annotations

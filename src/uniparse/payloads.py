@@ -8,6 +8,7 @@ part of the public contract and must not change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import ClassVar, Union
 
 # Anchors the position of an inline element (formula, molecule, chart, ...)
@@ -16,19 +17,19 @@ from typing import ClassVar, Union
 INLINE_MARKER = "￼"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Text:
     value: str
     kind: ClassVar[str] = "text"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Latex:
     value: str
     kind: ClassVar[str] = "latex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ESmiles:
     """Extended-SMILES string. Treated as an opaque, non-empty token."""
 
@@ -36,13 +37,13 @@ class ESmiles:
     kind: ClassVar[str] = "e_smiles"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Caption:
     value: str
     kind: ClassVar[str] = "caption"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One table cell. Spans are in grid units and must tile the grid."""
 
@@ -57,7 +58,7 @@ class Cell:
         return "".join(self.content)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableGrid:
     rows: int
     cols: int
@@ -97,7 +98,7 @@ class TableGrid:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reaction:
     reactants: tuple[str, ...]
     conditions: tuple[str, ...] = ()
@@ -105,7 +106,7 @@ class Reaction:
     kind: ClassVar[str] = "reaction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChartTable:
     grid: TableGrid
     kind: ClassVar[str] = "chart_table"
@@ -255,12 +256,9 @@ def render_grid_html(grid: TableGrid, inline: bool = False) -> str:
     sep = "" if inline else "\n"
     pad = "" if inline else "  "
     out = ["<table>"]
-    cells_by_row: dict[int, list[Cell]] = {}
-    for c in grid.cells:
-        cells_by_row.setdefault(c.row, []).append(c)
-    for row in range(grid.rows):
+    for cells in _grid_rows(grid):
         parts = [f"{pad}<tr>"]
-        for c in sorted(cells_by_row.get(row, ()), key=lambda c: c.col):
+        for c in cells:
             attrs = ""
             if c.row_span != 1:
                 attrs += f' rowspan="{c.row_span}"'
@@ -271,6 +269,27 @@ def render_grid_html(grid: TableGrid, inline: bool = False) -> str:
         out.append(sep.join(parts) if inline else "\n".join(parts))
     out.append("</table>")
     return sep.join(out) if inline else "\n".join(out)
+
+
+def _grid_rows(grid: TableGrid) -> list[list[Cell]]:
+    """The grid's cells row by row, rows 0 to rows - 1, each row in column
+    order. Cells outside 0 <= row < rows are dropped, and cells at one
+    position keep their order. The cells are bucketed in one pass; the rows
+    are sorted only when some row's cells came out of order."""
+    n = grid.rows
+    rows: list[list[Cell]] = [[] for _ in range(n)]
+    in_order = True
+    for c in grid.cells:
+        r = c.row
+        if 0 <= r < n:
+            row = rows[r]
+            if row and row[-1].col > c.col:
+                in_order = False
+            row.append(c)
+    if not in_order:
+        for row in rows:
+            row.sort(key=attrgetter("col"))
+    return rows
 
 
 def payload_text(payload: ContentPayload | None) -> str:
@@ -284,12 +303,5 @@ def payload_text(payload: ContentPayload | None) -> str:
     if isinstance(payload, ChartTable):
         return payload_text(payload.grid)
     if isinstance(payload, TableGrid):
-        rows: dict[int, list[Cell]] = {}
-        for c in payload.cells:
-            rows.setdefault(c.row, []).append(c)
-        lines = []
-        for r in range(payload.rows):
-            cells = sorted(rows.get(r, ()), key=lambda c: c.col)
-            lines.append(" ".join(c.text() for c in cells))
-        return "\n".join(lines)
+        return "\n".join(" ".join(c.text() for c in cells) for cells in _grid_rows(payload))
     raise TypeError(f"not a payload: {payload!r}")

@@ -45,8 +45,46 @@ def test_usage_error_exits_64(capsys):
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
-    assert main(["parse", str(tmp_path / "missing.ir.json")]) == 1
-    assert "error" in capsys.readouterr().err
+    missing = tmp_path / "missing.ir.json"
+    assert main(["parse", str(missing)]) == 1
+    assert capsys.readouterr().err == f"uniparse: error: {missing}: no such file\n"
+
+
+def _bad_middle_input(corpus_dir: Path) -> list[str]:
+    """d000, an IR file of the wrong version, d002."""
+    bad = corpus_dir / "bad.ir.json"
+    bad.write_text('{"version": "0"}', encoding="utf-8")
+    return [str(corpus_dir / "d000.ir.json"), str(bad), str(corpus_dir / "d002.ir.json")]
+
+
+def test_parse_goes_on_past_an_input_that_fails_to_load(corpus_dir, tmp_path, capsys):
+    inputs = _bad_middle_input(corpus_dir)
+    assert main(["parse", *inputs, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{inputs[1]}: version" in err
+    assert sorted(_files(tmp_path / "out")) == ["d000.structured.json", "d002.structured.json"]
+
+
+def test_parse_load_failure_wins_over_a_strict_failure(corpus_dir, tmp_path, monkeypatch,
+                                                       capsys):
+    import uniparse.cli
+    from uniparse.experts import FatalExpertError, MockBackend
+
+    class FailingD000(MockBackend):
+        def process(self, modality, batch, attempt=0):
+            if any(task.doc_id == "d000" for task in batch):
+                raise FatalExpertError("injected")
+            return MockBackend.process(self, modality, batch, attempt)
+
+    monkeypatch.setattr(uniparse.cli, "MockBackend", FailingD000)
+    inputs = _bad_middle_input(corpus_dir)
+    assert main(["parse", inputs[0], inputs[2], "--strict", "--out", str(tmp_path / "a")]) == 2
+    assert main(["parse", *inputs, "--strict", "--out", str(tmp_path / "b")]) == 1
+    assert main(["parse", *reversed(inputs), "--strict", "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("strict mode: ") == 3 and err.count(f"{inputs[1]}: version") == 2
+    for out in ("a", "b", "c"):
+        assert sorted(_files(tmp_path / out)) == ["d002.structured.json"]
 
 
 def test_parse_markdown_to_file(corpus_dir, tmp_path, capsys):

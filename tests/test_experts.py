@@ -509,3 +509,19 @@ def test_grid_substitution_matches_character_loop(grid, placeholders):
     placeholders = tuple(placeholders)
     assert (_substitute_grid_markers(grid, placeholders)
             == substitute_grid_markers_by_char(grid, placeholders))
+
+
+@settings(max_examples=200, deadline=None)
+@given(marked_grids())
+def test_an_unmarked_grid_in_order_is_answered_as_it_is(grid):
+    unmarked = TableGrid(grid.rows, grid.cols, tuple(
+        Cell(c.row, c.col, content=tuple(run.replace(INLINE_MARKER, "") for run in c.content))
+        for c in grid.cells))
+    ordered = TableGrid(grid.rows, grid.cols,
+                        tuple(sorted(unmarked.cells, key=lambda c: (c.row, c.col))))
+    assert _substitute_grid_markers(ordered, ()) is ordered
+    answer = _substitute_grid_markers(unmarked, ())
+    assert answer == ordered
+    assert (answer is unmarked) == (unmarked == ordered)
+    if any(INLINE_MARKER in run for c in grid.cells for run in c.content):
+        assert _substitute_grid_markers(grid, ()) is not grid

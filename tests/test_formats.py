@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from html.parser import HTMLParser
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,9 +29,20 @@ from uniparse.formats import (
     to_structured,
 )
 from uniparse.layout import RelationKind
-from uniparse.payloads import Caption, Cell, ChartTable, ESmiles, Latex, Reaction, TableGrid, Text
+from uniparse.payloads import (
+    Caption,
+    Cell,
+    ChartTable,
+    ESmiles,
+    Latex,
+    Reaction,
+    TableGrid,
+    Text,
+    payload_text,
+    render_grid_html,
+)
 
-from conftest import load_structured, structured_oracle
+from conftest import det, load_structured, one_page_doc, structured_oracle
 from workloads import build
 
 
@@ -78,8 +90,9 @@ chars = st.one_of(
 )
 texts = st.text(chars, max_size=6)
 numbers = st.one_of(
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-7, 1e22]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-7, 1e22, 10**400]),
     st.floats(),
+    st.integers(),  # an int beyond float range must not overflow the finiteness check
 )
 text_tuples = st.lists(texts, max_size=3).map(tuple)
 grids = st.builds(
@@ -89,6 +102,7 @@ grids = st.builds(
     st.lists(st.builds(Cell, st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
                        st.integers(0, 2), text_tuples), max_size=3).map(tuple),
 )
+
 payloads = st.one_of(
     st.none(),
     *(st.builds(kind, texts) for kind in (Text, Latex, ESmiles, Caption)),
@@ -232,6 +246,67 @@ def test_formula_with_id_on_one_line():
     assert "$$a+b$$ (3)" in md.splitlines()
 
 
+# --- grid rows against the bucket-then-sort rule they replaced ---------------
+
+
+def render_grid_html_by_buckets(grid, inline=False):
+    sep = "" if inline else "\n"
+    pad = "" if inline else "  "
+    out = ["<table>"]
+    cells_by_row = {}
+    for c in grid.cells:
+        cells_by_row.setdefault(c.row, []).append(c)
+    for row in range(grid.rows):
+        parts = [f"{pad}<tr>"]
+        for c in sorted(cells_by_row.get(row, ()), key=lambda c: c.col):
+            attrs = ""
+            if c.row_span != 1:
+                attrs += f' rowspan="{c.row_span}"'
+            if c.col_span != 1:
+                attrs += f' colspan="{c.col_span}"'
+            parts.append(f"{pad}{pad}<td{attrs}>{c.text()}</td>")
+        parts.append(f"{pad}</tr>")
+        out.append(sep.join(parts) if inline else "\n".join(parts))
+    out.append("</table>")
+    return sep.join(out) if inline else "\n".join(out)
+
+
+def grid_text_by_buckets(grid):
+    rows = {}
+    for c in grid.cells:
+        rows.setdefault(c.row, []).append(c)
+    lines = []
+    for r in range(grid.rows):
+        cells = sorted(rows.get(r, ()), key=lambda c: c.col)
+        lines.append(" ".join(c.text() for c in cells))
+    return "\n".join(lines)
+
+
+@st.composite
+def loose_grids(draw):
+    """Grids whose cells may be out of order, repeat a position, or lie
+    outside the grid on either side; sorted in (row, col) order half the time."""
+    cells = draw(st.lists(st.builds(Cell, st.integers(-2, 5), st.integers(-2, 5),
+                                    st.integers(0, 2), st.integers(0, 2),
+                                    st.lists(st.sampled_from(["a", "b", ""]), max_size=2)
+                                    .map(tuple)), max_size=10))
+    if draw(st.booleans()):
+        cells.sort(key=lambda c: (c.row, c.col))
+    return TableGrid(draw(st.integers(-1, 4)), draw(st.integers(-1, 4)), tuple(cells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loose_grids())
+def test_grid_rows_follow_the_bucket_then_sort_rule(grid):
+    for inline in (False, True):
+        assert render_grid_html(grid, inline) == render_grid_html_by_buckets(grid, inline)
+    assert payload_text(grid) == grid_text_by_buckets(grid)
+    assert payload_text(ChartTable(grid)) == grid_text_by_buckets(grid)
+
+
+# --- Markdown and HTML -------------------------------------------------------
+
+
 def test_spanless_table_renders_as_pipe_table():
     grid = TableGrid(2, 2, (
         Cell(0, 0, content=("H1",)), Cell(0, 1, content=("H2",)),
@@ -260,6 +335,28 @@ def test_figure_caption_group_html():
     html = to_html(doc_of([item]))
     assert "<figure>" in html and "<figcaption>Figure 1. A scheme.</figcaption>" in html
     assert '<img src="i1"' in html
+
+
+def test_image_attributes_are_escaped_for_their_quotes():
+    image_id, alt = 'i1" onerror="alert(1)', 'say "hi" <smiles>x</smiles> & go'
+    doc = one_page_doc([det(image_id, (0.1, 0.1, 0.5, 0.4), C.IMAGE, truth_text=alt)])
+    html = to_html(process_document(doc).parsed)
+
+    class Tags(HTMLParser):
+        def __init__(self):
+            super().__init__()
+            self.tags = []
+
+        def handle_starttag(self, tag, attrs):
+            self.tags.append((tag, attrs))
+
+    parser = Tags()
+    parser.feed(html)
+    parser.close()
+    assert [attrs for tag, attrs in parser.tags if tag == "img"] == [[("src", image_id),
+                                                                       ("alt", alt)]]
+    assert "smiles" not in {tag for tag, _attrs in parser.tags}
+    _parseable(html)
 
 
 def test_empty_document_html_skeleton():

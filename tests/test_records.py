@@ -1,7 +1,7 @@
 """Record types: what frozen dataclasses used to guarantee for the per-parse
 records (Task, ExpertResponse, OrderUnit, FlowItem, Partner, LayoutNode), now
 that they are slotted and mutable, and that every type shared beyond one
-parse stays frozen."""
+parse stays frozen and is slotted too."""
 
 from __future__ import annotations
 
@@ -109,3 +109,9 @@ def test_types_shared_beyond_a_parse_stay_frozen(obj):
 def test_per_parse_records_are_slotted(cls):
     assert "__slots__" in cls.__dict__
     assert not cls.__dataclass_params__.frozen
+
+
+@pytest.mark.parametrize("obj", _SHARED, ids=lambda obj: type(obj).__name__)
+def test_types_shared_beyond_a_parse_are_slotted(obj):
+    assert "__slots__" in type(obj).__dict__
+    assert not hasattr(obj, "__dict__")
