@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .config import EngineConfig
 from .docmodel import BoundingBox, OutlineEntry, SemanticCategory
-from .layout import COMPATIBLE_PARTNERS, RelationKind, relation_for
+from .layout import COMPATIBLE_PARTNERS, RELATION_FOR, RelationKind
 from .payloads import Cell, ContentPayload, Reaction, TableGrid, Text, payload_text
 
 
@@ -57,11 +57,20 @@ class FlowItem:
         return None
 
     def caption_text(self) -> str | None:
-        for relation in (RelationKind.CAPTION, RelationKind.TITLE):
+        for relation in _CAPTION_RELATIONS:
             partner = self.partner_of(relation)
             if partner is not None and partner.payload is not None:
                 return payload_text(partner.payload)
         return None
+
+
+# The members the merge and section rules compare with, bound once: loading
+# an enum member through its class costs about 150 ns on CPython 3.11.
+_PARAGRAPH = SemanticCategory.PARAGRAPH
+_TABLE = SemanticCategory.TABLE
+_REACTION = SemanticCategory.CHEMICAL_REACTION
+_SECTION_TITLE = SemanticCategory.SECTION_TITLE
+_CAPTION_RELATIONS = (RelationKind.CAPTION, RelationKind.TITLE)
 
 
 @dataclass
@@ -116,9 +125,7 @@ def join_fragments(first: str, second: str, no_space: bool) -> str:
 def _can_merge_paragraphs(
     first: FlowItem, second: FlowItem, cfg: EngineConfig, caseless_ok: bool = False
 ) -> bool:
-    if first.category is not SemanticCategory.PARAGRAPH:
-        return False
-    if second.category is not SemanticCategory.PARAGRAPH:
+    if first.category is not _PARAGRAPH or second.category is not _PARAGRAPH:
         return False
     if not isinstance(first.payload, Text) or not isinstance(second.payload, Text):
         return False
@@ -169,7 +176,7 @@ def merge_cross_column(items: list[FlowItem], cfg: EngineConfig | None = None,
 
 
 def _merge_tables(first: FlowItem, second: FlowItem) -> FlowItem | None:
-    if first.category is not SemanticCategory.TABLE or second.category is not SemanticCategory.TABLE:
+    if first.category is not _TABLE or second.category is not _TABLE:
         return None
     if not isinstance(first.payload, TableGrid) or not isinstance(second.payload, TableGrid):
         return None
@@ -192,9 +199,7 @@ def _merge_tables(first: FlowItem, second: FlowItem) -> FlowItem | None:
 
 
 def _merge_reactions(first: FlowItem, second: FlowItem) -> FlowItem | None:
-    if first.category is not SemanticCategory.CHEMICAL_REACTION:
-        return None
-    if second.category is not SemanticCategory.CHEMICAL_REACTION:
+    if first.category is not _REACTION or second.category is not _REACTION:
         return None
     if first.group_hint is None or first.group_hint != second.group_hint:
         return None
@@ -274,7 +279,7 @@ def link_multimodal(items: list[FlowItem]) -> list[FlowItem]:
                 if candidate.payload is None:
                     continue
                 partner = Partner(
-                    relation=relation_for(candidate.category, anchor.category),
+                    relation=RELATION_FOR[candidate.category, anchor.category],
                     category=candidate.category,
                     detection_id=candidate.item_id,
                     payload=candidate.payload,
@@ -315,7 +320,7 @@ def integrate_sections(
         wanted = _normalize_title(entry.title)
         for ii in range(last_item + 1, len(items)):
             item = items[ii]
-            if ii in used_items or item.category is not SemanticCategory.SECTION_TITLE:
+            if ii in used_items or item.category is not _SECTION_TITLE:
                 continue
             if _normalize_title(item.text) != wanted:
                 continue

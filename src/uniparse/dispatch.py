@@ -64,8 +64,10 @@ ROUTE_TABLE: dict[SemanticCategory, str | None] = {
     SemanticCategory.DIVIDER_LINE: None,
 }
 
-# Placeholder kind strings per inline-capable category.
+# The placeholder kind string of each category: its value, or a short name
+# for an inline-capable one.
 PLACEHOLDER_KINDS: dict[SemanticCategory, str] = {
+    category: category.value for category in SemanticCategory} | {
     SemanticCategory.FORMULA_INLINE: "formula",
     SemanticCategory.MOLECULE: "molecule",
     SemanticCategory.CHEMICAL_REACTION: "reaction",
@@ -74,21 +76,19 @@ PLACEHOLDER_KINDS: dict[SemanticCategory, str] = {
 }
 
 
-def route(node_or_category, captioning_enabled: bool = True) -> str | None:
-    category = (
-        node_or_category.category
-        if isinstance(node_or_category, LayoutNode)
-        else node_or_category
-    )
-    modality = ROUTE_TABLE[category]
-    if modality == "caption" and not captioning_enabled:
-        return None
-    return modality
+# ROUTE_TABLE with captioning off: figures and images get no task.
+_ROUTE_TABLE_NO_CAPTIONS = {category: None if modality == "caption" else modality
+                            for category, modality in ROUTE_TABLE.items()}
+
+
+def route_table(captioning_enabled: bool) -> dict[SemanticCategory, str | None]:
+    """The modality each category routes to, None for no task: one lookup
+    per node, with no per-node test of the captioning switch."""
+    return ROUTE_TABLE if captioning_enabled else _ROUTE_TABLE_NO_CAPTIONS
 
 
 def placeholder_token(category: SemanticCategory, detection_id: str) -> str:
-    kind = PLACEHOLDER_KINDS.get(category, category.value)
-    return f"[[UPH:{kind}:{detection_id}]]"
+    return f"[[UPH:{PLACEHOLDER_KINDS[category]}:{detection_id}]]"
 
 
 class BatchReason(Enum):
@@ -117,6 +117,8 @@ def make_placeholders(parent: LayoutNode) -> list[tuple[str, str]]:
 
 
 def _reading_sorted(children: list[LayoutNode]) -> list[LayoutNode]:
+    if len(children) < 2:
+        return children  # already in reading order, with no band to form
     remaining = sorted(children, key=lambda n: (n.box.y0, n.box.x0, n.id))
     bands: list[list[LayoutNode]] = []
     for node in remaining:
@@ -162,35 +164,31 @@ def plan_document(
     if only_modality is not None and only_modality not in MODALITIES:
         raise ValueError(f"unknown modality {only_modality!r}")
     cfg = cfg or EngineConfig()
-    plan = DispatchPlan(doc_id=doc.doc_id)
-
-    def add_task(node: LayoutNode, page_index: int) -> None:
-        modality = route(node, cfg.captioning_enabled)
-        if modality is None:
-            return
-        if only_modality is not None and modality != only_modality:
-            return
-        placeholders: tuple[str, ...] = ()
-        if node.children:
-            pairs = make_placeholders(node)
-            plan.parent_tokens[node.id] = pairs
-            placeholders = tuple(token for token, _child in pairs)
-        plan.tasks.append(
-            Task(
-                task_id=f"{doc.doc_id}/{node.id}",
+    doc_id = doc.doc_id
+    plan = DispatchPlan(doc_id=doc_id)
+    routes = route_table(cfg.captioning_enabled)
+    if only_modality is not None:
+        routes = {category: modality if modality == only_modality else None
+                  for category, modality in routes.items()}
+    for tree in trees:
+        page_index = tree.page_index
+        for node in tree.iter_nodes():
+            modality = routes[node.category]
+            if modality is None:
+                continue
+            placeholders: tuple[str, ...] = ()
+            if node.children:
+                pairs = make_placeholders(node)
+                plan.parent_tokens[node.id] = pairs
+                placeholders = tuple(token for token, _child in pairs)
+            plan.tasks.append(Task(
+                task_id=f"{doc_id}/{node.id}",
                 modality=modality,
-                doc_id=doc.doc_id,
+                doc_id=doc_id,
                 page_index=page_index,
                 detection_id=node.id,
                 placeholders=placeholders,
-            )
-        )
-
-    for tree in trees:
-        for node in tree.top_items():
-            add_task(node, tree.page_index)
-            for child in node.children:
-                add_task(child, tree.page_index)
+            ))
     return plan
 
 

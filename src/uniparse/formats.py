@@ -1,6 +1,10 @@
 """Final outputs: canonical structured dump, Markdown, HTML, and semantic
 chunks. All emitters are pure and deterministic; none may leak a placeholder
 literal.
+
+Markdown and HTML write each item through a table from its category to a
+writer. HTML escaping returns text that holds no reserved character as it
+is, without scanning it for raw spans.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .payloads import (
     Reaction,
     TableGrid,
     Text,
+    _grid_rows,
     payload_text,
     render_grid_html,
     render_inline,
@@ -56,6 +61,17 @@ FIGURE_CATEGORIES = frozenset(
         SemanticCategory.CHEMICAL_REACTION,
     }
 )
+
+# The members the writers compare with or look partners up by, bound once:
+# see _MARKDOWN_WRITERS.
+_SECTION_TITLE = SemanticCategory.SECTION_TITLE
+_FORMULA_ID = RelationKind.FORMULA_ID
+_FOOTNOTE = RelationKind.FOOTNOTE
+# A figure's partners after its caption, in the order Markdown writes them,
+# and every partner its HTML caption holds, in order.
+_FIGURE_NOTES = (RelationKind.LEGEND, RelationKind.MOLECULE_IDENTIFIER,
+                 RelationKind.MARKUSH_DESCRIPTION)
+_FIGURE_CAPTIONS = (RelationKind.CAPTION, RelationKind.TITLE, *_FIGURE_NOTES)
 
 
 @dataclass
@@ -245,41 +261,27 @@ def _walk_markdown(section: SectionNode, lines: list[str]) -> None:
         body = section.body[1:] if _body_opens_with_title(section) else section.body
     else:
         body = section.body
+    writers = _MARKDOWN_WRITERS
     for item in body:
-        lines.append(_item_markdown(item))
+        lines.append(writers[item.category](item))
     for child in section.children:
         _walk_markdown(child, lines)
 
 
 def _body_opens_with_title(section: SectionNode) -> bool:
-    return bool(section.body) and section.body[0].category is SemanticCategory.SECTION_TITLE
+    return bool(section.body) and section.body[0].category is _SECTION_TITLE
 
 
-def _item_markdown(item: FlowItem) -> str:
-    cat = item.category
-    if cat is SemanticCategory.DOCUMENT_TITLE:
-        return f"# {item.text}"
-    if cat is SemanticCategory.SECTION_TITLE:
-        return f"## {item.text}"
-    if cat is SemanticCategory.DIVIDER_LINE:
-        return "---"
-    if cat is SemanticCategory.CODE_BLOCK:
-        return f"```\n{item.text}\n```"
-    if cat is SemanticCategory.FORMULA:
-        return _formula_markdown(item)
-    if cat is SemanticCategory.TABLE:
-        return _table_markdown(item)
-    if cat in FIGURE_CATEGORIES:
-        return _figure_markdown(item)
+def _inline_markdown(item: FlowItem) -> str:
     if item.payload is None:
-        return f"<!-- unparsed {cat.value} {item.item_id} -->"
+        return f"<!-- unparsed {item.category.value} {item.item_id} -->"
     return render_inline(item.payload)
 
 
 def _formula_markdown(item: FlowItem) -> str:
     body = item.text if item.payload is not None else ""
     line = f"$${body}$$"
-    formula_id = item.partner_of(RelationKind.FORMULA_ID)
+    formula_id = item.partner_of(_FORMULA_ID)
     if formula_id is not None and formula_id.payload is not None:
         line += f" {payload_text(formula_id.payload)}"
     return line
@@ -297,23 +299,19 @@ def _table_markdown(item: FlowItem) -> str:
         parts.append(_pipe_table(grid))
     else:
         parts.append(render_grid_html(grid))
-    footnote = item.partner_of(RelationKind.FOOTNOTE)
+    footnote = item.partner_of(_FOOTNOTE)
     if footnote is not None and footnote.payload is not None:
         parts.append(payload_text(footnote.payload))
     return "\n\n".join(parts)
 
 
 def _pipe_table(grid: TableGrid) -> str:
-    rows: dict[int, dict[int, str]] = {}
-    for cell in grid.cells:
-        rows.setdefault(cell.row, {})[cell.col] = cell.text().replace("|", "\\|")
-    lines = []
-    header = rows.get(0, {})
-    lines.append("| " + " | ".join(header.get(c, "") for c in range(grid.cols)) + " |")
-    lines.append("| " + " | ".join("---" for _ in range(grid.cols)) + " |")
-    for r in range(1, grid.rows):
-        row = rows.get(r, {})
-        lines.append("| " + " | ".join(row.get(c, "") for c in range(grid.cols)) + " |")
+    """A grid that TableGrid.is_rectangular passes, as a pipe table: its
+    first row is the header."""
+    rows = [" | ".join(c.text().replace("|", "\\|") for c in cells) for cells in _grid_rows(grid)]
+    header = rows[0] if rows else " | ".join("" for _ in range(grid.cols))
+    lines = [f"| {header} |", "| " + " | ".join("---" for _ in range(grid.cols)) + " |"]
+    lines.extend(f"| {row} |" for row in rows[1:])
     return "\n".join(lines)
 
 
@@ -331,16 +329,27 @@ def _figure_markdown(item: FlowItem) -> str:
         parts.append(f"![]({item.item_id})")
     if caption:
         parts.append(caption)
-    legend = item.partner_of(RelationKind.LEGEND)
-    if legend is not None and legend.payload is not None:
-        parts.append(payload_text(legend.payload))
-    identifier = item.partner_of(RelationKind.MOLECULE_IDENTIFIER)
-    if identifier is not None and identifier.payload is not None:
-        parts.append(payload_text(identifier.payload))
-    markush = item.partner_of(RelationKind.MARKUSH_DESCRIPTION)
-    if markush is not None and markush.payload is not None:
-        parts.append(payload_text(markush.payload))
+    for relation in _FIGURE_NOTES:
+        partner = item.partner_of(relation)
+        if partner is not None and partner.payload is not None:
+            parts.append(payload_text(partner.payload))
     return "\n\n".join(p for p in parts if p)
+
+
+# The writer of each category's item, bound once here rather than found by
+# testing the category against enum members per item: on CPython 3.11 each
+# load of a member such as SemanticCategory.TABLE goes through the enum
+# metaclass's __getattr__ and costs about 150 ns, a dict lookup about 25.
+_MARKDOWN_WRITERS = {
+    category: _inline_markdown for category in SemanticCategory
+} | {category: _figure_markdown for category in FIGURE_CATEGORIES} | {
+    SemanticCategory.DOCUMENT_TITLE: lambda item: f"# {item.text}",
+    SemanticCategory.SECTION_TITLE: lambda item: f"## {item.text}",
+    SemanticCategory.DIVIDER_LINE: lambda item: "---",
+    SemanticCategory.CODE_BLOCK: lambda item: f"```\n{item.text}\n```",
+    SemanticCategory.FORMULA: _formula_markdown,
+    SemanticCategory.TABLE: _table_markdown,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +360,10 @@ _RAW_SPAN_RE = re.compile(r"(<smiles>.*?</smiles>|<reaction>.*?</reaction>|<tabl
 
 
 def _escape_html(text: str) -> str:
-    """Escape text while keeping our own injected inline tags intact."""
+    """Escape text while keeping our own injected inline tags intact. Text
+    with no "<", ">" or "&" is returned as it is."""
+    if "<" not in text and ">" not in text and "&" not in text:
+        return text
     out = []
     for part in _RAW_SPAN_RE.split(text):
         if _RAW_SPAN_RE.fullmatch(part):
@@ -363,17 +375,25 @@ def _escape_html(text: str) -> str:
     return "".join(out)
 
 
+def _escape_text(text: str) -> str:
+    """Escape "&", "<" and ">" in element text with no span raw: for IR
+    strings, which never hold a span the formatter rendered."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _escape_attribute(text: str) -> str:
-    """Escape text for a double-quoted attribute value: no span is raw."""
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-            .replace('"', "&quot;"))
+    """Escape text for a double-quoted attribute value: no span is raw. Text
+    with none of "&", "<", ">" and '"' is returned as it is."""
+    if "&" not in text and "<" not in text and ">" not in text and '"' not in text:
+        return text
+    return _escape_text(text).replace('"', "&quot;")
 
 
 def to_html(doc: ParsedDocument) -> str:
     lines = [
         "<!DOCTYPE html>",
         "<html>",
-        f"<head><meta charset=\"utf-8\"/><title>{_escape_html(doc.doc_id)}</title></head>",
+        f"<head><meta charset=\"utf-8\"/><title>{_escape_text(doc.doc_id)}</title></head>",
         "<body>",
     ]
     _walk_html(doc.root, lines)
@@ -387,43 +407,33 @@ def _walk_html(section: SectionNode, lines: list[str]) -> None:
         lines.append("<section>")
         if section.title:
             level = min(max(section.level, 1), 6)
-            lines.append(f"<h{level}>{_escape_html(section.title)}</h{level}>")
+            lines.append(f"<h{level}>{_escape_text(section.title)}</h{level}>")
     body = section.body
     if not is_root and _body_opens_with_title(section):
         body = body[1:]
+    writers = _HTML_WRITERS
     for item in body:
-        lines.append(_item_html(item))
+        lines.append(writers[item.category](item))
     for child in section.children:
         _walk_html(child, lines)
     if not is_root:
         lines.append("</section>")
 
 
-def _item_html(item: FlowItem) -> str:
-    cat = item.category
-    if cat is SemanticCategory.DOCUMENT_TITLE:
-        return f"<h1>{_escape_html(item.text)}</h1>"
-    if cat is SemanticCategory.SECTION_TITLE:
-        return f"<h2>{_escape_html(item.text)}</h2>"
-    if cat is SemanticCategory.DIVIDER_LINE:
-        return "<hr/>"
-    if cat is SemanticCategory.CODE_BLOCK:
-        return f"<pre><code>{_escape_html(item.text)}</code></pre>"
-    if cat is SemanticCategory.FORMULA:
-        formula_id = item.partner_of(RelationKind.FORMULA_ID)
-        suffix = (
-            f" {_escape_html(payload_text(formula_id.payload))}"
-            if formula_id is not None and formula_id.payload is not None
-            else ""
-        )
-        return f"<p>$${_escape_html(item.text)}$${suffix}</p>"
-    if cat is SemanticCategory.TABLE:
-        return _table_html(item)
-    if cat in FIGURE_CATEGORIES:
-        return _figure_html(item)
+def _inline_html(item: FlowItem) -> str:
     if item.payload is None:
-        return f"<!-- unparsed {cat.value} {item.item_id} -->"
+        return f"<!-- unparsed {item.category.value} {item.item_id} -->"
     return f"<p>{_escape_html(render_inline(item.payload))}</p>"
+
+
+def _formula_html(item: FlowItem) -> str:
+    formula_id = item.partner_of(_FORMULA_ID)
+    suffix = (
+        f" {_escape_html(payload_text(formula_id.payload))}"
+        if formula_id is not None and formula_id.payload is not None
+        else ""
+    )
+    return f"<p>$${_escape_html(item.text)}$${suffix}</p>"
 
 
 def _table_html(item: FlowItem) -> str:
@@ -434,7 +444,7 @@ def _table_html(item: FlowItem) -> str:
     if caption:
         body = body.replace("<table>", f"<table>\n<caption>{_escape_html(caption)}</caption>", 1)
     parts.append(body or f"<!-- unparsed table {item.item_id} -->")
-    footnote = item.partner_of(RelationKind.FOOTNOTE)
+    footnote = item.partner_of(_FOOTNOTE)
     if footnote is not None and footnote.payload is not None:
         parts.append(f"<p>{_escape_html(payload_text(footnote.payload))}</p>")
     return "\n".join(parts)
@@ -450,19 +460,25 @@ def _figure_html(item: FlowItem) -> str:
         alt = _escape_attribute(payload_text(item.payload))
         inner.append(f'<img src="{_escape_attribute(item.item_id)}" alt="{alt}"/>')
     caption_parts = []
-    for relation in (
-        RelationKind.CAPTION,
-        RelationKind.TITLE,
-        RelationKind.LEGEND,
-        RelationKind.MOLECULE_IDENTIFIER,
-        RelationKind.MARKUSH_DESCRIPTION,
-    ):
+    for relation in _FIGURE_CAPTIONS:
         partner = item.partner_of(relation)
         if partner is not None and partner.payload is not None:
             caption_parts.append(_escape_html(payload_text(partner.payload)))
     if caption_parts:
         inner.append(f"<figcaption>{' '.join(caption_parts)}</figcaption>")
     return "<figure>\n" + "\n".join(inner) + "\n</figure>"
+
+
+_HTML_WRITERS = {
+    category: _inline_html for category in SemanticCategory
+} | {category: _figure_html for category in FIGURE_CATEGORIES} | {
+    SemanticCategory.DOCUMENT_TITLE: lambda item: f"<h1>{_escape_html(item.text)}</h1>",
+    SemanticCategory.SECTION_TITLE: lambda item: f"<h2>{_escape_html(item.text)}</h2>",
+    SemanticCategory.DIVIDER_LINE: lambda item: "<hr/>",
+    SemanticCategory.CODE_BLOCK: lambda item: f"<pre><code>{_escape_html(item.text)}</code></pre>",
+    SemanticCategory.FORMULA: _formula_html,
+    SemanticCategory.TABLE: _table_html,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +514,26 @@ def chunk_item_text(item: FlowItem) -> str:
     return "\n".join(p for p in parts if p)
 
 
-def _token_estimate(text: str) -> int:
-    return len(text.split())
+def _token_count(item: FlowItem) -> int:
+    """The words of chunk_item_text(item), counted per payload: joining them
+    on a newline and splitting on whitespace gives the same count."""
+    count = len(payload_text(item.payload).split())
+    for partner in item.partners:
+        count += len(payload_text(partner.payload).split())
+    return count
+
+
+# The kind of a chunk of one item, by the item's category; any other chunk is
+# TEXT.
+_TEXT_CHUNK = ChunkKind.TEXT
+_UNIT_KINDS = {SemanticCategory.TABLE: ChunkKind.TABLE_UNIT} | {
+    category: ChunkKind.FIGURE_UNIT for category in FIGURE_CATEGORIES}
 
 
 def _chunk_kind(items: list[FlowItem]) -> ChunkKind:
     if len(items) == 1:
-        if items[0].category is SemanticCategory.TABLE:
-            return ChunkKind.TABLE_UNIT
-        if items[0].category in FIGURE_CATEGORIES:
-            return ChunkKind.FIGURE_UNIT
-    return ChunkKind.TEXT
+        return _UNIT_KINDS.get(items[0].category, _TEXT_CHUNK)
+    return _TEXT_CHUNK
 
 
 def chunk(doc: ParsedDocument, max_tokens: int = 512) -> list[Chunk]:
@@ -546,7 +571,7 @@ def chunk(doc: ParsedDocument, max_tokens: int = 512) -> list[Chunk]:
         pending: list[FlowItem] = []
         tokens = 0
         for item in section.body:
-            size = _token_estimate(chunk_item_text(item))
+            size = _token_count(item)
             if pending and tokens + size > max_tokens:
                 flush(pending, here, tokens)
                 pending, tokens = [], 0

@@ -35,21 +35,31 @@ class RelationKind(str, Enum):
     LEGEND = "legend"
 
 
-# (partner category, anchor category) -> relation. A caption acts as a title
-# when it belongs to a table, as a caption everywhere else.
-def relation_for(partner: SemanticCategory, anchor: SemanticCategory) -> RelationKind:
-    if partner is SemanticCategory.CAPTION:
-        if anchor is SemanticCategory.TABLE:
-            return RelationKind.TITLE
-        return RelationKind.CAPTION
-    return {
+# (partner category, anchor category) -> relation, for every partner category
+# and any anchor. A caption acts as a title when it belongs to a table, as a
+# caption everywhere else.
+RELATION_FOR: dict[tuple[SemanticCategory, SemanticCategory], RelationKind] = {
+    (partner, anchor): relation
+    for partner, relation in {
+        SemanticCategory.CAPTION: RelationKind.CAPTION,
         SemanticCategory.TABLE_FOOTNOTE: RelationKind.FOOTNOTE,
         SemanticCategory.FORMULA_ID: RelationKind.FORMULA_ID,
         SemanticCategory.MOLECULE_IDENTIFIER: RelationKind.MOLECULE_IDENTIFIER,
         SemanticCategory.MARKUSH_DESCRIPTION: RelationKind.MARKUSH_DESCRIPTION,
         SemanticCategory.FIGURE_LEGEND: RelationKind.LEGEND,
-    }[partner]
+    }.items()
+    for anchor in SemanticCategory
+} | {(SemanticCategory.CAPTION, SemanticCategory.TABLE): RelationKind.TITLE}
 
+
+# The members the pairing and filtering rules compare with, bound once:
+# loading an enum member through its class costs about 150 ns on CPython 3.11.
+_CAPTION = SemanticCategory.CAPTION
+_TABLE = SemanticCategory.TABLE
+_FORMULA_ID = SemanticCategory.FORMULA_ID
+_PAGE_NUMBER = SemanticCategory.PAGE_NUMBER
+_REMOVABLE = FUNCTIONAL_CATEGORIES | {_PAGE_NUMBER}
+_CAPTION_RELATION = RelationKind.CAPTION
 
 # Which partner categories an anchor category accepts.
 COMPATIBLE_PARTNERS: dict[SemanticCategory, frozenset[SemanticCategory]] = {
@@ -226,9 +236,9 @@ def pair_groups(tree: LayoutTree, cfg: EngineConfig | None = None) -> LayoutTree
             if member is anchor:
                 continue
             kind = (
-                relation_for(member.category, anchor.category)
+                RELATION_FOR[member.category, anchor.category]
                 if member.category in PARTNER_CATEGORIES
-                else RelationKind.CAPTION
+                else _CAPTION_RELATION
             )
             _link(anchor, member, kind)
 
@@ -245,9 +255,9 @@ def _link(anchor: LayoutNode, partner: LayoutNode, kind: RelationKind) -> None:
 
 def _preferred_direction(partner: SemanticCategory, anchor: SemanticCategory) -> str:
     # Where the partner normally sits relative to its anchor.
-    if partner is SemanticCategory.CAPTION and anchor is SemanticCategory.TABLE:
+    if partner is _CAPTION and anchor is _TABLE:
         return "above"
-    if partner is SemanticCategory.FORMULA_ID:
+    if partner is _FORMULA_ID:
         return "beside"
     return "below"
 
@@ -301,7 +311,7 @@ def _pair_by_geometry(tree: LayoutTree, hinted: set[str], cfg: EngineConfig) -> 
             continue
         taken_partners.add(partner_id)
         taken_slots.add(slot)
-        _link(anchor, partner, relation_for(partner.category, anchor.category))
+        _link(anchor, partner, RELATION_FOR[partner.category, anchor.category])
 
 
 def filter_functional(tree: LayoutTree) -> LayoutTree:
@@ -313,9 +323,8 @@ def filter_functional(tree: LayoutTree) -> LayoutTree:
     kept_roots: list[LayoutNode] = []
     for node in tree.roots:
         cat = node.category
-        removable = cat in FUNCTIONAL_CATEGORIES or cat is SemanticCategory.PAGE_NUMBER
-        if removable and not node.group_links:
-            if cat is SemanticCategory.PAGE_NUMBER:
+        if cat in _REMOVABLE and not node.group_links:
+            if cat is _PAGE_NUMBER:
                 tree.page_number_texts.append(node.detection.truth_text or "")
             tree.removed.append(node.detection)
             # Nested children of removed furniture would vanish with their

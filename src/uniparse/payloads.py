@@ -66,10 +66,19 @@ class TableGrid:
     kind: ClassVar[str] = "table_grid"
 
     def is_rectangular(self) -> bool:
-        """True when every cell is 1x1 and the grid is fully covered."""
-        if any(c.row_span != 1 or c.col_span != 1 for c in self.cells):
+        """True when each position of the grid holds exactly one cell, and
+        that cell is 1x1."""
+        if len(self.cells) != self.rows * self.cols:
             return False
-        return len(self.cells) == self.rows * self.cols
+        placed = 0
+        for cells in _grid_rows(self):
+            if len(cells) != self.cols:
+                return False
+            for col, c in enumerate(cells):
+                if c.col != col or c.row_span != 1 or c.col_span != 1:
+                    return False
+            placed += len(cells)
+        return placed == len(self.cells)
 
     def fits(self, c: Cell) -> bool:
         """True when c is anchored inside the grid, its spans are not

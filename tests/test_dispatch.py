@@ -18,7 +18,7 @@ from uniparse.dispatch import (
     gather,
     make_placeholders,
     plan_document,
-    route,
+    route_table,
 )
 from uniparse.docmodel import SemanticCategory as C
 from uniparse.engine import analyze_pages, form_batches
@@ -30,22 +30,28 @@ from conftest import det, detections_by_id, find, one_page_doc
 
 
 def test_route_table_examples():
-    assert route(C.MOLECULE) == "ocsr"
-    assert route(C.TABLE) == "table_structure"
-    assert route(C.WATERMARK) is None
-    assert route(C.PARAGRAPH) == "ocr"
-    assert route(C.FORMULA_INLINE) == "formula"
-    assert route(C.CHEMICAL_REACTION) == "reaction"
-    assert route(C.CHART) == "chart"
-    assert route(C.FIGURE) == "caption"
-    assert route(C.FIGURE, captioning_enabled=False) is None
-    assert route(C.CODE_BLOCK) == "ocr"
+    routes = route_table(True)
+    assert routes is ROUTE_TABLE
+    assert routes[C.MOLECULE] == "ocsr"
+    assert routes[C.TABLE] == "table_structure"
+    assert routes[C.WATERMARK] is None
+    assert routes[C.PARAGRAPH] == "ocr"
+    assert routes[C.FORMULA_INLINE] == "formula"
+    assert routes[C.CHEMICAL_REACTION] == "reaction"
+    assert routes[C.CHART] == "chart"
+    assert routes[C.FIGURE] == "caption"
+    assert route_table(False)[C.FIGURE] is None
+    assert routes[C.CODE_BLOCK] == "ocr"
 
 
 def test_routing_totality():
     assert set(ROUTE_TABLE) == set(C)
-    for category in C:
-        route(category)  # never raises
+    # With captioning off, only the captioning routes change, to no task.
+    off = route_table(False)
+    assert set(off) == set(C)
+    assert {c: m for c, m in ROUTE_TABLE.items() if off[c] != m} == {
+        C.FIGURE: "caption", C.IMAGE: "caption"}
+    assert off[C.FIGURE] is off[C.IMAGE] is None
 
 
 def test_make_placeholders_single_inline():
@@ -70,6 +76,10 @@ def test_make_placeholders_reading_order_of_children():
     tree = build_page_tree(0, [para, c_right, c_left, c_below])
     assert [token for token, _child in make_placeholders(find(tree, "p1"))] == [
         "[[UPH:molecule:a1]]", "[[UPH:formula:a2]]", "[[UPH:formula:a3]]"]
+    # two children are sorted too; only a lone child is taken as it is
+    tree = build_page_tree(0, [para, c_right, c_left])
+    assert [token for token, _child in make_placeholders(find(tree, "p1"))] == [
+        "[[UPH:molecule:a1]]", "[[UPH:formula:a2]]"]
 
 
 def cut(queue, now, max_batch, max_wait_ms):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import uniparse.engine
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
-from uniparse.dispatch import route
+from uniparse.dispatch import ROUTE_TABLE
 from uniparse.docmodel import SemanticCategory as C
 from uniparse.engine import process_document
 from uniparse.experts import (
@@ -151,9 +151,7 @@ def test_order_preservation_conformance(small_corpus):
     doc = docs[0]
     by_modality: dict[str, list] = {m: [] for m in MODALITIES}
     for d in doc.iter_detections():
-        from uniparse.dispatch import route
-
-        modality = route(d.category)
+        modality = ROUTE_TABLE[d.category]
         if modality:
             by_modality[modality].append(
                 Task(f"{doc.doc_id}/{d.id}", modality, doc.doc_id, d.page_index, d.id)
@@ -178,7 +176,7 @@ def test_echo_server_payloads_match_mock(small_corpus):
     plain, inline = [], []
     for doc in docs:
         for d in doc.iter_detections():
-            if route(d.category) != "ocr":
+            if ROUTE_TABLE[d.category] != "ocr":
                 continue
             markers = (d.truth_text or "").count(INLINE_MARKER)
             # Hand-written tokens, unlike any a default-config plan emits.

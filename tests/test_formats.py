@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 from html.parser import HTMLParser
 
@@ -14,13 +15,23 @@ from uniparse.cli import main
 from uniparse.config import EngineConfig
 from uniparse.consolidate import FlowItem, Partner, SectionNode
 from uniparse.corpus import CorpusSpec, gen_corpus
-from uniparse.docmodel import BoundingBox, SemanticCategory as C, load_document
+from uniparse.docmodel import BoundingBox, OutlineEntry, SemanticCategory as C, load_document
 from uniparse.engine import MockBackend, process_document
 from uniparse.experts import MODALITIES, DocumentStore, default_descriptors
 from uniparse.formats import (
+    _HTML_WRITERS,
+    _MARKDOWN_WRITERS,
+    FIGURE_CATEGORIES,
     Chunk,
     ChunkKind,
     ParsedDocument,
+    _escape_attribute,
+    _escape_html,
+    _figure_html,
+    _figure_markdown,
+    _formula_markdown,
+    _table_html,
+    _table_markdown,
     chunk,
     chunk_item_text,
     chunks_to_jsonl,
@@ -40,6 +51,7 @@ from uniparse.payloads import (
     Text,
     payload_text,
     render_grid_html,
+    render_inline,
 )
 
 from conftest import det, load_structured, one_page_doc, structured_oracle
@@ -232,6 +244,28 @@ def test_cli_structured_dump_is_unchanged(tmp_path, capsys):
     assert hashlib.sha256(b"".join(written)).hexdigest() == CLI_STRUCTURED_DIGEST
 
 
+# sha256 of `parse --format <format>` over the same three files, concatenated,
+# as recorded before the writers were bound by table.
+CLI_FORMAT_DIGESTS = {
+    "markdown": ("md", "fd20bb4d097a0ae0e691502f2276ac8f677738e0c4a1986c45d18db8256afa9e"),
+    "html": ("html", "0ceb329ef91d20da0fe84716b6f4337689c78339085de3a7e69650a073020a0c"),
+    "chunks": ("chunks.jsonl", "400b5e163dcad9c4e6df9b7cf33640453d0e77dd0cc2df8578a916149a11b0f2"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CLI_FORMAT_DIGESTS))
+def test_cli_format_bytes_are_unchanged(fmt, tmp_path, capsys):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["gen-corpus", "--out", str(corpus), "--docs", "3", "--seed", "5"]) == 0
+    inputs = sorted(corpus.glob("*.ir.json"))
+    assert main(["parse", *map(str, inputs), "--format", fmt, "--out", str(out)]) == 0
+    capsys.readouterr()
+    ext, digest = CLI_FORMAT_DIGESTS[fmt]
+    written = [(out / f"{path.name.removesuffix('.ir.json')}.{ext}").read_bytes()
+               for path in inputs]
+    assert hashlib.sha256(b"".join(written)).hexdigest() == digest
+
+
 def test_merged_provenance_recorded():
     item = flow("t1", category=C.TABLE, payload=TableGrid(1, 1, (Cell(0, 0, content=("x",)),)))
     item = dataclasses.replace(item, merged_ids=("t2",))
@@ -329,6 +363,36 @@ def test_rowspan_table_falls_back_to_html():
     assert "|" not in md.replace("||", "")
 
 
+def test_a_grid_with_a_duplicate_position_and_a_hole_is_not_rectangular():
+    # Two cells at (0, 0) and none at (0, 1): as many cells as positions.
+    grid = TableGrid(1, 2, (Cell(0, 0, content=("a",)), Cell(0, 0, content=("b",))))
+    assert not grid.is_rectangular()
+    md = to_markdown(doc_of([flow("t1", category=C.TABLE, payload=grid)]))
+    assert md == render_grid_html(grid) + "\n"
+    assert "<td>a</td>" in md and "<td>b</td>" in md
+
+
+@pytest.mark.parametrize("grid, rectangular", [
+    (TableGrid(0, 0), True),
+    (TableGrid(2, 0), True),
+    (TableGrid(1, 2, (Cell(0, 1, content=("b",)), Cell(0, 0, content=("a",)))), True),
+    (TableGrid(1, 2, (Cell(0, 0), Cell(0, 1, col_span=2))), False),
+    (TableGrid(1, 1, (Cell(1, 0),)), False),  # outside the grid
+    (TableGrid(-1, -1, (Cell(0, 0),)), False),
+])
+def test_rectangular_means_one_1x1_cell_per_position(grid, rectangular):
+    assert grid.is_rectangular() is rectangular
+
+
+def test_pipe_table_takes_cells_in_row_and_column_order():
+    grid = TableGrid(2, 2, (
+        Cell(1, 1, content=("b",)), Cell(0, 1, content=("H2",)),
+        Cell(1, 0, content=("a|",)), Cell(0, 0, content=("H1",)),
+    ))
+    md = to_markdown(doc_of([flow("t1", category=C.TABLE, payload=grid)]))
+    assert md.splitlines() == ["| H1 | H2 |", "| --- | --- |", "| a\\| | b |"]
+
+
 def test_figure_caption_group_html():
     partner = Partner(RelationKind.CAPTION, C.CAPTION, "c1", Text("Figure 1. A scheme."))
     item = flow("i1", category=C.IMAGE, payload=Caption("scheme"), partners=[partner])
@@ -356,6 +420,44 @@ def test_image_attributes_are_escaped_for_their_quotes():
     assert [attrs for tag, attrs in parser.tags if tag == "img"] == [[("src", image_id),
                                                                        ("alt", alt)]]
     assert "smiles" not in {tag for tag, _attrs in parser.tags}
+    _parseable(html)
+
+
+class _Elements(HTMLParser):
+    """The start tags of a document and the text inside each open element."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.tags, self.open, self.text = [], [], {}
+
+    def handle_starttag(self, tag, attrs):
+        self.tags.append(tag)
+        self.open.append(tag)
+
+    def handle_endtag(self, tag):
+        if tag in self.open:
+            del self.open[len(self.open) - 1 - self.open[::-1].index(tag):]
+
+    def handle_data(self, data):
+        if self.open:
+            self.text[self.open[-1]] = self.text.get(self.open[-1], "") + data
+
+
+def test_ir_strings_are_escaped_with_no_raw_span():
+    # The document id and an outline title hold a span the raw-span exemption
+    # would pass through; neither ever holds a span the formatter rendered.
+    doc_id = "<smiles></title><script>alert(1)</script></smiles>"
+    title = "<table><tr><td><img src=x onerror=alert(2)></td></tr></table> & more"
+    doc = one_page_doc([det("t1", (0.1, 0.1, 0.5, 0.15), C.SECTION_TITLE, truth_text="Other")],
+                       doc_id=doc_id, outline=[OutlineEntry(1, title, 0)])
+    html = to_html(process_document(doc).parsed)
+    parser = _Elements()
+    parser.feed(html)
+    parser.close()
+    assert "script" not in parser.tags and "img" not in parser.tags
+    assert "smiles" not in parser.tags and "table" not in parser.tags
+    assert parser.text["title"] == doc_id
+    assert parser.text["h1"] == title
     _parseable(html)
 
 
@@ -425,6 +527,123 @@ def test_no_placeholder_literal_under_failures_and_modality_filters(only_modalit
             for emitted in (to_structured(parsed), to_markdown(parsed), to_html(parsed),
                             chunks_to_jsonl(chunk(parsed))):
                 assert "[[UPH:" not in emitted
+
+
+# --- the writer tables against the if-chains they replaced -------------------
+
+
+def item_markdown_by_ifs(item):
+    cat = item.category
+    if cat is C.DOCUMENT_TITLE:
+        return f"# {item.text}"
+    if cat is C.SECTION_TITLE:
+        return f"## {item.text}"
+    if cat is C.DIVIDER_LINE:
+        return "---"
+    if cat is C.CODE_BLOCK:
+        return f"```\n{item.text}\n```"
+    if cat is C.FORMULA:
+        return _formula_markdown(item)
+    if cat is C.TABLE:
+        return _table_markdown(item)
+    if cat in FIGURE_CATEGORIES:
+        return _figure_markdown(item)
+    if item.payload is None:
+        return f"<!-- unparsed {cat.value} {item.item_id} -->"
+    return render_inline(item.payload)
+
+
+def item_html_by_ifs(item):
+    cat = item.category
+    if cat is C.DOCUMENT_TITLE:
+        return f"<h1>{escape_html_by_regex(item.text)}</h1>"
+    if cat is C.SECTION_TITLE:
+        return f"<h2>{escape_html_by_regex(item.text)}</h2>"
+    if cat is C.DIVIDER_LINE:
+        return "<hr/>"
+    if cat is C.CODE_BLOCK:
+        return f"<pre><code>{escape_html_by_regex(item.text)}</code></pre>"
+    if cat is C.FORMULA:
+        formula_id = item.partner_of(RelationKind.FORMULA_ID)
+        suffix = (
+            f" {escape_html_by_regex(payload_text(formula_id.payload))}"
+            if formula_id is not None and formula_id.payload is not None
+            else ""
+        )
+        return f"<p>$${escape_html_by_regex(item.text)}$${suffix}</p>"
+    if cat is C.TABLE:
+        return _table_html(item)
+    if cat in FIGURE_CATEGORIES:
+        return _figure_html(item)
+    if item.payload is None:
+        return f"<!-- unparsed {cat.value} {item.item_id} -->"
+    return f"<p>{escape_html_by_regex(render_inline(item.payload))}</p>"
+
+
+_RAW_SPAN_RE = re.compile(r"(<smiles>.*?</smiles>|<reaction>.*?</reaction>|<table>.*?</table>)",
+                          re.DOTALL)
+
+
+def escape_html_by_regex(text):
+    out = []
+    for part in _RAW_SPAN_RE.split(text):
+        if _RAW_SPAN_RE.fullmatch(part):
+            out.append(part)
+        else:
+            out.append(part.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+    return "".join(out)
+
+
+def escape_attribute_by_replace(text):
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;"))
+
+
+def test_every_category_has_a_writer():
+    assert set(_MARKDOWN_WRITERS) == set(_HTML_WRITERS) == set(C)
+
+
+@pytest.mark.parametrize("category", list(C))
+def test_writers_match_the_if_chains_for_every_category(category):
+    partners = [Partner(relation, C.CAPTION, f"p-{relation.value}", Text(f"<{relation.value}>"))
+                for relation in RelationKind]
+    for payload in (None, Text("a < b & c"), Latex("x^2"), ESmiles("CCO"),
+                    TableGrid(1, 1, (Cell(0, 0, content=("t",)),))):
+        for item in (flow("i1", category=category, payload=payload),
+                     flow("i2", category=category, payload=payload, partners=partners)):
+            assert _MARKDOWN_WRITERS[category](item) == item_markdown_by_ifs(item)
+            assert _HTML_WRITERS[category](item) == item_html_by_ifs(item)
+
+
+@settings(max_examples=300, deadline=None)
+@given(items)
+def test_writers_match_the_if_chains_on_generated_items(item):
+    assert _MARKDOWN_WRITERS[item.category](item) == item_markdown_by_ifs(item)
+    assert _HTML_WRITERS[item.category](item) == item_html_by_ifs(item)
+
+
+# Text with and without the reserved characters, whole and broken raw spans.
+escapable = st.lists(st.one_of(
+    st.text(st.sampled_from('ab <>&"\n'), max_size=5),
+    st.text(max_size=3),
+    st.sampled_from(["<smiles>C=O</smiles>", "<reaction>a>b>c</reaction>",
+                     "<table><tr><td>x & y</td></tr></table>", "<smiles>", "</reaction>",
+                     "<table>", "&amp;"]),
+), max_size=6).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(escapable)
+def test_escapers_match_the_full_path(text):
+    assert _escape_html(text) == escape_html_by_regex(text)
+    assert _escape_attribute(text) == escape_attribute_by_replace(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parsed_documents, st.integers(32, 80))
+def test_chunk_token_estimates_count_the_words_of_the_text(doc, max_tokens):
+    for c in chunk(doc, max_tokens):
+        assert c.token_estimate == len(c.text.split())
 
 
 # --- chunking ----------------------------------------------------------------
