@@ -313,25 +313,24 @@ def integrate_sections(
         root.body = list(items)
         return root
 
-    matches: dict[int, int] = {}  # outline index -> item index
-    used_items: set[int] = set()
+    # (outline index, item index): each entry searches only past the previous
+    # match, so the item indexes rise
+    boundaries: list[tuple[int, int]] = []
     last_item = -1
     for oi, entry in enumerate(outline):
         wanted = _normalize_title(entry.title)
         for ii in range(last_item + 1, len(items)):
             item = items[ii]
-            if ii in used_items or item.category is not _SECTION_TITLE:
+            if item.category is not _SECTION_TITLE:
                 continue
             if _normalize_title(item.text) != wanted:
                 continue
             if abs(item.page_index - entry.page_index) > 1:
                 continue
-            matches[oi] = ii
-            used_items.add(ii)
+            boundaries.append((oi, ii))
             last_item = ii
             break
 
-    boundaries = sorted(matches.items(), key=lambda kv: kv[1])
     first_boundary = boundaries[0][1] if boundaries else len(items)
     root.body = list(items[:first_boundary])
 

@@ -10,7 +10,7 @@ perturbation; jitter never changes the intended order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .docmodel import (
     BoundingBox,
@@ -161,25 +161,7 @@ class GroundTruth:
     docs: dict[str, DocTruth] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            doc_id: {
-                "doc_id": truth.doc_id,
-                "pages": [
-                    {"page_index": p.page_index, "order": list(p.order),
-                     "groups": [list(g) for g in p.groups]}
-                    for p in truth.pages
-                ],
-                "merges": [
-                    {"kind": m.kind, "first_id": m.first_id, "second_id": m.second_id}
-                    for m in truth.merges
-                ],
-                "inline": [
-                    {"parent_id": r.parent_id, "child_ids": list(r.child_ids)}
-                    for r in truth.inline
-                ],
-            }
-            for doc_id, truth in sorted(self.docs.items())
-        }
+        return {doc_id: asdict(truth) for doc_id, truth in sorted(self.docs.items())}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroundTruth":

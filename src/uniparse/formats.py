@@ -452,10 +452,11 @@ def _table_html(item: FlowItem) -> str:
 
 def _figure_html(item: FlowItem) -> str:
     inner: list[str] = []
+    # gather fills no figure answer with spans, so the answer is escaped in full
     if isinstance(item.payload, (ESmiles, Reaction)):
-        inner.append(f"<p>{render_inline(item.payload)}</p>")
+        inner.append(f"<p>{render_inline(item.payload, _escape_text)}</p>")
     elif isinstance(item.payload, ChartTable):
-        inner.append(render_grid_html(item.payload.grid))
+        inner.append(render_grid_html(item.payload.grid, escape=_escape_text))
     else:
         alt = _escape_attribute(payload_text(item.payload))
         inner.append(f'<img src="{_escape_attribute(item.item_id)}" alt="{alt}"/>')

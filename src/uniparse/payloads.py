@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, Union
 
 # Anchors the position of an inline element (formula, molecule, chart, ...)
 # inside source text and table cells. Replaced by a placeholder token during
@@ -228,40 +228,45 @@ def _require_object(data) -> dict:
     return data
 
 
-def render_inline(payload: ContentPayload) -> str:
+def _verbatim(text: str) -> str:
+    return text
+
+
+def render_inline(payload: ContentPayload, escape: Callable[[str], str] = _verbatim) -> str:
     """Render a payload as an inline span for reintegration into text.
 
     LaTeX becomes `$...$`, molecules `<smiles>...</smiles>`, reactions a
     reactant>condition>product triplet, and (chart) tables a one-line HTML
-    table so the result stays legal inside Markdown and HTML alike.
+    table so the result stays legal inside Markdown and HTML alike. escape
+    is applied to each payload string and cell, never to the span's tags.
     """
-    if isinstance(payload, Text):
-        return payload.value
-    if isinstance(payload, Caption):
-        return payload.value
+    if isinstance(payload, (Text, Caption)):
+        return escape(payload.value)
     if isinstance(payload, Latex):
-        return f"${payload.value}$"
+        return f"${escape(payload.value)}$"
     if isinstance(payload, ESmiles):
-        return f"<smiles>{payload.value}</smiles>"
+        return f"<smiles>{escape(payload.value)}</smiles>"
     if isinstance(payload, Reaction):
         return (
             "<reaction>"
-            + ".".join(payload.reactants)
+            + ".".join(map(escape, payload.reactants))
             + ">"
-            + ".".join(payload.conditions)
+            + ".".join(map(escape, payload.conditions))
             + ">"
-            + ".".join(payload.products)
+            + ".".join(map(escape, payload.products))
             + "</reaction>"
         )
     if isinstance(payload, ChartTable):
-        return render_grid_html(payload.grid, inline=True)
+        return render_grid_html(payload.grid, inline=True, escape=escape)
     if isinstance(payload, TableGrid):
-        return render_grid_html(payload, inline=True)
+        return render_grid_html(payload, inline=True, escape=escape)
     raise TypeError(f"not a payload: {payload!r}")
 
 
-def render_grid_html(grid: TableGrid, inline: bool = False) -> str:
-    """HTML table for a grid. One line when inline, indented otherwise."""
+def render_grid_html(grid: TableGrid, inline: bool = False,
+                     escape: Callable[[str], str] = _verbatim) -> str:
+    """HTML table for a grid, each cell's text through escape. One line when
+    inline, indented otherwise."""
     sep = "" if inline else "\n"
     pad = "" if inline else "  "
     out = ["<table>"]
@@ -273,7 +278,7 @@ def render_grid_html(grid: TableGrid, inline: bool = False) -> str:
                 attrs += f' rowspan="{c.row_span}"'
             if c.col_span != 1:
                 attrs += f' colspan="{c.col_span}"'
-            parts.append(f"{pad}{pad}<td{attrs}>{c.text()}</td>")
+            parts.append(f"{pad}{pad}<td{attrs}>{escape(c.text())}</td>")
         parts.append(f"{pad}</tr>")
         out.append(sep.join(parts) if inline else "\n".join(parts))
     out.append("</table>")

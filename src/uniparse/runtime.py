@@ -27,11 +27,17 @@ five values:
     batch wait               max_wait_ms         0         0
     queue bound              queue_capacity      none      none
 
-A held step (par, seq) costs dispatch_ms_per_task times the document's tasks,
-a zero-cost step when it has none, and flushes every queue it fed in sorted
-modality order; it records no queue depth. In sequential, a batch that failed
-retryably is re-offered after its backoff and the single worker serves other
-ready batches meanwhile; it idles only when nothing else is ready.
+Dispatch is a stage worker like the other five. The layout stage splits each
+document into dispatch steps: one per task in pipe, the whole document in par
+and seq, and in every mode one empty, zero-cost step for a document with no
+tasks. A step costs dispatch_ms_per_task per task. The queue bound is the
+dispatch stage refusing a step: it holds the step, serves nothing else, and
+offers it again whenever the expert pool takes a batch. A whole-document
+step (par, seq) flushes every queue it fed in sorted modality order; it
+records no queue depth. A document goes to gather when its last outcome
+lands, or when its empty step ends. In sequential, a batch that failed
+retryably is re-offered after its backoff and the single worker serves
+other ready batches meanwhile; it idles only when nothing else is ready.
 
 Document outputs are byte-identical across modes and worker counts (content
 is pure); only the schedule, and therefore the metrics, differ. With failure
@@ -219,8 +225,6 @@ class _DocJob:
         self.analyses: list[PageAnalysis] | None = None
         self.plan = plan
         self.outcomes: dict = {}
-        self.dispatch_done = False
-        self.gathering = False
         self.parsed: ParsedDocument | None = None
         self.failed: tuple[str, ...] | None = None  # sorted; None until done
 
@@ -398,7 +402,9 @@ def _simulate(
 
 
 class _StageWorker:
-    """Single-threaded stage with a FIFO of jobs and a modeled cost."""
+    """Single-threaded stage with a FIFO of jobs and a modeled cost. A done_fn
+    that returns False refuses its job: the stage holds the job, serves
+    nothing else, and hands it on again at each wake until it is taken."""
 
     def __init__(self, sim, collector, name: str, cost_fn, done_fn):
         self.sim = sim
@@ -408,10 +414,16 @@ class _StageWorker:
         self.done_fn = done_fn
         self.queue: deque = deque()
         self.busy = False
+        self.held = None  # a finished job its done_fn refused
 
     def submit(self, job) -> None:
         self.queue.append(job)
         self._try_next()
+
+    def wake(self) -> None:
+        if self.held is not None:
+            job, self.held = self.held, None
+            self._hand_on(job)
 
     def _try_next(self) -> None:
         if self.busy or not self.queue:
@@ -420,13 +432,14 @@ class _StageWorker:
         self.busy = True
         cost = self.cost_fn(job)
         self.collector.charge_stage(self.name, cost)
+        self.sim.after(cost, lambda: self._hand_on(job))
 
-        def complete() -> None:
-            self.busy = False
-            self.done_fn(job)
-            self._try_next()
-
-        self.sim.after(cost, complete)
+    def _hand_on(self, job) -> None:
+        if self.done_fn(job) is False:
+            self.held = job
+            return
+        self.busy = False
+        self._try_next()
 
 
 def _chain(sim, collector, table, done_fn: Callable) -> Callable:
@@ -461,14 +474,11 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
     timer_armed: dict[str, float] = {}
 
     def on_task_done(task, outcome) -> None:
+        # An outcome lands in a later event than the step that queued its
+        # task, so the last outcome comes after the document's last step.
         job = jobs_by_doc[task.doc_id]
         job.outcomes[task.task_id] = outcome
-        maybe_gather(job)
-
-    def maybe_gather(job) -> None:
-        if (job.dispatch_done and len(job.outcomes) == len(job.plan.tasks)
-                and not job.gathering):
-            job.gathering = True
+        if len(job.outcomes) == len(job.plan.tasks):
             finish_doc(job)
 
     # --- batching: batch_stack says what is due, form_batches cuts it -------
@@ -480,7 +490,6 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
         if due:
             for batch in form_batches([queue.popleft()[0] for _ in range(due)], size):
                 pool.offer(batch)
-                dispatcher.wake()
         arm_timer(modality)
 
     def arm_timer(modality: str) -> None:
@@ -511,79 +520,54 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
         jobs_by_doc[job.doc.doc_id] = job
         ingest(job)
 
-    class _Dispatcher:
-        """Feeds each document's tasks to the task queues in dispatch steps of
-        step_tasks tasks (a held document: one step, even with no tasks), each
-        costing dispatch_ms_per_task per task."""
+    def split(job) -> None:
+        """The document's dispatch steps: step_tasks tasks each, the whole
+        document in one step, or one empty step when it has no tasks."""
+        tasks = job.plan.tasks
+        if step_tasks is None or not tasks:
+            dispatch.submit((job, tasks))
+        else:
+            for i in range(0, len(tasks), step_tasks):
+                dispatch.submit((job, tasks[i:i + step_tasks]))
 
-        def __init__(self):
-            self.docs: deque = deque()
-            self.job = None
-            self.steps: deque = deque()
-            self.blocked = False
-
-        def submit(self, job) -> None:
-            self.docs.append(job)
-            if self.job is None:
-                self._step()
-
-        def _step(self) -> None:
-            while not self.steps:
-                if self.job is not None:
-                    self.job.dispatch_done = True
-                    maybe_gather(self.job)
-                    self.job = None
-                if not self.docs:
-                    return
-                self.job = self.docs.popleft()
-                tasks = self.job.plan.tasks
-                self.steps.extend([tasks] if step_tasks is None else
-                                  (tasks[i:i + step_tasks] for i in range(0, len(tasks), step_tasks)))
-            cost = engine.dispatch_ms_per_task * len(self.steps[0])
-            collector.charge_stage("dispatch", cost)
-            sim.after(cost, self._enqueue)
-
-        def wake(self) -> None:
-            # A step still blocked blocks again and waits for the next wake.
-            if self.blocked:
-                self.blocked = False
-                self._enqueue()
-
-        def _enqueue(self) -> None:
-            step = self.steps[0]
-            if queue_bound is not None:
-                # Backpressure (a bounded step is one task): all admitted-
-                # but-unstarted work for the modality (queued tasks plus
-                # formed batches) counts against the bound.
-                (task,) = step
-                queue = task_queues[task.modality]
-                if len(queue) + pool.ready_tasks(task.modality) >= queue_bound:
-                    self.blocked = True
-                    return
-                queue.append((task, sim.now))
-                collector.record_depth(task.modality, len(queue))
-                fed = (task.modality,)
-            else:
-                # Held tasks bypass any bound: nothing drains the queues
-                # before this step's flush, so a document would wait on itself.
-                for task in step:
-                    task_queues[task.modality].append((task, sim.now))
-                fed = sorted({task.modality for task in step})
-            self.steps.popleft()
-            collector.tasks_dispatched += len(step)
-            for modality in fed:
-                try_form(modality)
-            self._step()
+    def enqueue(step) -> bool:
+        """Feeds a dispatch step's tasks to the task queues; False refuses it."""
+        job, tasks = step
+        if not tasks:
+            finish_doc(job)
+            return True
+        if queue_bound is not None:
+            # Backpressure (a bounded step is one task): all admitted-but-
+            # unstarted work for the modality (queued tasks plus formed
+            # batches) counts against the bound.
+            (task,) = tasks
+            queue = task_queues[task.modality]
+            if len(queue) + pool.ready_tasks(task.modality) >= queue_bound:
+                return False
+            queue.append((task, sim.now))
+            collector.record_depth(task.modality, len(queue))
+            fed = (task.modality,)
+        else:
+            # A whole document's tasks bypass any bound: nothing drains the
+            # queues before this step's flush, so it would wait on itself.
+            for task in tasks:
+                task_queues[task.modality].append((task, sim.now))
+            fed = sorted({task.modality for task in tasks})
+        collector.tasks_dispatched += len(tasks)
+        for modality in fed:
+            try_form(modality)
+        return True
 
     def per_page(ms: float) -> Callable:
         return lambda j: ms * max(len(j.doc.pages), 1)
 
-    dispatcher = _Dispatcher()
+    dispatch = _StageWorker(sim, collector, "dispatch",
+                            lambda step: engine.dispatch_ms_per_task * len(step[1]), enqueue)
     ingest = _chain(sim, collector, (
         ("preprocess", per_page(engine.preprocess_ms_per_page)),
         ("layout", per_page(engine.layout_ms_per_page)),
-    ), dispatcher.submit)
-    pool = _ExpertPool(sim, config, backend, collector, on_task_done, dispatcher.wake, workers)
+    ), split)
+    pool = _ExpertPool(sim, config, backend, collector, on_task_done, dispatch.wake, workers)
 
     def complete(job) -> None:
         if job.analyses is None:  # a sweep's shared plan: metrics only

@@ -455,9 +455,11 @@ def test_serve_echo_subprocess_round_trip(corpus_dir, tmp_path):
                 proc.kill()
 
 
-def _fresh_python(*args: str) -> subprocess.CompletedProcess:
-    """A new interpreter with this checkout's src/ as its only extra path."""
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)},
+def _fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A new interpreter with this checkout's src/ as its only extra path and
+    env added to its environment."""
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env},
                           capture_output=True, text=True, timeout=60)
 
 
@@ -478,3 +480,25 @@ def test_http_stack_is_imported_only_by_a_remote_backend():
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    assert main(["gen-corpus", "--out", str(tmp_path), "--docs", "1", "--seed", "3"]) == 0
+    ir = str(tmp_path / "d000.ir.json")
+    commands = [
+        ("simulate", "--docs", "6", "--mode", "pipe", "--report", "json"),
+        ("simulate", "--docs", "6", "--mode", "seq", "--report", "json"),
+        ("simulate", "--docs", "6", "--scaling", "1,4", "--report", "json"),
+        ("bench", "--docs", "6", "--report", "json"),
+        ("parse", ir, "--format", "structured"),
+        ("parse", ir, "--format", "html"),
+        ("parse", ir, "--format", "chunks"),
+    ]
+    stdout = {}
+    for seed in ("0", "1"):
+        for command in commands:
+            proc = _fresh_python("-m", "uniparse", *command, PYTHONHASHSEED=seed)
+            assert proc.returncode == 0 and proc.stdout, (command, proc.stderr)
+            stdout[seed, command] = proc.stdout
+    for command in commands:
+        assert stdout["0", command] == stdout["1", command], command

@@ -461,6 +461,45 @@ def test_ir_strings_are_escaped_with_no_raw_span():
     _parseable(html)
 
 
+def test_figure_answers_are_escaped_in_full():
+    # gather fills no figure answer with spans, so the figure writer escapes
+    # each answer string and chart cell; the span tags it adds stay live
+    smiles = "</smiles><script>alert(2)</script>"
+    reactant = "<img src=x onerror=alert(3)>"
+    cell = "<script>alert(4)</script> & co"
+    chart = ChartTable(TableGrid(1, 2, (Cell(0, 0, content=(cell,)), Cell(0, 1, content=("1",)))))
+    html = to_html(doc_of([
+        flow("m1", category=C.MOLECULE, payload=ESmiles(smiles)),
+        flow("r1", category=C.CHEMICAL_REACTION,
+             payload=Reaction((reactant,), ("heat",), ("CCO",))),
+        flow("c1", category=C.CHART, payload=chart),
+    ]))
+    parser = _Elements()
+    parser.feed(html)
+    parser.close()
+    assert "script" not in parser.tags and "img" not in parser.tags
+    assert parser.text["smiles"] == smiles
+    assert parser.text["reaction"] == f"{reactant}>heat>CCO"
+    assert parser.text["td"] == f"{cell}1"
+    _parseable(html)
+
+
+def test_render_escapes_payload_strings_and_cells_not_tags():
+    def mark(text):
+        return f"[{text}]"
+
+    assert render_inline(ESmiles("C"), mark) == "<smiles>[C]</smiles>"
+    assert render_inline(Latex("x"), mark) == "$[x]$"
+    assert render_inline(Reaction(("a", "b"), ("h",), ("c",)), mark) == (
+        "<reaction>[a].[b]>[h]>[c]</reaction>")
+    grid = TableGrid(1, 2, (Cell(0, 0, content=("p",)), Cell(0, 1, col_span=1, content=("q",))))
+    assert render_inline(ChartTable(grid), mark) == "<table><tr><td>[p]</td><td>[q]</td></tr></table>"
+    assert render_grid_html(grid, escape=mark) == (
+        "<table>\n  <tr>\n    <td>[p]</td>\n    <td>[q]</td>\n  </tr>\n</table>")
+    # without an escape, every payload renders as it is
+    assert render_inline(ESmiles("<b>")) == "<smiles><b></smiles>"
+
+
 def test_empty_document_html_skeleton():
     html = to_html(doc_of([]))
     assert html.startswith("<!DOCTYPE html>")

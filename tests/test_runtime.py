@@ -192,6 +192,11 @@ def test_document_without_tasks_between_ocr_documents(mode):
         assert done["z"] - done["a"] == pytest.approx(22.0)
         assert done["z2"] - done["b"] == pytest.approx(22.0)
         assert metrics.wall_ms == pytest.approx(done["z2"])
+    else:
+        # a task-less document overtakes the OCR one ahead of it: "z" leaves
+        # layout at 24 and pays gather 2 + consolidate 3 + format 3
+        assert metrics.doc_latency_ms == pytest.approx(
+            {"z": 32.0, "z2": 52.0, "a": 60.7, "b": 83.85})
 
 
 def test_parallel_gather_wall_matches_oracle():
@@ -301,7 +306,7 @@ def test_parallel_gather_offers_form_batches_of_each_document():
 
 
 def test_backpressure_stalls_producer_behind_slow_experts():
-    # a tiny admission window forces the dispatcher to wait for the pool,
+    # a tiny admission window forces the dispatch stage to wait for the pool,
     # stretching the makespan well beyond the unconstrained run
     docs = [ocr_only_doc("a", 40)]
     slow = ocr_experts(base=50.0, per_item=5.0, replicas=1)

@@ -5,7 +5,9 @@ digests alone. A change that moves the schedule on purpose updates them and
 says why. The workload injects retryable failures, some of which exhaust
 their retries, and keeps the pipeline's queues tight enough for
 backpressure. Every mode runs it under two descriptor tables: the default
-one, and a capped one (max_batch 3, one replica per expert).
+one, and a capped one (max_batch 3, one replica per expert). A second
+workload interleaves furniture-only documents, which plan no task, with the
+generated ones.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import pytest
 
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
+from uniparse.docmodel import SemanticCategory as C
+from uniparse.engine import analyze_and_plan
 from uniparse.experts import default_descriptors
 from uniparse.runtime import (
     Mode,
@@ -25,6 +29,8 @@ from uniparse.runtime import (
     run_pipeline,
     simulate_scaling,
 )
+
+from conftest import det, one_page_doc
 
 SEED = 11
 TABLES = {"default": {}, "capped": {"max_batch": 3, "replicas": 1}}
@@ -46,6 +52,20 @@ REPORT_DIGESTS = {
         Mode.PIPELINE_PARALLEL: "ce09569c0099bd589ebfae2364ebda46e555cd8d5abdc5d04053686a24bd632f",
     },
 }
+# The same, on the workload with task-less documents. Recorded while a
+# task-less document took no dispatch step in pipe mode.
+TASKLESS_DIGESTS = {
+    "default": {
+        Mode.SEQUENTIAL: "15a657af82b681ea335bfe1aeba540220ab5bec75e41fc411d1e04d80478f565",
+        Mode.PARALLEL_GATHER: "694ad359400daa2adf61651c43b12d5be36d1d21288edfb8bbca5659c1724802",
+        Mode.PIPELINE_PARALLEL: "312fc6d45cf47fc47b903e613e16fb29a05ae564173e3b16c10590fd80d556e7",
+    },
+    "capped": {
+        Mode.SEQUENTIAL: "ea86b8942282a9efdf7a92a2429d8183f2b35673747c15e9401286d42ffc4e27",
+        Mode.PARALLEL_GATHER: "e20c33a5b8d0bbc6ae233d3a7506ca299857f734e47b8529b28e847470a05920",
+        Mode.PIPELINE_PARALLEL: "e59b152838c2f46b1c125c353fa2f435996f90bcd603a81577800604117bfb48",
+    },
+}
 SCALING_DIGEST = "dbd87629960ee71ee53b0a7e176ed2133ff7d4594da9e3ae62c1685973fb039d"
 
 
@@ -56,6 +76,25 @@ def digest(obj) -> str:
 @pytest.fixture(scope="module")
 def docs():
     return gen_corpus(CorpusSpec(seed=SEED, n_docs=6, pages_min=1, pages_max=3))[0]
+
+
+def furniture_only_doc(doc_id: str):
+    # a running header and a page number: the plan has no tasks
+    return one_page_doc([
+        det(f"{doc_id}h", (0.1, 0.02, 0.9, 0.05), C.HEADER, truth_text="running head"),
+        det(f"{doc_id}n", (0.45, 0.95, 0.55, 0.98), C.PAGE_NUMBER, truth_text="7"),
+    ], doc_id=doc_id)
+
+
+@pytest.fixture(scope="module")
+def taskless_docs(docs):
+    """empty0, d000, d001, empty1, d002, d003, empty2, d004, d005, empty3."""
+    mixed = [furniture_only_doc("empty0")]
+    for i, doc in enumerate(docs):
+        mixed.append(doc)
+        if i % 2:
+            mixed.append(furniture_only_doc(f"empty{i // 2 + 1}"))
+    return mixed
 
 
 def guard_config(mode: Mode, table: str) -> PipelineConfig:
@@ -81,6 +120,17 @@ def test_report_and_latencies_are_pinned(docs, mode):
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
 def test_capped_table_report_and_latencies_are_pinned(docs, mode):
     assert_pinned(docs, mode, "capped")
+
+
+@pytest.mark.parametrize("table", list(TABLES))
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+def test_taskless_documents_report_and_latencies_are_pinned(taskless_docs, mode, table):
+    engine = EngineConfig()
+    empty = [doc for doc in taskless_docs if not analyze_and_plan(doc, engine)[1].tasks]
+    assert [doc.doc_id for doc in empty] == ["empty0", "empty1", "empty2", "empty3"]
+    _outputs, metrics = run_pipeline(taskless_docs, guard_config(mode, table))
+    assert metrics.retries > 0
+    assert digest([metrics.to_report(), metrics.doc_latency_ms]) == TASKLESS_DIGESTS[table][mode]
 
 
 def test_scaling_sweep_is_pinned(docs):
