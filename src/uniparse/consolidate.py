@@ -1,5 +1,6 @@
-"""Document-level assembly: cross-column and cross-page merging, multimodal
-linkage across page boundaries, and section-hierarchy integration.
+"""Document-level assembly: one walk over the flow that merges fragments
+split by a column or a page break, multimodal linkage across page
+boundaries, and section-hierarchy integration.
 
 All continuity rules are lexical and geometric; there is no language model in
 the loop. The punctuation set and CJK join behavior come from EngineConfig.
@@ -152,29 +153,6 @@ def _merge_paragraph_items(first: FlowItem, second: FlowItem, no_space: bool) ->
                  Text(join_fragments(first.payload.value, second.payload.value, no_space)))
 
 
-def merge_cross_column(items: list[FlowItem], cfg: EngineConfig | None = None,
-                       language_tag: str = "en") -> list[FlowItem]:
-    """Reconnect paragraph fragments split by column boundaries.
-
-    Adjacent paragraphs on the same page merge when the first ends mid-flow
-    (no terminal punctuation, or a hyphenated word) and the second reads as a
-    continuation. The merged item keeps the first item's id.
-    """
-    cfg = cfg or EngineConfig()
-    no_space = cfg.joins_without_space(language_tag)
-    out: list[FlowItem] = []
-    for item in items:
-        if (
-            out
-            and out[-1].page_index == item.page_index
-            and _can_merge_paragraphs(out[-1], item, cfg, caseless_ok=no_space)
-        ):
-            out[-1] = _merge_paragraph_items(out[-1], item, no_space)
-        else:
-            out.append(item)
-    return out
-
-
 def _merge_tables(first: FlowItem, second: FlowItem) -> FlowItem | None:
     if first.category is not _TABLE or second.category is not _TABLE:
         return None
@@ -213,27 +191,30 @@ def _merge_reactions(first: FlowItem, second: FlowItem) -> FlowItem | None:
     return _fold(first, second, merged)
 
 
-def merge_cross_page(items: list[FlowItem], cfg: EngineConfig | None = None,
-                     language_tag: str = "en") -> list[FlowItem]:
-    """Merge entities split across a page boundary.
+def merge_fragments(items: list[FlowItem], cfg: EngineConfig,
+                    language_tag: str = "en") -> list[FlowItem]:
+    """Reconnect entities split by a column or a page break, in one walk.
 
-    Candidates are always the last item of page p and the first of page p+1:
-    running paragraphs under the column continuity rules, tables with equal
-    column counts whose continuation lacks a caption (or says "continued"),
-    and reaction fragments sharing a group hint.
+    Each item meets the last item kept so far. Paragraphs on that item's last
+    page or the next one merge when the first ends mid-flow (no terminal
+    punctuation, or a hyphenated word) and the second reads as a
+    continuation. Across a one-page step, tables with equal column counts
+    whose continuation lacks a caption (or says "continued") merge too, and
+    so do reaction fragments sharing a group hint. The merged item keeps the
+    first item's id.
     """
-    cfg = cfg or EngineConfig()
     no_space = cfg.joins_without_space(language_tag)
     out: list[FlowItem] = []
     for item in items:
         merged = None
-        # Flow order puts all of page p before page p+1, so adjacency
-        # across a one-page step means last-of-p meets first-of-p+1.
-        if out and item.page_index == max(out[-1].pages) + 1:
+        if out:
             first = out[-1]
-            if _can_merge_paragraphs(first, item, cfg, caseless_ok=no_space):
+            # Flow order puts all of page p before page p+1, so adjacency
+            # across a one-page step means last-of-p meets first-of-p+1.
+            step = item.page_index - max(first.pages)
+            if step in (0, 1) and _can_merge_paragraphs(first, item, cfg, caseless_ok=no_space):
                 merged = _merge_paragraph_items(first, item, no_space)
-            else:
+            elif step == 1:
                 merged = _merge_tables(first, item) or _merge_reactions(first, item)
         if merged is None:
             out.append(item)
@@ -357,8 +338,5 @@ def consolidate(
     cfg: EngineConfig | None = None,
     language_tag: str = "en",
 ) -> SectionNode:
-    cfg = cfg or EngineConfig()
-    items = merge_cross_column(items, cfg, language_tag)
-    items = merge_cross_page(items, cfg, language_tag)
-    items = link_multimodal(items)
-    return integrate_sections(items, outline)
+    items = merge_fragments(items, cfg or EngineConfig(), language_tag)
+    return integrate_sections(link_multimodal(items), outline)

@@ -163,26 +163,6 @@ class GroundTruth:
     def to_dict(self) -> dict:
         return {doc_id: asdict(truth) for doc_id, truth in sorted(self.docs.items())}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroundTruth":
-        docs = {}
-        for doc_id, raw in data.items():
-            docs[doc_id] = DocTruth(
-                doc_id=raw["doc_id"],
-                pages=[
-                    PageTruth(
-                        page_index=p["page_index"],
-                        order=list(p["order"]),
-                        groups=[tuple(g) for g in p["groups"]],
-                    )
-                    for p in raw["pages"]
-                ],
-                merges=[MergeRecord(**m) for m in raw["merges"]],
-                inline=[InlineRecord(parent_id=r["parent_id"], child_ids=list(r["child_ids"]))
-                        for r in raw["inline"]],
-            )
-        return cls(docs=docs)
-
 
 class _DocBuilder:
     def __init__(self, doc_id: str, spec: CorpusSpec, rng: random.Random):

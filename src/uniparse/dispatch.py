@@ -6,8 +6,9 @@ Placeholder tokens are the exact literal "[[UPH:" + kind + ":" + id + "]]".
 They exist only between dispatch and gather; no emitted format may contain
 one. Gather replaces every occurrence of each planned token: a failed
 child's token with "[[FAILED:" + modality + ":" + id + "]]", the token of a
-child that got no task with the empty span. Then it deletes any token
-literal still left in a text or grid answer.
+child that got no task with the empty span, wherever in the answer the
+expert wrote it. Then it deletes any token literal still left in an answer
+of any kind.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from .docmodel import DocumentIR, SemanticCategory
 from .experts import MODALITIES, ExpertResponse, Task
 from .layout import LayoutNode, LayoutTree
 from .payloads import (
+    SCALARS,
     Cell,
+    ChartTable,
     ContentPayload,
+    Reaction,
     TableGrid,
-    Text,
     render_inline,
 )
 
@@ -65,14 +68,11 @@ ROUTE_TABLE: dict[SemanticCategory, str | None] = {
 }
 
 # The placeholder kind string of each category: its value, or a short name
-# for an inline-capable one.
+# for an inline-capable one whose value is long.
 PLACEHOLDER_KINDS: dict[SemanticCategory, str] = {
     category: category.value for category in SemanticCategory} | {
     SemanticCategory.FORMULA_INLINE: "formula",
-    SemanticCategory.MOLECULE: "molecule",
     SemanticCategory.CHEMICAL_REACTION: "reaction",
-    SemanticCategory.CHART: "chart",
-    SemanticCategory.FIGURE: "figure",
 }
 
 
@@ -242,7 +242,7 @@ def gather(
     Each planned token counts once: failed when its child failed or the
     parent's answer does not carry it (a failed parent carries none),
     resolved otherwise. So tokens_emitted == tokens_resolved + tokens_failed.
-    Then every token literal still left in any text or grid answer, one the
+    Then every token literal still left in any answer, of any kind, one the
     plan did not make for that answer, is deleted and counted nowhere.
     The result depends only on the outcome table, never on completion order.
     """
@@ -287,11 +287,15 @@ def gather(
 
 
 def _runs(answer: ContentPayload | None) -> tuple[str, ...]:
-    """The text runs of a parent's answer: where its tokens can land."""
-    if isinstance(answer, Text):
+    """The text runs of an answer of any kind: where its tokens can land."""
+    if isinstance(answer, SCALARS):
         return (answer.value,)
+    if isinstance(answer, ChartTable):
+        answer = answer.grid
     if isinstance(answer, TableGrid):
         return tuple(run for cell in answer.cells for run in cell.content)
+    if isinstance(answer, Reaction):
+        return (*answer.reactants, *answer.conditions, *answer.products)
     return ()
 
 
@@ -307,10 +311,15 @@ def _scrub(run: str) -> str:
     return _TOKEN.sub("", run) if PLACEHOLDER_PREFIX in run else run
 
 
-def _map_runs(answer: Text | TableGrid, fn: Callable[[str], str]) -> Text | TableGrid:
+def _map_runs(answer: ContentPayload, fn: Callable[[str], str]) -> ContentPayload:
     """answer with each of its text runs mapped through fn."""
-    if isinstance(answer, Text):
-        return Text(fn(answer.value))
+    if isinstance(answer, SCALARS):
+        return type(answer)(fn(answer.value))
+    if isinstance(answer, ChartTable):
+        return ChartTable(_map_runs(answer.grid, fn))
+    if isinstance(answer, Reaction):
+        return Reaction(tuple(map(fn, answer.reactants)), tuple(map(fn, answer.conditions)),
+                        tuple(map(fn, answer.products)))
     return TableGrid(answer.rows, answer.cols, tuple(
         Cell(c.row, c.col, c.row_span, c.col_span, tuple(fn(run) for run in c.content))
         for c in answer.cells))

@@ -86,31 +86,6 @@ FUNCTIONAL_CATEGORIES = frozenset(
     }
 )
 
-# Anchor categories that may own grouped partners.
-ANCHOR_CATEGORIES = frozenset(
-    {
-        SemanticCategory.IMAGE,
-        SemanticCategory.TABLE,
-        SemanticCategory.FORMULA,
-        SemanticCategory.MOLECULE,
-        SemanticCategory.FIGURE,
-        SemanticCategory.CHART,
-        SemanticCategory.CHEMICAL_REACTION,
-    }
-)
-
-# Partner categories that attach to an anchor.
-PARTNER_CATEGORIES = frozenset(
-    {
-        SemanticCategory.CAPTION,
-        SemanticCategory.TABLE_FOOTNOTE,
-        SemanticCategory.FORMULA_ID,
-        SemanticCategory.MOLECULE_IDENTIFIER,
-        SemanticCategory.MARKUSH_DESCRIPTION,
-        SemanticCategory.FIGURE_LEGEND,
-    }
-)
-
 
 class SchemaViolation(Exception):
     """A document file or value violates the IR schema."""

@@ -20,10 +20,10 @@ from .consolidate import FlowItem, SectionNode
 from .docmodel import SemanticCategory
 from .layout import RelationKind
 from .payloads import (
+    SCALARS,
     Caption,
     ChartTable,
     ESmiles,
-    Latex,
     Reaction,
     TableGrid,
     Text,
@@ -117,7 +117,6 @@ _DOCUMENT_T = (
 # the enum (a property) and encoded each time.
 _CATEGORY_JSON = {c: _str(c.value) for c in SemanticCategory}
 _RELATION_JSON = {r: _str(r.value) for r in RelationKind}
-_SCALARS = (Text, Latex, ESmiles, Caption)
 
 
 def _list(members: list[str], nl: str) -> str:
@@ -217,7 +216,7 @@ def _payload_json(payload, nl: str) -> str:
     """A payload opening on the line `nl`, as payloads.payload_to_dict
     shapes it."""
     templates = _templates(nl)
-    if isinstance(payload, _SCALARS):
+    if isinstance(payload, SCALARS):
         return templates.scalar % (_str(payload.kind), _str(payload.value))
     i, j = nl + "  ", nl + "    "
     if isinstance(payload, TableGrid):
@@ -295,22 +294,32 @@ def _table_markdown(item: FlowItem) -> str:
     grid = item.payload if isinstance(item.payload, TableGrid) else None
     if grid is None:
         parts.append(f"<!-- unparsed table {item.item_id} -->")
-    elif grid.is_rectangular():
-        parts.append(_pipe_table(grid))
     else:
-        parts.append(render_grid_html(grid))
+        parts.append(_pipe_table(grid) or render_grid_html(grid))
     footnote = item.partner_of(_FOOTNOTE)
     if footnote is not None and footnote.payload is not None:
         parts.append(payload_text(footnote.payload))
     return "\n\n".join(parts)
 
 
-def _pipe_table(grid: TableGrid) -> str:
-    """A grid that TableGrid.is_rectangular passes, as a pipe table: its
-    first row is the header."""
-    rows = [" | ".join(c.text().replace("|", "\\|") for c in cells) for cells in _grid_rows(grid)]
-    header = rows[0] if rows else " | ".join("" for _ in range(grid.cols))
-    lines = [f"| {header} |", "| " + " | ".join("---" for _ in range(grid.cols)) + " |"]
+def _pipe_table(grid: TableGrid) -> str | None:
+    """The grid as a pipe table whose first row is the header, or None when
+    some position of the grid does not hold exactly one 1x1 cell."""
+    cols = grid.cols
+    if len(grid.cells) != grid.rows * cols:
+        return None
+    rows = []
+    for cells in _grid_rows(grid):
+        if len(cells) != cols:
+            return None
+        for col, c in enumerate(cells):
+            if c.col != col or c.row_span != 1 or c.col_span != 1:
+                return None
+        rows.append(" | ".join(c.text().replace("|", "\\|") for c in cells))
+    if len(rows) * cols != len(grid.cells):
+        return None
+    header = rows[0] if rows else " | ".join("" for _ in range(cols))
+    lines = [f"| {header} |", "| " + " | ".join("---" for _ in range(cols)) + " |"]
     lines.extend(f"| {row} |" for row in rows[1:])
     return "\n".join(lines)
 
@@ -322,7 +331,7 @@ def _figure_markdown(item: FlowItem) -> str:
         parts.append(render_inline(item.payload))
     elif isinstance(item.payload, ChartTable):
         grid = item.payload.grid
-        parts.append(_pipe_table(grid) if grid.is_rectangular() else render_grid_html(grid))
+        parts.append(_pipe_table(grid) or render_grid_html(grid))
     elif isinstance(item.payload, (Caption, Text)):
         parts.append(f"![{payload_text(item.payload)}]({item.item_id})")
     else:
@@ -440,7 +449,7 @@ def _table_html(item: FlowItem) -> str:
     parts = []
     caption = item.caption_text()
     grid = item.payload if isinstance(item.payload, TableGrid) else None
-    body = render_grid_html(grid) if grid is not None else ""
+    body = render_grid_html(grid, escape=_escape_html) if grid is not None else ""
     if caption:
         body = body.replace("<table>", f"<table>\n<caption>{_escape_html(caption)}</caption>", 1)
     parts.append(body or f"<!-- unparsed table {item.item_id} -->")
@@ -452,7 +461,7 @@ def _table_html(item: FlowItem) -> str:
 
 def _figure_html(item: FlowItem) -> str:
     inner: list[str] = []
-    # gather fills no figure answer with spans, so the answer is escaped in full
+    # the answer is escaped in full, any span gather filled into it included
     if isinstance(item.payload, (ESmiles, Reaction)):
         inner.append(f"<p>{render_inline(item.payload, _escape_text)}</p>")
     elif isinstance(item.payload, ChartTable):

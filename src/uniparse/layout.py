@@ -15,9 +15,7 @@ from enum import Enum
 
 from .config import EngineConfig
 from .docmodel import (
-    ANCHOR_CATEGORIES,
     FUNCTIONAL_CATEGORIES,
-    PARTNER_CATEGORIES,
     TOP_LAYER_CATEGORIES,
     BoundingBox,
     Detection,
@@ -35,19 +33,26 @@ class RelationKind(str, Enum):
     LEGEND = "legend"
 
 
+# The relation of each partner category to its anchor, a table's caption
+# aside.
+_PARTNER_RELATIONS = {
+    SemanticCategory.CAPTION: RelationKind.CAPTION,
+    SemanticCategory.TABLE_FOOTNOTE: RelationKind.FOOTNOTE,
+    SemanticCategory.FORMULA_ID: RelationKind.FORMULA_ID,
+    SemanticCategory.MOLECULE_IDENTIFIER: RelationKind.MOLECULE_IDENTIFIER,
+    SemanticCategory.MARKUSH_DESCRIPTION: RelationKind.MARKUSH_DESCRIPTION,
+    SemanticCategory.FIGURE_LEGEND: RelationKind.LEGEND,
+}
+
+# Partner categories that attach to an anchor.
+PARTNER_CATEGORIES = frozenset(_PARTNER_RELATIONS)
+
 # (partner category, anchor category) -> relation, for every partner category
 # and any anchor. A caption acts as a title when it belongs to a table, as a
 # caption everywhere else.
 RELATION_FOR: dict[tuple[SemanticCategory, SemanticCategory], RelationKind] = {
     (partner, anchor): relation
-    for partner, relation in {
-        SemanticCategory.CAPTION: RelationKind.CAPTION,
-        SemanticCategory.TABLE_FOOTNOTE: RelationKind.FOOTNOTE,
-        SemanticCategory.FORMULA_ID: RelationKind.FORMULA_ID,
-        SemanticCategory.MOLECULE_IDENTIFIER: RelationKind.MOLECULE_IDENTIFIER,
-        SemanticCategory.MARKUSH_DESCRIPTION: RelationKind.MARKUSH_DESCRIPTION,
-        SemanticCategory.FIGURE_LEGEND: RelationKind.LEGEND,
-    }.items()
+    for partner, relation in _PARTNER_RELATIONS.items()
     for anchor in SemanticCategory
 } | {(SemanticCategory.CAPTION, SemanticCategory.TABLE): RelationKind.TITLE}
 
@@ -77,6 +82,9 @@ COMPATIBLE_PARTNERS: dict[SemanticCategory, frozenset[SemanticCategory]] = {
         {SemanticCategory.MOLECULE_IDENTIFIER, SemanticCategory.MARKUSH_DESCRIPTION}
     ),
 }
+
+# Anchor categories that may own grouped partners.
+ANCHOR_CATEGORIES = frozenset(COMPATIBLE_PARTNERS)
 
 
 @dataclass(slots=True)

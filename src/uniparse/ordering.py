@@ -17,14 +17,12 @@ from typing import Union
 
 from .config import EngineConfig
 from .docmodel import (
-    ANCHOR_CATEGORIES,
-    PARTNER_CATEGORIES,
     BoundingBox,
     Detection,
     SemanticCategory,
     hull_of,
 )
-from .layout import LayoutTree
+from .layout import ANCHOR_CATEGORIES, PARTNER_CATEGORIES, LayoutTree
 
 PAGE_REGION = BoundingBox(0.0, 0.0, 1.0, 1.0)
 

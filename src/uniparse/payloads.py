@@ -65,21 +65,6 @@ class TableGrid:
     cells: tuple[Cell, ...] = ()
     kind: ClassVar[str] = "table_grid"
 
-    def is_rectangular(self) -> bool:
-        """True when each position of the grid holds exactly one cell, and
-        that cell is 1x1."""
-        if len(self.cells) != self.rows * self.cols:
-            return False
-        placed = 0
-        for cells in _grid_rows(self):
-            if len(cells) != self.cols:
-                return False
-            for col, c in enumerate(cells):
-                if c.col != col or c.row_span != 1 or c.col_span != 1:
-                    return False
-            placed += len(cells)
-        return placed == len(self.cells)
-
     def fits(self, c: Cell) -> bool:
         """True when c is anchored inside the grid, its spans are not
         negative, and it ends inside the grid. A zero span covers nothing but
@@ -123,7 +108,9 @@ class ChartTable:
 
 ContentPayload = Union[Text, Latex, TableGrid, ESmiles, Reaction, ChartTable, Caption]
 
-_SCALAR_TYPES = {"text": Text, "latex": Latex, "e_smiles": ESmiles, "caption": Caption}
+# The payload kinds that are one string.
+SCALARS = (Text, Latex, ESmiles, Caption)
+_SCALAR_TYPES = {cls.kind: cls for cls in SCALARS}
 
 # What decoding a malformed JSON document or payload raises: a missing key, a
 # wrong type, a bad value, a non-finite or huge number given where an integer
@@ -140,7 +127,7 @@ MAX_GRID_POSITIONS = 100_000
 
 
 def payload_to_dict(payload: ContentPayload) -> dict:
-    if isinstance(payload, (Text, Latex, ESmiles, Caption)):
+    if isinstance(payload, SCALARS):
         return {"kind": payload.kind, "value": payload.value}
     if isinstance(payload, TableGrid):
         return {"kind": "table_grid", **_grid_to_dict(payload)}
@@ -310,7 +297,7 @@ def payload_text(payload: ContentPayload | None) -> str:
     """Plain-text view of a payload, used for chunking and token estimates."""
     if payload is None:
         return ""
-    if isinstance(payload, (Text, Caption, Latex, ESmiles)):
+    if isinstance(payload, SCALARS):
         return payload.value
     if isinstance(payload, Reaction):
         return " ".join((*payload.reactants, *payload.conditions, *payload.products))

@@ -8,7 +8,6 @@ import pytest
 from uniparse.config import EngineConfig
 from uniparse.corpus import (
     CorpusSpec,
-    GroundTruth,
     InvalidSpec,
     gen_corpus,
     grouping_f1,
@@ -90,13 +89,6 @@ def test_hint_stripping_removes_all_hints():
     stripped = strip_group_hints(docs[0])
     assert all(d.group_hint is None for d in stripped.iter_detections())
     assert stripped.doc_id == docs[0].doc_id
-
-
-def test_truth_roundtrips_through_dict():
-    _docs, truth = gen_corpus(CorpusSpec(seed=9, n_docs=2, cross_page_split_prob=1.0,
-                                         pages_min=2, pages_max=2))
-    again = GroundTruth.from_dict(truth.to_dict())
-    assert again.to_dict() == truth.to_dict()
 
 
 def test_invalid_specs_rejected():

@@ -3,8 +3,11 @@
 An AST scan of every module fails on an unused import; on a module-level
 function, class or assigned name (a constant) that no package module names
 or imports and that `uniparse.__all__` does not export; and on a non-dunder
-method or property of a package class whose name no package module reads,
-as an attribute or a name, outside the method's own body. Test helpers and
+method or property of a package class K whose name no package module reads
+outside the method's own body: as a name, as an attribute of an object of
+unknown class, or as an attribute of K or a class inheriting from K (a read
+of C.m, or of self.m or cls.m inside class C, counts only for C and its
+bases). Test helpers and
 oracles belong in tests/; a name kept for a caller outside the package goes
 in ALLOWED with the reason.
 """
@@ -42,11 +45,30 @@ def _loads(tree: ast.AST) -> set[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
-def _reads(tree: ast.AST) -> Counter:
+def _reads(tree: ast.AST, classes: set[str], owner: str | None = None) -> Counter:
     """How often the code under tree reads each name, as a name or as an
-    attribute."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+    attribute, keyed (class, name): the class is K for a read of K.m (or
+    module.K.m) of a package class K, and for self.m or cls.m inside class
+    K; it is None for any other read. owner is the class tree lies in."""
+    counts: Counter = Counter()
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            counts[None, node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            value = node.value
+            named = (value.id if isinstance(value, ast.Name)
+                     else value.attr if isinstance(value, ast.Attribute) else None)
+            if named in ("self", "cls") and isinstance(value, ast.Name):
+                named = owner
+            counts[named if named in classes else None, node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, owner)
+    return counts
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -106,18 +128,30 @@ def dead_code(sources: dict[str, str]) -> list[str]:
                         or readers[name] > (name in _loads(node))):
                     continue
                 findings.append(f"{mod}: {name} is never used")
-    # a method or property lives while a module reads its name outside the
-    # method's own body
-    reads = sum(map(_reads, trees.values()), Counter())
-    for mod, tree in trees.items():
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (node.name.startswith("__") and node.name.endswith("__"))
-                        and f"{mod}.{cls.name}.{node.name}" not in ALLOWED
-                        and reads[node.name] <= _reads(node)[node.name]):
+    # a method or property of class K lives while a module reads its name
+    # outside the method's own body: as a bare name or on an object of
+    # unknown class, or on K or a class that inherits from K
+    defs = [(mod, cls) for mod, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)]
+    classes = {cls.name for _mod, cls in defs}
+    bases = {cls.name: {b.id for b in cls.bases if isinstance(b, ast.Name)} for _mod, cls in defs}
+
+    def heirs(name: str) -> set[str]:
+        """name and every package class that inherits from it."""
+        out = {name}
+        while grown := {k for k, b in bases.items() if b & out} - out:
+            out |= grown
+        return out
+
+    reads = sum((_reads(tree, classes) for tree in trees.values()), Counter())
+    for mod, cls in defs:
+        readers = [None, *heirs(cls.name)]
+        for node in cls.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and f"{mod}.{cls.name}.{node.name}" not in ALLOWED):
+                own = _reads(node, classes, cls.name)
+                if sum(reads[k, node.name] - own[k, node.name] for k in readers) <= 0:
                     findings.append(f"{mod}: {cls.name}.{node.name} is never used")
     return sorted(findings)
 
@@ -177,3 +211,27 @@ def test_guard_reports_a_planted_unread_method_and_property():
     assert dead_code(sources) == ["a: Live.self_read_method is never used",
                                   "a: Live.unread_method is never used",
                                   "a: Live.unread_property is never used"]
+
+
+def test_guard_tells_apart_methods_of_one_name_on_two_classes():
+    sources = {
+        "__init__": "from .b import live\n__all__ = ['live']\n",
+        "a": (
+            "class Base:\n"
+            "    def inherited(self):\n        return 0\n\n"
+            "class Spec:\n"
+            "    @classmethod\n    def from_dict(cls, data):\n        return cls()\n\n"
+            "    @classmethod\n    def load(cls, text):\n        return cls.from_dict(text)\n\n"
+            "class Truth:\n"
+            "    @classmethod\n    def from_dict(cls, data):\n        return cls()\n\n"
+            "    def to_dict(self):\n        return {}\n\n"
+            "class Child(Base):\n"
+            "    def run(self):\n        return self.inherited()\n"
+        ),
+        "b": (
+            "from . import a\n\n"
+            "def live(obj):\n"
+            "    return a.Spec.load('x'), a.Truth, obj.to_dict(), a.Child().run()\n"
+        ),
+    }
+    assert dead_code(sources) == ["a: Truth.from_dict is never used"]

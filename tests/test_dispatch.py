@@ -24,7 +24,18 @@ from uniparse.docmodel import SemanticCategory as C
 from uniparse.engine import analyze_pages, form_batches
 from uniparse.experts import MODALITIES, ExpertResponse
 from uniparse.layout import build_page_tree
-from uniparse.payloads import INLINE_MARKER, Cell, Latex, TableGrid, Text
+from uniparse.payloads import (
+    INLINE_MARKER,
+    Caption,
+    Cell,
+    ChartTable,
+    ESmiles,
+    Latex,
+    Reaction,
+    TableGrid,
+    Text,
+    render_inline,
+)
 
 from conftest import det, detections_by_id, find, one_page_doc
 
@@ -198,6 +209,27 @@ def test_unplanned_tokens_in_an_answer_are_deleted_and_counted_nowhere():
     assert result.tokens_resolved == 0 and result.tokens_failed == 0
 
 
+def _grid_of(run):
+    return TableGrid(1, 1, (Cell(0, 0, content=(run,)),))
+
+
+@pytest.mark.parametrize("kind", [Text, Latex, ESmiles, Caption, _grid_of,
+                                  lambda run: ChartTable(_grid_of(run)),
+                                  lambda run: Reaction((run,), ("h",), (run,))],
+                         ids=["text", "latex", "smiles", "caption", "grid", "chart", "reaction"])
+def test_tokens_are_filled_and_scrubbed_in_every_answer_kind(kind):
+    plan, outcomes = _plan_and_outcomes(_inline_fixture())
+    outcomes["doc/p1"] = ExpertResponse("doc/p1", kind("a [[UPH:formula:f1]] b [[UPH:ocr:q]]"))
+    # a child's answer is scrubbed before and after it lands in its parent
+    outcomes["doc/f1"] = ExpertResponse("doc/f1", kind("x [[UPH:ocr:q]]"))
+    result = gather(plan, outcomes)
+    child = kind("x ")
+    assert result.resolved["f1"] == child
+    assert result.resolved["p1"] == kind(f"a {render_inline(child)} b ")
+    assert result.tokens_resolved == 1 and result.tokens_failed == 0
+    assert plan.tokens_emitted == result.tokens_resolved + result.tokens_failed
+
+
 def test_token_of_a_child_without_a_task_resolves_to_the_empty_span():
     para = det("p1", (0.1, 0.1, 0.5, 0.3), truth_text=f"see {INLINE_MARKER} here")
     figure = det("g1", (0.2, 0.15, 0.25, 0.18), C.FIGURE)
@@ -330,17 +362,18 @@ def test_token_missing_from_the_parents_answer_counts_as_failed():
 
 
 def _answer(draw, tokens: list[str]):
-    """Any answer an expert might give a parent: text or a grid holding any
-    multiset of its tokens and stray ones, or a payload without text."""
+    """Any answer an expert might give a parent: a payload of any kind whose
+    strings hold any multiset of its tokens and stray ones."""
     run = st.lists(st.sampled_from([*tokens, "[[UPH:formula:zz]]", "w"]), max_size=4).map(" ".join)
-    kind = draw(st.sampled_from(["text", "grid", "latex"]))
-    if kind == "text":
-        return Text(draw(run))
-    if kind == "grid":
+    kind = draw(st.sampled_from([Text, Latex, ESmiles, Caption, TableGrid, ChartTable, Reaction]))
+    if kind in (TableGrid, ChartTable):
         cells = draw(st.lists(st.lists(run, max_size=2), min_size=1, max_size=3))
-        return TableGrid(1, len(cells), tuple(Cell(0, i, content=tuple(runs))
+        grid = TableGrid(1, len(cells), tuple(Cell(0, i, content=tuple(runs))
                                               for i, runs in enumerate(cells)))
-    return Latex("z")
+        return grid if kind is TableGrid else ChartTable(grid)
+    if kind is Reaction:
+        return Reaction(*(tuple(draw(st.lists(run, max_size=2))) for _ in range(3)))
+    return kind(draw(run))
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,8 +397,7 @@ def test_token_conservation_whatever_the_experts_return(data):
     result = gather(plan, outcomes)
     assert plan.tokens_emitted == result.tokens_resolved + result.tokens_failed
     for answer in result.resolved.values():
-        runs = answer.cells if isinstance(answer, TableGrid) else [answer]
-        assert "[[UPH:" not in repr(runs)
+        assert "[[UPH:" not in repr(answer)
 
 
 def test_corpus_sources_never_contain_placeholder_literal(small_corpus):

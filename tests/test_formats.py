@@ -30,6 +30,7 @@ from uniparse.formats import (
     _figure_html,
     _figure_markdown,
     _formula_markdown,
+    _pipe_table,
     _table_html,
     _table_markdown,
     chunk,
@@ -366,7 +367,7 @@ def test_rowspan_table_falls_back_to_html():
 def test_a_grid_with_a_duplicate_position_and_a_hole_is_not_rectangular():
     # Two cells at (0, 0) and none at (0, 1): as many cells as positions.
     grid = TableGrid(1, 2, (Cell(0, 0, content=("a",)), Cell(0, 0, content=("b",))))
-    assert not grid.is_rectangular()
+    assert _pipe_table(grid) is None
     md = to_markdown(doc_of([flow("t1", category=C.TABLE, payload=grid)]))
     assert md == render_grid_html(grid) + "\n"
     assert "<td>a</td>" in md and "<td>b</td>" in md
@@ -381,7 +382,7 @@ def test_a_grid_with_a_duplicate_position_and_a_hole_is_not_rectangular():
     (TableGrid(-1, -1, (Cell(0, 0),)), False),
 ])
 def test_rectangular_means_one_1x1_cell_per_position(grid, rectangular):
-    assert grid.is_rectangular() is rectangular
+    assert (_pipe_table(grid) is not None) is rectangular
 
 
 def test_pipe_table_takes_cells_in_row_and_column_order():
@@ -481,6 +482,22 @@ def test_figure_answers_are_escaped_in_full():
     assert parser.text["smiles"] == smiles
     assert parser.text["reaction"] == f"{reactant}>heat>CCO"
     assert parser.text["td"] == f"{cell}1"
+    _parseable(html)
+
+
+def test_table_cells_are_escaped_as_paragraph_text_is():
+    cell = "<script>a</script> & b"
+    spans = "<smiles>CCO</smiles><reaction>a>b>c</reaction>"
+    grid = TableGrid(1, 2, (Cell(0, 0, content=(cell,)), Cell(0, 1, content=(spans,))))
+    html = to_html(doc_of([flow("t1", category=C.TABLE, payload=grid)]))
+    assert "<td>&lt;script&gt;a&lt;/script&gt; &amp; b</td>" in html
+    parser = _Elements()
+    parser.feed(html)
+    parser.close()
+    # the spans gather writes into a cell stay live, as they do in paragraphs
+    assert "script" not in parser.tags
+    assert "smiles" in parser.tags and "reaction" in parser.tags
+    assert parser.text["td"] == cell
     _parseable(html)
 
 
