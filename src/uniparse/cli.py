@@ -38,6 +38,7 @@ from .experts import (
 )
 from .formats import chunk, chunks_to_jsonl, to_html, to_markdown, to_structured
 from .layout import group_pairs, tree_to_dict
+from .payloads import DECODE_ERRORS
 from .runtime import (
     Mode,
     PipelineConfig,
@@ -267,9 +268,12 @@ def cmd_bench(args) -> int:
 
 def cmd_gen_corpus(args) -> int:
     if args.spec:
-        spec = corpus_mod.CorpusSpec.from_dict(
-            json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        )
+        try:
+            spec = corpus_mod.CorpusSpec.from_dict(
+                json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            )
+        except (ValueError, RecursionError) as exc:
+            raise corpus_mod.InvalidSpec(f"{args.spec}: {exc}") from exc
     else:
         spec = corpus_mod.CorpusSpec(
             seed=args.seed,
@@ -308,17 +312,13 @@ def cmd_eval(args) -> int:
         if not pred_path.exists():
             print(f"eval: missing prediction for {doc_id}", file=sys.stderr)
             return 1
-        truth = json.loads(truth_path.read_text(encoding="utf-8"))
-        pred = json.loads(pred_path.read_text(encoding="utf-8"))
+        truth_pages, pred_pages = _eval_pages(truth_path), _eval_pages(pred_path)
         docs += 1
-        pred_pages = {p["page_index"]: p for p in pred["pages"]}
-        for page in truth["pages"]:
-            pred_page = pred_pages.get(page["page_index"], {"order": [], "groups": []})
-            distances.append(
-                corpus_mod.order_edit_distance(pred_page["order"], page["order"])
-            )
-            truth_pairs.update(frozenset(g) for g in page["groups"])
-            pred_pairs.update(frozenset(g) for g in pred_page["groups"])
+        for page_index, (order, groups) in truth_pages.items():
+            pred_order, pred_groups = pred_pages.get(page_index, ([], []))
+            distances.append(corpus_mod.order_edit_distance(pred_order, order))
+            truth_pairs.update(groups)
+            pred_pairs.update(pred_groups)
     precision, recall, f1 = corpus_mod.grouping_f1(pred_pairs, truth_pairs)
     report = {
         "docs": docs,
@@ -337,6 +337,17 @@ def cmd_eval(args) -> int:
     else:
         _print_flat(report)
     return 0
+
+
+def _eval_pages(path: Path) -> dict:
+    """page_index -> (order, groups) of a truth or prediction file; a file
+    that is not one raises ValueError naming it."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        return {page["page_index"]: (list(page["order"]), [frozenset(g) for g in page["groups"]])
+                for page in data["pages"]}
+    except DECODE_ERRORS as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_serve_echo(args) -> int:

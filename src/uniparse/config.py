@@ -98,7 +98,10 @@ class EngineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EngineConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise UnknownConfigKey("<root>")
         return cls.from_dict(data)

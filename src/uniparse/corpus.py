@@ -50,8 +50,14 @@ class CorpusSpec:
     with_hints: bool = True
 
     def validate(self) -> None:
+        for name in ("n_docs", "pages_min", "pages_max", "columns"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
         for name in ("merge_prob", "jitter_sigma", "substitution_prob", "cross_page_split_prob"):
             value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise InvalidSpec(f"{name} must be a number, got {value!r}")
             if name == "jitter_sigma":
                 if value < 0:
                     raise InvalidSpec("jitter_sigma must be >= 0")
@@ -61,16 +67,22 @@ class CorpusSpec:
             raise InvalidSpec("bad document/page counts")
         if self.columns not in (1, 2, 3):
             raise InvalidSpec("columns must be 1, 2 or 3")
-        if not self.modality_mix or any(w < 0 for w in self.modality_mix.values()):
+        mix = self.modality_mix
+        if not (isinstance(mix, dict) and mix
+                and all(type(w) in (int, float) and w >= 0 for w in mix.values())):
             raise InvalidSpec("modality_mix must be non-negative weights")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """A validated spec from a decoded JSON object."""
+        if not isinstance(data, dict):
+            raise InvalidSpec("a spec must be a JSON object")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidSpec(f"unknown spec keys: {sorted(unknown)}")
-        return cls(**data)
+        spec = cls(**data)
+        spec.validate()
+        return spec
 
 
 DEFAULT_MIX: dict[str, float] = {

@@ -29,7 +29,7 @@ from .experts import (
     RetryableExpertError,
 )
 from .formats import ParsedDocument
-from .layout import LayoutTree, RelationKind, build_page_tree
+from .layout import LayoutTree, build_page_tree
 from .ordering import OrderUnit, order_units
 
 
@@ -147,7 +147,8 @@ def build_flow_items(
     analyses: list[PageAnalysis],
     gathered: GatherResult,
 ) -> list[FlowItem]:
-    """Ordered FlowItems across pages from resolved unit content."""
+    """Ordered FlowItems across pages from resolved unit content. Each
+    partner carries the relation layout recorded with its anchor."""
     items: list[FlowItem] = []
     for analysis in analyses:
         nodes = {n.id: n for n in analysis.tree.iter_nodes()}
@@ -156,17 +157,10 @@ def build_flow_items(
             anchor = nodes[anchor_id]
             partners = []
             for member_id in unit.member_ids:
-                if member_id == anchor_id:
-                    continue
-                member = nodes[member_id]
-                partners.append(
-                    Partner(
-                        relation=_relation_between(anchor, member),
-                        category=member.category,
-                        detection_id=member_id,
-                        payload=gathered.resolved.get(member_id),
-                    )
-                )
+                if member_id != anchor_id:
+                    member = nodes[member_id]
+                    partners.append(Partner(member.anchor[0], member.category, member_id,
+                                            gathered.resolved.get(member_id)))
             items.append(
                 FlowItem(
                     item_id=anchor_id,
@@ -179,12 +173,6 @@ def build_flow_items(
                 )
             )
     return items
-
-
-def _relation_between(anchor, member) -> RelationKind:
-    """The relation the anchor's group link names for the member: a unit holds
-    a member only when its anchor links it (ordering.group_cluster)."""
-    return next(kind for kind, other in anchor.group_links if other == member.id)
 
 
 @dataclass

@@ -95,6 +95,9 @@ class LayoutNode:
     detection: Detection
     children: list["LayoutNode"] = field(default_factory=list)
     group_links: list[tuple[RelationKind, str]] = field(default_factory=list)
+    # (relation, anchor id) on a node linked as its group's partner; None on
+    # an anchor and on an unlinked node. pair_groups alone decides it.
+    anchor: tuple[RelationKind, str] | None = None
     id: str = field(init=False, compare=False, repr=False)
     category: SemanticCategory = field(init=False, compare=False, repr=False)
     box: BoundingBox = field(init=False, compare=False, repr=False)
@@ -210,16 +213,20 @@ def build_layout_tree(
 def pair_groups(tree: LayoutTree, cfg: EngineConfig | None = None) -> LayoutTree:
     """Link grouped elements. Hints dominate; geometry is the fallback.
 
-    All members of one group hint link pairwise to the group's anchor. For
-    hint-less detections, each anchor greedily takes the nearest compatible
-    partner whose box center lies within `pair_distance` of the anchor's box
-    edge, preferring the natural vertical adjacency (caption below an image,
-    title above a table). A partner links to at most one anchor.
+    All members of one group hint link pairwise to the group's anchor, its
+    anchor-category member with the smallest id. For hint-less detections,
+    each anchor greedily takes the nearest compatible partner whose box
+    center lies within `pair_distance` of the anchor's box edge, preferring
+    the natural vertical adjacency (caption below an image, title above a
+    table). A partner links to at most one anchor and records it
+    (`LayoutNode.anchor`); reading order and the flow read that record.
     """
     cfg = cfg or EngineConfig()
-    nodes = {n.id: n for n in tree.iter_nodes()}
-    for node in nodes.values():
+    nodes: dict[str, LayoutNode] = {}
+    for node in tree.iter_nodes():
         node.group_links = []
+        node.anchor = None
+        nodes[node.id] = node
     tree.warnings = [w for w in tree.warnings if not w.startswith("group:")]
 
     hinted: set[str] = set()
@@ -255,43 +262,31 @@ def pair_groups(tree: LayoutTree, cfg: EngineConfig | None = None) -> LayoutTree
 
 
 def _link(anchor: LayoutNode, partner: LayoutNode, kind: RelationKind) -> None:
-    if (kind, partner.id) not in anchor.group_links:
-        anchor.group_links.append((kind, partner.id))
-    if (kind, anchor.id) not in partner.group_links:
-        partner.group_links.append((kind, anchor.id))
+    # Each pair is linked once: pair_groups resets every node first, a node
+    # has one hint, and geometry pairs only hint-less nodes.
+    anchor.group_links.append((kind, partner.id))
+    partner.group_links.append((kind, anchor.id))
+    partner.anchor = (kind, anchor.id)
 
 
-def _preferred_direction(partner: SemanticCategory, anchor: SemanticCategory) -> str:
-    # Where the partner normally sits relative to its anchor.
-    if partner is _CAPTION and anchor is _TABLE:
-        return "above"
-    if partner is _FORMULA_ID:
-        return "beside"
-    return "below"
-
-
-def _is_preferred(partner_node: LayoutNode, anchor_node: LayoutNode) -> bool:
-    direction = _preferred_direction(partner_node.category, anchor_node.category)
-    _, cy = partner_node.box.center
-    if direction == "above":
-        return cy <= anchor_node.box.y0
-    if direction == "beside":
-        return anchor_node.box.y0 <= cy <= anchor_node.box.y1
-    return cy >= anchor_node.box.y1
+def _is_preferred(partner: LayoutNode, anchor: LayoutNode) -> bool:
+    # Whether the partner sits where it normally does: a table's caption
+    # above it, a formula number beside it, anything else below.
+    _, cy = partner.box.center
+    box = anchor.box
+    if partner.category is _CAPTION and anchor.category is _TABLE:
+        return cy <= box.y0
+    if partner.category is _FORMULA_ID:
+        return box.y0 <= cy <= box.y1
+    return cy >= box.y1
 
 
 def _pair_by_geometry(tree: LayoutTree, hinted: set[str], cfg: EngineConfig) -> None:
     # Only page-level nodes pair geometrically; nested inline elements
     # reintegrate through placeholders instead of forming groups.
     top_level = tree.top_items()
-    anchors = [
-        n for n in top_level if n.category in ANCHOR_CATEGORIES and n.id not in hinted
-    ]
-    partners = [
-        n
-        for n in top_level
-        if n.category in PARTNER_CATEGORIES and n.id not in hinted and not n.group_links
-    ]
+    anchors = [n for n in top_level if n.category in ANCHOR_CATEGORIES and n.id not in hinted]
+    partners = [n for n in top_level if n.category in PARTNER_CATEGORIES and n.id not in hinted]
     candidates = []
     for anchor in anchors:
         compatible = COMPATIBLE_PARTNERS.get(anchor.category, frozenset())

@@ -22,7 +22,7 @@ from .docmodel import (
     SemanticCategory,
     hull_of,
 )
-from .layout import ANCHOR_CATEGORIES, PARTNER_CATEGORIES, LayoutTree
+from .layout import LayoutTree
 
 PAGE_REGION = BoundingBox(0.0, 0.0, 1.0, 1.0)
 
@@ -66,32 +66,29 @@ CutTree = Union[Leaf, HCut, VCut]
 def group_cluster(tree: LayoutTree) -> list[OrderUnit]:
     """Collapse each group into one unit hulling all members.
 
-    The anchor (the node owning partners) names the unit; members are kept in
-    their own reading order (top-to-bottom, then left-to-right). Each node's
+    The anchor layout chose for the group (`LayoutNode.anchor` on each
+    partner) names the unit; members are kept in their own reading order
+    (top-to-bottom, then left-to-right). A partner whose anchor is not a page
+    item, such as a nested child, stays a unit of its own. Each node's
     detection is read once; partners are indexed by their position.
     """
     items = tree.top_items()
     dets = [n.detection for n in items]
-    anchor_of: dict[int, int] = {}  # partner position -> anchor position
-    linked = [k for k, n in enumerate(items) if n.group_links]
+    partners_of: dict[int, list[Detection]] = {}  # anchor position -> partners
+    joined: set[int] = set()  # positions of partners in their anchor's unit
+    linked = [k for k, n in enumerate(items) if n.anchor is not None]
     if linked:
         position = {d.id: k for k, d in enumerate(dets)}
         for k in linked:
-            for _kind, other in items[k].group_links:
-                o = position.get(other)
-                if o is None:
-                    continue  # link to a nested child; stays inside its parent
-                if _is_anchor_side(dets[k], dets[o]):
-                    anchor_of[o] = k
-
-    partners_of: dict[int, list[Detection]] = {}
-    for o, k in anchor_of.items():
-        partners_of.setdefault(k, []).append(dets[o])
+            a = position.get(items[k].anchor[1])
+            if a is not None:
+                partners_of.setdefault(a, []).append(dets[k])
+                joined.add(k)
 
     page = tree.page_index
     units: list[OrderUnit] = []
     for k, d in enumerate(dets):
-        if k in anchor_of:
+        if k in joined:
             continue
         partners = partners_of.get(k)
         if partners is None:
@@ -108,16 +105,6 @@ def group_cluster(tree: LayoutTree) -> list[OrderUnit]:
             )
         )
     return units
-
-
-def _is_anchor_side(det: Detection, other: Detection) -> bool:
-    if det.category in ANCHOR_CATEGORIES and other.category in PARTNER_CATEGORIES:
-        return True
-    if det.category in PARTNER_CATEGORIES and other.category in ANCHOR_CATEGORIES:
-        return False
-    # Degenerate pairings (hint groups without a clear anchor/partner split):
-    # the lexicographically smaller id acts as the anchor.
-    return det.id < other.id
 
 
 def xy_cut(

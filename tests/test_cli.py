@@ -17,7 +17,7 @@ from uniparse.cli import main
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, Detection, SemanticCategory, save_document
 
-from conftest import EchoServerThread, one_page_doc
+from conftest import EchoServerThread, deeply_nested, one_page_doc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -202,6 +202,29 @@ def test_eval_missing_prediction_exits_1(corpus_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("side", ["pred", "truth"])
+@pytest.mark.parametrize("text", [
+    pytest.param("{}", id="empty-object"),
+    pytest.param("[]", id="array"),
+    pytest.param('{"pages": [{"page_index": 0, "groups": []}]}', id="page-without-order"),
+    pytest.param('{"pages": 5}', id="pages-int"),
+    pytest.param(deeply_nested(), id="nested"),
+])
+def test_eval_reports_a_malformed_file_in_one_line(text, side, corpus_dir, tmp_path, capsys):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for doc_id in ("d000", "d001", "d002"):
+        assert main(["parse", str(corpus_dir / f"{doc_id}.ir.json"), "--emit", "order",
+                     "--out", str(pred / f"{doc_id}.pred.json")]) == 0
+    bad = (pred if side == "pred" else corpus_dir) / f"d001.{side}.json"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(pred), "--truth", str(corpus_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"uniparse: error: {bad}: ") and err.count("\n") == 1
+
+
 def test_simulate_deterministic(capsys):
     args = ["simulate", "--mode", "pipe", "--workers", "4", "--seed", "1", "--docs", "5",
             "--report", "json"]
@@ -310,12 +333,28 @@ def test_degenerate_runtime_count_exits_1(args, field, capsys):
     pytest.param('{"terminal_punctuation": 5}', "terminal_punctuation", id="punctuation-int"),
     pytest.param('{"backoff_ms": -50}', "backoff_ms", id="backoff-negative"),
     pytest.param('{"max_retries": -1}', "max_retries", id="retries-negative"),
+    pytest.param(deeply_nested(200_000), "cfg.json", id="nested-200000"),
 ])
 def test_degenerate_runtime_count_in_config_exits_1(text, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["simulate", "--docs", "3", "--seed", "1", "--config", str(cfg)]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, field", [
+    pytest.param('{"n_docs": "3"}', "n_docs", id="n_docs-str"),
+    pytest.param("[]", "spec.json", id="array"),
+    pytest.param('{"columns": 2.0}', "columns", id="columns-float"),
+    pytest.param(deeply_nested(200_000), "spec.json", id="nested-200000"),
+])
+def test_bad_corpus_spec_exits_1(text, field, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["gen-corpus", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"uniparse: error: {spec}: ") and err.count("\n") == 1
+    assert field in err
 
 
 @pytest.mark.parametrize("text", ['{"max_batch": 0}', '{"min_gap": "x"}'])

@@ -1,5 +1,6 @@
-"""Tier-1 guard: the per-item code of the formatters, consolidation, layout
-and the planner reads enum members from module constants and tables.
+"""Tier-1 guard: the per-item code of the formatters, consolidation, layout,
+the planner, reading order and the engine reads enum members from module
+constants and tables.
 
 On CPython 3.10 and 3.11, `SemanticCategory.TABLE` inside a function costs
 about 130-200 ns per load, because the enum metaclass defines __getattr__;
@@ -19,7 +20,7 @@ from uniparse.docmodel import SemanticCategory
 from uniparse.layout import RelationKind
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uniparse"
-SCANNED = ("formats", "consolidate", "layout", "dispatch")
+SCANNED = ("formats", "consolidate", "layout", "dispatch", "ordering", "engine")
 MEMBERS = {"SemanticCategory": set(SemanticCategory.__members__),
            "RelationKind": set(RelationKind.__members__)}
 

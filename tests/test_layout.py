@@ -261,15 +261,37 @@ def test_conservation_on_random_pages():
 
 
 def test_pair_and_filter_idempotent():
+    R = RelationKind
     image = det("i1", (0.1, 0.1, 0.5, 0.4), C.IMAGE)
     caption = det("c1", (0.1, 0.41, 0.5, 0.45), C.CAPTION)
     header = det("h1", (0.1, 0.02, 0.9, 0.05), C.HEADER)
+    # one hint over an anchor and three members
+    hinted = [det("t1", (0.55, 0.1, 0.9, 0.3), C.TABLE, group_hint="g"),
+              det("m1", (0.55, 0.05, 0.9, 0.08), C.CAPTION, group_hint="g"),
+              det("m2", (0.55, 0.31, 0.9, 0.34), C.TABLE_FOOTNOTE, group_hint="g"),
+              det("m3", (0.55, 0.35, 0.9, 0.4), group_hint="g")]
+    # a repeated id: both i2 roots are one node, which pairs with c2 once
+    twins = [det("i2", (0.55, 0.8, 0.9, 0.95), C.IMAGE),
+             det("i2", (0.1, 0.5, 0.5, 0.7), C.IMAGE),
+             det("c2", (0.1, 0.71, 0.5, 0.75), C.CAPTION)]
     cfg = EngineConfig()
-    tree = build_layout_tree(0, [image, caption, header], cfg)
-    pair_groups(tree, cfg)
-    once = {n.id: sorted(n.group_links) for n in tree.iter_nodes()}
-    pair_groups(tree, cfg)
-    assert {n.id: sorted(n.group_links) for n in tree.iter_nodes()} == once
+    tree = build_layout_tree(0, [image, caption, header, *hinted, *twins], cfg)
+    expected = sorted([
+        ("i1", R.CAPTION, "c1"), ("c1", R.CAPTION, "i1"),
+        ("t1", R.TITLE, "m1"), ("m1", R.TITLE, "t1"),
+        ("t1", R.FOOTNOTE, "m2"), ("m2", R.FOOTNOTE, "t1"),
+        ("t1", R.CAPTION, "m3"), ("m3", R.CAPTION, "t1"),
+        ("i2", R.CAPTION, "c2"), ("c2", R.CAPTION, "i2"),
+    ])
+    nodes = list({id(n): n for n in tree.iter_nodes()}.values())
+    assert len(nodes) == 9
+    for _ in range(2):
+        pair_groups(tree, cfg)
+        links = sorted((n.id, kind, other) for n in nodes for kind, other in n.group_links)
+        assert links == expected
+        assert sorted((n.id, n.anchor) for n in nodes if n.anchor) == [
+            ("c1", (R.CAPTION, "i1")), ("c2", (R.CAPTION, "i2")), ("m1", (R.TITLE, "t1")),
+            ("m2", (R.FOOTNOTE, "t1")), ("m3", (R.CAPTION, "t1"))]
     filter_functional(tree)
     removed_once = [d.id for d in tree.removed]
     numbers_once = list(tree.page_number_texts)

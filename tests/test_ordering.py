@@ -12,8 +12,10 @@ from uniparse import ordering
 from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import BoundingBox, SemanticCategory as C
-from uniparse.engine import analyze_pages
+from uniparse.engine import analyze_pages, build_flow_items, process_document
+from uniparse.formats import to_markdown
 from uniparse.layout import (
+    ANCHOR_CATEGORIES,
     LayoutNode,
     LayoutTree,
     RelationKind,
@@ -34,7 +36,9 @@ from uniparse.ordering import (
     xy_cut,
 )
 
-from conftest import box_lists, det, flatten_cut, reading_order, xy_cut_oracle
+from uniparse.payloads import Caption
+
+from conftest import box_lists, det, flatten_cut, one_page_doc, reading_order, xy_cut_oracle
 
 
 def unit(uid, box, category=C.PARAGRAPH, page=0):
@@ -230,19 +234,21 @@ def test_distant_hinted_pair_is_one_unit():
 def test_group_cluster_links_to_children_ties_and_two_partners():
     R = RelationKind
     inline = LayoutNode(det("x1", (0.2, 0.02, 0.3, 0.04), C.FORMULA_INLINE))
-    # a hint link to a nested child leaves both where they are
+    # a link to a nested child anchor leaves both where they are
     para = LayoutNode(det("p1", (0.1, 0.0, 0.9, 0.05)), children=[inline],
-                      group_links=[(R.CAPTION, "x1")])
-    # a degenerate pair (no anchor or partner category): the smaller id anchors
-    b2 = LayoutNode(det("b2", (0.1, 0.1, 0.4, 0.2)), group_links=[(R.CAPTION, "b1")])
+                      group_links=[(R.CAPTION, "x1")], anchor=(R.CAPTION, "x1"))
+    # the anchor a node records names the unit, whatever the categories
+    b2 = LayoutNode(det("b2", (0.1, 0.1, 0.4, 0.2)), group_links=[(R.CAPTION, "b1")],
+                    anchor=(R.CAPTION, "b1"))
     b1 = LayoutNode(det("b1", (0.5, 0.1, 0.9, 0.2)), group_links=[(R.CAPTION, "b2")])
     # an anchor with two partners; the footnote and the table share y0 and
     # x0, so the id orders them
     table = LayoutNode(det("t9", (0.1, 0.5, 0.9, 0.8), C.TABLE),
                        group_links=[(R.TITLE, "c1"), (R.FOOTNOTE, "f1")])
     caption = LayoutNode(det("c1", (0.1, 0.4, 0.9, 0.45), C.CAPTION),
-                         group_links=[(R.TITLE, "t9")])
-    footnote = LayoutNode(det("f1", (0.1, 0.5, 0.5, 0.55), C.TABLE_FOOTNOTE))
+                         group_links=[(R.TITLE, "t9")], anchor=(R.TITLE, "t9"))
+    footnote = LayoutNode(det("f1", (0.1, 0.5, 0.5, 0.55), C.TABLE_FOOTNOTE),
+                          group_links=[(R.FOOTNOTE, "t9")], anchor=(R.FOOTNOTE, "t9"))
     tree = LayoutTree(0, roots=[para, b2, b1, footnote, table, caption], orphans=[])
     units = group_cluster(tree)
     assert [(u.unit_id, u.member_ids) for u in units] == [
@@ -256,8 +262,8 @@ def test_group_cluster_links_to_children_ties_and_two_partners():
        jitter_sigma=st.sampled_from([0.0, 0.01, 0.03]), merge_prob=st.sampled_from([0.0, 0.5]))
 def test_unit_members_are_named_by_their_anchor(seed, with_hints, columns, jitter_sigma,
                                                 merge_prob):
-    # engine._relation_between reads each member's relation from the anchor's
-    # group links, with no fallback
+    # engine.build_flow_items reads each member's relation from the anchor it
+    # records, with no fallback; the anchor's group links name it too
     spec = CorpusSpec(seed=seed, n_docs=2, pages_min=1, pages_max=2, columns=columns,
                       jitter_sigma=jitter_sigma, merge_prob=merge_prob, with_hints=with_hints)
     docs, _ = gen_corpus(spec)
@@ -265,8 +271,63 @@ def test_unit_members_are_named_by_their_anchor(seed, with_hints, columns, jitte
         for analysis in analyze_pages(doc):
             nodes = {n.id: n for n in analysis.tree.iter_nodes()}
             for u in analysis.units:
-                linked = {other for _kind, other in nodes[u.unit_id].group_links}
-                assert set(u.member_ids) - {u.unit_id} <= linked
+                links = nodes[u.unit_id].group_links
+                for member_id in set(u.member_ids) - {u.unit_id}:
+                    kind, anchor_id = nodes[member_id].anchor
+                    assert anchor_id == u.unit_id and (kind, member_id) in links
+
+
+@pytest.mark.parametrize("image_id, paragraph_id", [("z_img", "a_par"), ("a_img", "z_par")])
+def test_a_hint_group_is_anchored_at_its_anchor_category_member(image_id, paragraph_id):
+    # The paragraph's smaller id once made it the unit's anchor, and the
+    # image dropped out of Markdown and HTML.
+    image = det(image_id, (0.1, 0.1, 0.5, 0.4), C.IMAGE, group_hint="g",
+                truth_payload=Caption("a micrograph"))
+    paragraph = det(paragraph_id, (0.1, 0.42, 0.5, 0.46), group_hint="g",
+                    truth_text="Figure 1. The sample.")
+    result = process_document(one_page_doc([image, paragraph]), EngineConfig())
+    assert [(u.unit_id, u.member_ids) for u in result.analyses[0].units] == [
+        (image_id, (image_id, paragraph_id))]
+    assert to_markdown(result.parsed) == (
+        f"![a micrograph]({image_id})\n\nFigure 1. The sample.\n")
+
+
+_GROUP_CATEGORIES = (C.IMAGE, C.TABLE, C.FORMULA, C.MOLECULE, C.CHART,  # anchors
+                     C.CAPTION, C.FIGURE_LEGEND, C.TABLE_FOOTNOTE, C.FORMULA_ID,  # partners
+                     C.MOLECULE_IDENTIFIER, C.PARAGRAPH, C.SECTION_TITLE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(members=st.lists(st.tuples(st.sampled_from(_GROUP_CATEGORIES),
+                                  st.sampled_from([None, "g0", "g1", "g2"])),
+                        min_size=1, max_size=12),
+       ids=st.randoms(use_true_random=False))
+def test_units_are_anchored_where_layout_anchors_them(members, ids):
+    # one detection per row, so none nests in another; ids shuffled apart
+    # from categories and rows
+    names = [f"d{i:02d}" for i in range(len(members))]
+    ids.shuffle(names)
+    dets = [det(name, (0.1, 0.02 + 0.08 * i, 0.9, 0.08 + 0.08 * i), cat, group_hint=hint)
+            for i, (name, (cat, hint)) in enumerate(zip(names, members))]
+    category = {d.id: d.category for d in dets}
+    doc = one_page_doc(dets)
+    result = process_document(doc, EngineConfig())
+    (analysis,) = result.analyses
+    units = analysis.units
+    assert sorted(m for u in units for m in u.member_ids) == sorted(
+        n.id for n in analysis.tree.top_items())
+    for u in units:
+        if len(u.member_ids) == 1:
+            continue
+        assert u.unit_id == min(m for m in u.member_ids if category[m] in ANCHOR_CATEGORIES)
+        hint = next(d.group_hint for d in dets if d.id == u.unit_id)
+        if hint is not None:
+            assert set(u.member_ids) == {d.id for d in dets if d.group_hint == hint}
+    nodes = {n.id: n for n in analysis.tree.iter_nodes()}
+    for item in build_flow_items(doc, result.analyses, result.gathered):
+        for partner in item.partners:
+            assert nodes[partner.detection_id].group_links == [
+                (partner.relation, item.item_id)]
 
 
 # --- xy_cut ------------------------------------------------------------------
