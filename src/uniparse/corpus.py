@@ -9,6 +9,7 @@ perturbation; jitter never changes the intended order.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 
@@ -59,8 +60,8 @@ class CorpusSpec:
             if type(value) not in (int, float):
                 raise InvalidSpec(f"{name} must be a number, got {value!r}")
             if name == "jitter_sigma":
-                if value < 0:
-                    raise InvalidSpec("jitter_sigma must be >= 0")
+                if not (0 <= value < math.inf):
+                    raise InvalidSpec(f"jitter_sigma must be finite and >= 0, got {value!r}")
             elif not (0.0 <= value <= 1.0):
                 raise InvalidSpec(f"{name} must be in [0, 1]")
         if self.n_docs < 1 or self.pages_min < 1 or self.pages_max < self.pages_min:
@@ -68,9 +69,16 @@ class CorpusSpec:
         if self.columns not in (1, 2, 3):
             raise InvalidSpec("columns must be 1, 2 or 3")
         mix = self.modality_mix
-        if not (isinstance(mix, dict) and mix
-                and all(type(w) in (int, float) and w >= 0 for w in mix.values())):
-            raise InvalidSpec("modality_mix must be non-negative weights")
+        if not (isinstance(mix, dict) and mix):
+            raise InvalidSpec("modality_mix must be an object of block kinds and weights")
+        unknown = [kind for kind in mix if kind not in DEFAULT_MIX]
+        if unknown:
+            raise InvalidSpec(f"modality_mix names unknown block kinds: {unknown}")
+        weights = list(mix.values())
+        if not all(type(w) in (int, float) and 0 <= w < math.inf for w in weights):
+            raise InvalidSpec("modality_mix weights must be finite numbers >= 0")
+        if not (0 < sum(weights) < math.inf):
+            raise InvalidSpec("modality_mix weights must have a finite, positive sum")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":

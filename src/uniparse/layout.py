@@ -19,6 +19,7 @@ from .docmodel import (
     TOP_LAYER_CATEGORIES,
     BoundingBox,
     Detection,
+    DuplicateId,
     SemanticCategory,
 )
 
@@ -194,10 +195,18 @@ def assign_children(
 def build_layout_tree(
     page_index: int, detections: list[Detection], cfg: EngineConfig | None = None
 ) -> LayoutTree:
-    """assign_children over one page's detections, assembled into a tree."""
+    """assign_children over one page's detections, assembled into a tree.
+
+    Nodes are keyed by detection id, so a page that repeats an id raises
+    DuplicateId, as validate_document does for an IR file.
+    """
     cfg = cfg or EngineConfig()
+    nodes: dict[str, LayoutNode] = {}
+    for d in detections:
+        if d.id in nodes:
+            raise DuplicateId(d.id)
+        nodes[d.id] = LayoutNode(d)
     parent_map, orphan_ids = assign_children(detections, cfg)
-    nodes = {d.id: LayoutNode(d) for d in detections}
     tree = LayoutTree(page_index=page_index)
     for det in detections:
         node = nodes[det.id]

@@ -9,6 +9,7 @@ not shared, so they are slotted and mutable.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
@@ -232,7 +233,16 @@ def gap_tree_order(units: list[OrderUnit], cfg: EngineConfig | None = None) -> l
     left. The precedence graph is topologically sorted; ties and cycles break
     by (y0, x0, id).
 
-    The sort releases a unit once every predecessor is placed, so on an
+    The order is Kahn's: always the ready unit of smallest key, and when none
+    is ready, the visually first unplaced unit. It mostly is the key order
+    itself, so _merge_order walks the key order and holds back only the
+    units an unplaced unit must precede: its candidates per unit are the
+    held-back units and one y0 window, and no graph is built. A leaf the
+    merge cannot serve (v_overlap <= 0, a coordinate that is not finite, a
+    box with y1 < y0), or whose work would pass a budget linear in its
+    units, is sorted as a graph instead.
+
+    That sort releases a unit once every predecessor is placed, so on an
     acyclic graph its order depends only on the graph's transitive closure
     (the placed units are always closed under predecessors). It therefore
     runs on the reduced edges of _precedence_edges, a few per unit: the cost
@@ -242,7 +252,7 @@ def gap_tree_order(units: list[OrderUnit], cfg: EngineConfig | None = None) -> l
     the x0 family) where the full rule would list millions of edges. The
     reduced graph has a cycle exactly when the rule's graph has one; which
     units a cycle releases depends on the edges themselves, so such a leaf
-    is sorted again on the full edge list.
+    is sorted again on the full edge list. Both paths give the same order.
     """
     cfg = cfg or EngineConfig()
     if len(units) <= 1:
@@ -253,10 +263,131 @@ def gap_tree_order(units: list[OrderUnit], cfg: EngineConfig | None = None) -> l
     # Unit ids are unique, so the key is a total order and the heap pops
     # exactly what a re-sorted ready list would.
     key_of = [(h.y0, h.x0, u.unit_id, i) for i, (u, h) in enumerate(zip(units, hulls))]
-    order = _heap_order(_precedence_edges(hulls, cfg), key_of, break_cycles=False)
+    order = _merge_order(hulls, key_of, cfg)
+    if order is None:
+        order = _heap_order(_precedence_edges(hulls, cfg), key_of, break_cycles=False)
     if order is None:
         order = _heap_order(_precedence_edges(hulls, cfg, prune=False), key_of, break_cycles=True)
     return [units[i].unit_id for i in order]
+
+
+# A leaf goes to the graph when the merge would take more than this many
+# steps per unit (a step is one per unit and one per candidate tested), or
+# hold back more than _HELD_BACK units at once. Measured on dense's leaves
+# (seeds 1-5): at most 6.6 steps per unit and 4 units held back; 2.0 steps on
+# a 2,080-paragraph column. A band or a staircase of n units needs n/4 to n
+# steps per unit, which shows before any test, and paragraphs scattered at
+# random hold back dozens to hundreds: there the graph is the faster path.
+_STEPS_PER_UNIT = 16
+_HELD_BACK = 8
+
+
+def _merge_order(
+    hulls: list[BoundingBox], key_of: list[tuple], cfg: EngineConfig
+) -> list[int] | None:
+    """_heap_order's order on the full rule's edges, as a merge of the key
+    order; None for a leaf this cannot serve or that passes a cap.
+
+    The walk visits the units in key order. The unit at its head is placed at
+    once unless an unplaced unit precedes it by the rule; then it is held
+    back with the count of those predecessors, and placed from a heap, ahead
+    of the walk, when the count reaches zero. When the walk is over and only
+    held-back units are left, they all wait on each other: the visually first
+    is released, as _heap_order breaks a cycle. Each placement is the ready
+    unit of smallest key, so the order is Kahn's on the rule's edges, and on
+    an acyclic rule it is the reduced graph's too.
+
+    Every unit before the head v is placed or held back. A later u can
+    precede v by a band edge, which needs positive heights and, with
+    v_overlap > 0, u.y0 < v.y1; or by a "fully above" edge, which needs
+    u.y1 <= v.y0 <= u.y0, so u.y0 == v.y0 on a box with y0 <= y1. So v's
+    candidates are the held-back units and its window, the walk's next units
+    starting below v.y1 (at v.y0, when v has no height), and the rule's
+    exact float test decides each one. Without v_overlap > 0, a band edge
+    needs no overlap, and a coordinate that is not finite, or a box with
+    y1 < y0, breaks the window: such a leaf is returned as None.
+
+    The windows are known before any test, so a leaf is returned as None as
+    soon as its windows and the held-back units it has tested pass
+    _STEPS_PER_UNIT steps per unit, or it holds back more than _HELD_BACK
+    units at once. The merge thus tests at most _STEPS_PER_UNIT candidates
+    per unit, and builds no mask.
+    """
+    if not cfg.v_overlap > 0:
+        return None
+    # ys is sorted in y0 order and in key order alike. ends[i] is where the
+    # units starting at or past hull i's y1 begin (past its y0 when it has
+    # no height), so its window runs from just after it to there in either
+    # order. A unit costs one step plus its window, ends[i] - i in y0 order;
+    # the sum only grows, so it is checked as it is taken.
+    n = len(hulls)
+    ys = [h.y0 for h in hulls]
+    ends = []
+    budget = _STEPS_PER_UNIT * n
+    for i, h in enumerate(hulls):
+        end = bisect_left(ys, h.y1) if h.y1 > h.y0 else bisect_right(ys, h.y0)
+        budget -= end - i
+        if budget < 0:
+            return None
+        ends.append(end)
+    # Positions in key order from here on, so the heap holds plain ints.
+    walk = [k[3] for k in sorted(key_of)]
+    geo = [(h.x0, h.y0, h.x1, h.y1, h.width, h.height) for h in map(hulls.__getitem__, walk)]
+    if not all(map(isfinite, chain.from_iterable(geo))) or any(g[3] < g[1] for g in geo):
+        return None
+    h_overlap, v_overlap, align_tol = cfg.h_overlap, cfg.v_overlap, cfg.align_tol
+    placed = [False] * n
+    waiting: dict[int, int] = {}  # held-back unit -> its unplaced predecessors
+    waiters: defaultdict[int, list[int]] = defaultdict(list)  # unit -> held units it precedes
+    held: list[int] = []  # in key order; placed ones are dropped lazily
+    ready: list[int] = []
+    order: list[int] = []
+    head = 0
+    while len(order) < n:
+        if ready:
+            v = heappop(ready)
+        elif head < n:
+            v = head
+            head += 1
+            if held:
+                held = [u for u in held if not placed[u]]
+                budget -= len(held)
+                if budget < 0:
+                    return None
+            bx0, by0, bx1, by1, bw, bh = geo[v]
+            preds = []
+            for u in chain(held, range(head, ends[walk[v]])):
+                ax0, ay0, ax1, ay1, aw, ah = geo[u]
+                # the rule's test of u before v, inlined as in _precedence_edges
+                min_w = bw if bw < aw else aw
+                if not (ay1 <= by0 and min_w > 0 and
+                        ((bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)) / min_w
+                        >= h_overlap):
+                    min_h = bh if bh < ah else ah
+                    if not (min_h > 0 and bx0 - ax0 >= align_tol and
+                            ((by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)) / min_h
+                            >= v_overlap):
+                        continue
+                preds.append(u)
+            if preds:
+                if len(held) == _HELD_BACK:
+                    return None
+                waiting[v] = len(preds)
+                for u in preds:
+                    waiters[u].append(v)
+                held.append(v)
+                continue
+        else:
+            held = [u for u in held if not placed[u]]
+            v = held[0]
+        placed[v] = True
+        order.append(walk[v])
+        for w in waiters.pop(v, ()):
+            if not placed[w]:
+                waiting[w] -= 1
+                if not waiting[w]:
+                    heappush(ready, w)
+    return order
 
 
 def _heap_order(
@@ -299,7 +430,8 @@ def _heap_order(
 # Leaves of at most this many units test every pair instead of building masks.
 # Both paths keep the same edges. Building six masks costs more than testing a
 # few pairs: on stream's leaves (seed 1: 1,400 leaves, all but one of 2-5
-# units) gap_tree_order takes 22 ms with this branch and 75 ms without. On
+# units), sorted as graphs, gap_tree_order took 22 ms with this branch and 75
+# ms without; the merge serves them now, unless v_overlap <= 0. On
 # windows of dense leaves all-pairs stays faster up to 24-32 units; 8 sits
 # below that crossover and above the leaves stream produces.
 _FEW_UNITS = 8

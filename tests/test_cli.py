@@ -347,6 +347,14 @@ def test_degenerate_runtime_count_in_config_exits_1(text, field, tmp_path, capsy
     pytest.param("[]", "spec.json", id="array"),
     pytest.param('{"columns": 2.0}', "columns", id="columns-float"),
     pytest.param(deeply_nested(200_000), "spec.json", id="nested-200000"),
+    pytest.param('{"modality_mix": {"bogus": 1.0}, "n_docs": 1}', "bogus", id="mix-unknown-kind"),
+    pytest.param('{"modality_mix": {"paragraph": 0, "table": 0.0}}', "modality_mix",
+                 id="mix-zero-sum"),
+    pytest.param('{"modality_mix": {"paragraph": Infinity}}', "modality_mix", id="mix-infinite"),
+    pytest.param('{"modality_mix": {"paragraph": 1e308, "table": 1e308}}', "modality_mix",
+                 id="mix-sum-overflows"),
+    pytest.param('{"jitter_sigma": NaN}', "jitter_sigma", id="jitter-nan"),
+    pytest.param('{"jitter_sigma": 1e999}', "jitter_sigma", id="jitter-inf"),
 ])
 def test_bad_corpus_spec_exits_1(text, field, tmp_path, capsys):
     spec = tmp_path / "spec.json"
@@ -355,6 +363,15 @@ def test_bad_corpus_spec_exits_1(text, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"uniparse: error: {spec}: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("jitter", ["nan", "inf", "-0.1"])
+def test_bad_jitter_flag_exits_1(jitter, tmp_path, capsys):
+    args = ["gen-corpus", "--out", str(tmp_path / "out"), "--docs", "1", "--jitter", jitter]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("uniparse: error: jitter_sigma") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", ['{"max_batch": 0}', '{"min_gap": "x"}'])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 import workloads
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +11,10 @@ from uniparse.docmodel import (
     TOP_LAYER_CATEGORIES,
     BoundingBox,
     Detection,
+    DuplicateId,
     SemanticCategory as C,
 )
+from uniparse.engine import process_document
 from uniparse.layout import (
     RelationKind,
     assign_children,
@@ -22,7 +25,7 @@ from uniparse.layout import (
     pair_groups,
 )
 
-from conftest import box_lists, det, find
+from conftest import box_lists, det, find, one_page_doc
 
 
 def exhaustive_parent_oracle(child, bottoms, threshold):
@@ -270,12 +273,11 @@ def test_pair_and_filter_idempotent():
               det("m1", (0.55, 0.05, 0.9, 0.08), C.CAPTION, group_hint="g"),
               det("m2", (0.55, 0.31, 0.9, 0.34), C.TABLE_FOOTNOTE, group_hint="g"),
               det("m3", (0.55, 0.35, 0.9, 0.4), group_hint="g")]
-    # a repeated id: both i2 roots are one node, which pairs with c2 once
-    twins = [det("i2", (0.55, 0.8, 0.9, 0.95), C.IMAGE),
-             det("i2", (0.1, 0.5, 0.5, 0.7), C.IMAGE),
-             det("c2", (0.1, 0.71, 0.5, 0.75), C.CAPTION)]
+    # a second geometric pair
+    pair = [det("i2", (0.1, 0.5, 0.5, 0.7), C.IMAGE),
+            det("c2", (0.1, 0.71, 0.5, 0.75), C.CAPTION)]
     cfg = EngineConfig()
-    tree = build_layout_tree(0, [image, caption, header, *hinted, *twins], cfg)
+    tree = build_layout_tree(0, [image, caption, header, *hinted, *pair], cfg)
     expected = sorted([
         ("i1", R.CAPTION, "c1"), ("c1", R.CAPTION, "i1"),
         ("t1", R.TITLE, "m1"), ("m1", R.TITLE, "t1"),
@@ -298,6 +300,19 @@ def test_pair_and_filter_idempotent():
     filter_functional(tree)
     assert [d.id for d in tree.removed] == removed_once
     assert tree.page_number_texts == numbers_once
+
+
+def test_a_repeated_detection_id_is_refused():
+    # Nodes are keyed by id: a second "i2" would replace the first, whose box
+    # would be lost, and be listed twice among the roots.
+    twins = [det("i2", (0.55, 0.8, 0.9, 0.95), C.IMAGE),
+             det("i2", (0.1, 0.5, 0.5, 0.7), C.IMAGE),
+             det("c2", (0.1, 0.71, 0.5, 0.75), C.CAPTION)]
+    with pytest.raises(DuplicateId) as info:
+        build_layout_tree(0, twins, EngineConfig())
+    assert info.value.detection_id == "i2"
+    with pytest.raises(DuplicateId):
+        process_document(one_page_doc(twins))
 
 
 def test_multi_anchor_hint_group_warns():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from contextlib import contextmanager
 
 import pytest
 import workloads
@@ -584,6 +585,29 @@ def test_gap_tree_order_matches_oracle_on_crowded_pages(units, cfg):
     assert_matches_all_pairs(units, cfg)
 
 
+@contextmanager
+def graph_path():
+    """Every leaf exceeds the merge's budget: gap_tree_order sorts the graph."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ordering, "_STEPS_PER_UNIT", 0)
+        yield
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_lists(), order_configs)
+def test_graph_path_matches_all_pairs_oracle(units, cfg):
+    with graph_path():
+        assert_matches_all_pairs(units, cfg)
+
+
+@settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.large_base_example])
+@given(crowded_unit_lists(), order_configs)
+def test_graph_path_matches_oracle_on_crowded_pages(units, cfg):
+    with graph_path():
+        assert_matches_all_pairs(units, cfg)
+
+
 _ULP_ABOVE_HALF = math.nextafter(0.5, 1.0)
 _ULP_BELOW_HALF = math.nextafter(0.5, 0.0)
 
@@ -606,6 +630,12 @@ WINDOW_PAGES = {
         (0.1 * k, 0.25 + k / 128, 0.1 * k + 0.05, y1)
         for k, y1 in enumerate([_ULP_ABOVE_HALF, 0.5, _ULP_BELOW_HALF] * 2)
     ] + [(0.1 * k + 0.03, 0.5, 0.1 * k + 0.08, 0.75) for k in range(6)],
+    # four zero-height units on one y0, each "fully above" the others: a
+    # cycle, which later units of the same y0 close, and zero-width units
+    # keyed between them
+    "flat_units_on_one_y0": [(0.1 + 0.01 * k, 0.5, 0.3 + 0.01 * k, 0.5) for k in range(4)]
+    + [(0.105 + 0.01 * k, 0.5, 0.105 + 0.01 * k, 0.7) for k in range(4)]
+    + [(0.1, 0.25, 0.3, 0.5), (0.1, 0.75, 0.3, 0.75)],
     # not finite in memory: the loader rejects such boxes, the engine does not.
     # The y0s differ, so the sort keys never compare a NaN.
     "nan_y1": [(0.1 * k, 0.3 + k / 100, 0.1 * k + 0.05, 0.5) for k in range(9)]
@@ -627,6 +657,63 @@ def test_gap_tree_order_matches_oracle_on_window_boundaries(name):
     units = [unit(f"u{k:02d}", box) for k, box in enumerate(WINDOW_PAGES[name])]
     assert len(units) > ordering._FEW_UNITS
     for cfg in WINDOW_CONFIGS:
+        assert_matches_all_pairs(units, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_PAGES))
+def test_graph_path_matches_oracle_on_window_boundaries(name):
+    units = [unit(f"u{k:02d}", box) for k, box in enumerate(WINDOW_PAGES[name])]
+    with graph_path():
+        for cfg in WINDOW_CONFIGS:
+            assert_matches_all_pairs(units, cfg)
+
+
+def merge_of(units, cfg):
+    """_merge_order on a leaf, set up as gap_tree_order sets it up."""
+    units = sorted(units, key=lambda u: u.hull.y0)
+    hulls = [u.hull for u in units]
+    key_of = [(h.y0, h.x0, u.unit_id, i) for i, (u, h) in enumerate(zip(units, hulls))]
+    return ordering._merge_order(hulls, key_of, cfg)
+
+
+# Leaves the merge hands to the graph: boxes are (x0, y0, x1, y1).
+def band_page(n, rng):
+    """n staggered, x-overlapping paragraphs in one band: every window holds
+    the rest of the band."""
+    out = []
+    for k in range(n):
+        x0, y0 = 0.9 * k / n, 0.4 + rng.uniform(0.0, 0.001)
+        out.append((x0, y0, x0 + 0.05, y0 + 0.2 + rng.uniform(0.0, 0.001)))
+    return out
+
+
+def scattered_page(n, rng):
+    """Paragraphs of random size anywhere: many wait on a neighbour to their
+    left that starts lower, so the merge holds back more and more."""
+    out = []
+    for _ in range(n):
+        w, h = rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.2)
+        x0, y0 = rng.uniform(0.0, 1.0 - w), rng.uniform(0.0, 1.0 - h)
+        out.append((x0, y0, x0 + w, y0 + h))
+    return out
+
+
+def staircase_page(n, rng):
+    """Each step lower and further right than the last, and tall enough to
+    share a band with the next quarter of the steps: nothing waits, but
+    every window holds a quarter of the steps."""
+    return [(0.9 * k / n, 0.5 * k / n, 0.9 * k / n + 0.05, 0.5 * k / n + 0.25) for k in range(n)]
+
+
+@pytest.mark.parametrize("shape", [band_page, scattered_page, staircase_page])
+@pytest.mark.parametrize("n", [60, 120])
+def test_leaves_past_the_merge_budget_match_the_oracle(shape, n):
+    rng = random.Random(n)
+    boxes = shape(n, rng)
+    rng.shuffle(boxes)
+    units = [unit(f"u{k:03d}", box) for k, box in enumerate(boxes)]
+    for cfg in (EngineConfig(), EngineConfig(h_overlap=0.0, align_tol=0.0)):
+        assert merge_of(units, cfg) is None
         assert_matches_all_pairs(units, cfg)
 
 
@@ -672,6 +759,25 @@ def test_fallback_keeps_few_edges_per_unit(monkeypatch, cfg):
         edges, fallback_units = kept_edges_and_units(tree, cfg)
         assert fallback_units > 100
         assert edges <= 4 * fallback_units
+
+
+def test_merge_takes_few_steps_per_unit(monkeypatch, cfg):
+    # A count, not a timing: on these leaves the merge finishes within 8
+    # steps per unit (one per unit and one per candidate it tests), where
+    # gap_tree_order allows _STEPS_PER_UNIT.
+    pages = dense_trees(cfg, seeds=(1,))
+    monkeypatch.setattr(workloads, "_COLUMNS", 1)
+    single = workloads._dense_page("single", 2080, random.Random(1), {}).pages[0]
+    pages.append(build_page_tree(0, list(single.detections), cfg))
+    monkeypatch.setattr(ordering, "_STEPS_PER_UNIT", 8)
+    for tree in pages:
+        units = group_cluster(tree)
+        by_id = {u.unit_id: u for u in units}
+        leaves = [[by_id[uid] for uid in leaf.unit_ids]
+                  for leaf in cut_leaves(xy_cut(units, cfg=cfg)) if len(leaf.unit_ids) > 1]
+        assert sum(map(len, leaves)) > 100
+        for leaf in leaves:
+            assert merge_of(leaf, cfg) is not None
 
 
 # --- reading_order -----------------------------------------------------------
