@@ -46,14 +46,17 @@ class PageAnalysis:
     units: list[OrderUnit]
 
 
+def page_trees(doc: DocumentIR, cfg: EngineConfig | None = None) -> list[LayoutTree]:
+    """Every page's layout tree: nested, paired and filtered. A plan reads
+    only these."""
+    cfg = cfg or EngineConfig()
+    return [build_page_tree(page.page_index, list(page.detections), cfg) for page in doc.pages]
+
+
 def analyze_pages(doc: DocumentIR, cfg: EngineConfig | None = None) -> list[PageAnalysis]:
     """Layout tree and ordered units for every page."""
     cfg = cfg or EngineConfig()
-    out = []
-    for page in doc.pages:
-        tree = build_page_tree(page.page_index, list(page.detections), cfg)
-        out.append(PageAnalysis(tree=tree, units=order_units(tree, cfg)))
-    return out
+    return [PageAnalysis(tree=tree, units=order_units(tree, cfg)) for tree in page_trees(doc, cfg)]
 
 
 def analyze_and_plan(

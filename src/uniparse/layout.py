@@ -9,9 +9,11 @@ nearest-partner fallback. Functional page furniture is filtered out last.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
+from operator import itemgetter
 
 from .config import EngineConfig
 from .docmodel import (
@@ -151,15 +153,17 @@ def assign_children(
     stands for all of them.
     """
     cfg = cfg or EngineConfig()
+    threshold = cfg.ioa_threshold
     bottoms = [d for d in detections if d.category not in TOP_LAYER_CATEGORIES]
-    solid = sorted(
-        (d for d in bottoms if d.box.x0 < d.box.x1 and d.box.y0 < d.box.y1),
-        key=lambda d: d.box.y0,
-    )
-    ys = [d.box.y0 for d in solid]
-    tallest = max((d.box.height for d in solid), default=0.0)
+    # Each solid parent's box, read once: (y0, y1, x0, x1, area, id, box),
+    # sorted by y0 alone, so equal y0s keep detection order.
+    rows = [(b.y0, b.y1, b.x0, b.x1, (b.x1 - b.x0) * (b.y1 - b.y0), d.id, b)
+            for d in bottoms for b in (d.box,) if b.x0 < b.x1 and b.y0 < b.y1]
+    rows.sort(key=itemgetter(0))
+    ys = [r[0] for r in rows]
+    tallest = max([r[1] - r[0] for r in rows], default=0.0)
     zero_ioa_best: tuple[float, float, str] | None = None
-    if bottoms and not cfg.ioa_threshold > 0:
+    if bottoms and not threshold > 0:
         smallest = min(bottoms, key=lambda d: (d.box.area, d.id))
         zero_ioa_best = (-0.0, smallest.box.area, smallest.id)
 
@@ -169,20 +173,22 @@ def assign_children(
         if det.category not in TOP_LAYER_CATEGORIES:
             continue
         box = det.box
-        child_area = box.area
+        x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
+        w, h = x1 - x0, y1 - y0
+        # box.area, whose max(0.0, .) keeps 0.0 for a NaN or a negative side
+        child_area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
         best: tuple[float, float, str] | None = None
         if child_area > 0.0:
             best = zero_ioa_best
             # The margin dwarfs rounding in y1 - height, so no overlap is missed.
-            lo = bisect_left(ys, box.y0 - tallest - 1e-9 * (1.0 + abs(box.y0) + tallest))
-            for parent in solid[lo:bisect_left(ys, box.y1)]:
-                pbox = parent.box
-                if pbox.y1 <= box.y0 or pbox.x1 <= box.x0 or pbox.x0 >= box.x1:
+            lo = bisect_left(ys, y0 - tallest - 1e-9 * (1.0 + abs(y0) + tallest))
+            for py0, py1, px0, px1, parea, pid, pbox in rows[lo:bisect_left(ys, y1)]:
+                if py1 <= y0 or px1 <= x0 or px0 >= x1:
                     continue  # no overlap: IoA 0, accounted for above
                 ioa = box.intersection_area(pbox) / child_area
-                if ioa < cfg.ioa_threshold:
+                if ioa < threshold:
                     continue
-                key = (-ioa, pbox.area, parent.id)
+                key = (-ioa, parea, pid)
                 if best is None or key < best:
                     best = key
         if best is None:
@@ -201,11 +207,13 @@ def build_layout_tree(
     DuplicateId, as validate_document does for an IR file.
     """
     cfg = cfg or EngineConfig()
-    nodes: dict[str, LayoutNode] = {}
-    for d in detections:
-        if d.id in nodes:
-            raise DuplicateId(d.id)
-        nodes[d.id] = LayoutNode(d)
+    nodes = {d.id: LayoutNode(d) for d in detections}
+    if len(nodes) < len(detections):  # name the first repeat
+        seen: set[str] = set()
+        for d in detections:
+            if d.id in seen:
+                raise DuplicateId(d.id)
+            seen.add(d.id)
     parent_map, orphan_ids = assign_children(detections, cfg)
     tree = LayoutTree(page_index=page_index)
     for det in detections:
@@ -233,7 +241,8 @@ def pair_groups(tree: LayoutTree, cfg: EngineConfig | None = None) -> LayoutTree
     cfg = cfg or EngineConfig()
     nodes: dict[str, LayoutNode] = {}
     for node in tree.iter_nodes():
-        node.group_links = []
+        if node.group_links:  # a node fresh from build_layout_tree has none
+            node.group_links = []
         node.anchor = None
         nodes[node.id] = node
     tree.warnings = [w for w in tree.warnings if not w.startswith("group:")]
@@ -296,15 +305,35 @@ def _pair_by_geometry(tree: LayoutTree, hinted: set[str], cfg: EngineConfig) -> 
     top_level = tree.top_items()
     anchors = [n for n in top_level if n.category in ANCHOR_CATEGORIES and n.id not in hinted]
     partners = [n for n in top_level if n.category in PARTNER_CATEGORIES and n.id not in hinted]
+    # A center within d of a box lies in [x0 - d, x1 + d] x [y0 - d, y1 + d].
+    # So each anchor takes the partners whose center y falls in that window
+    # of a list sorted by center y, in their list order, and skips those
+    # whose center x falls outside, both windows widened far above the
+    # rounding of either side: the candidates are exactly the all-pairs
+    # scan's. A coordinate that is not finite (in-memory IR is not
+    # validated) can make a NaN distance, which the exact test admits: such
+    # a page scans all pairs.
+    d = cfg.pair_distance
+    centers = [n.box.center for n in partners]
+    by_y = sorted(range(len(partners)), key=lambda k: centers[k][1])
+    ys = [centers[k][1] for k in by_y]
+    finite = all(isfinite(v) for n in (*anchors, *partners) for v in n.box.as_list())
     candidates = []
     for anchor in anchors:
         compatible = COMPATIBLE_PARTNERS.get(anchor.category, frozenset())
-        for partner in partners:
-            if partner.category not in compatible:
+        box = anchor.box
+        near = range(len(partners))
+        reach = d + 1e-9 * (1.0 + abs(box.x0) + abs(box.x1) + abs(box.y0) + abs(box.y1) + abs(d))
+        if finite:
+            near = sorted(by_y[bisect_left(ys, box.y0 - reach):bisect_right(ys, box.y1 + reach)])
+        left, right = box.x0 - reach, box.x1 + reach
+        for k in near:
+            partner = partners[k]
+            cx, cy = centers[k]
+            if partner.category not in compatible or finite and not left <= cx <= right:
                 continue
-            cx, cy = partner.box.center
-            dist = anchor.box.distance_to_point(cx, cy)
-            if dist > cfg.pair_distance:
+            dist = box.distance_to_point(cx, cy)
+            if dist > d:
                 continue
             preferred = 0 if _is_preferred(partner, anchor) else 1
             candidates.append((preferred, dist, anchor.id, partner.id, anchor, partner))

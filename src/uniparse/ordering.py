@@ -12,8 +12,9 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, compress, islice
 from math import isfinite
+from operator import eq, le
 from typing import Union
 
 from .config import EngineConfig
@@ -30,18 +31,15 @@ PAGE_REGION = BoundingBox(0.0, 0.0, 1.0, 1.0)
 
 @dataclass(slots=True)
 class OrderUnit:
-    """One orderable unit: a standalone block, or a whole group collapsed."""
+    """One orderable unit: a standalone block, or a whole group collapsed.
+    hull is the hull of boxes: the box itself for a unit of one box."""
 
     unit_id: str
     page_index: int
     category: SemanticCategory
     boxes: tuple[BoundingBox, ...]
     member_ids: tuple[str, ...]
-    hull: BoundingBox = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        boxes = self.boxes
-        self.hull = boxes[0] if len(boxes) == 1 else hull_of(boxes)
+    hull: BoundingBox = field(repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -93,18 +91,13 @@ def group_cluster(tree: LayoutTree) -> list[OrderUnit]:
             continue
         partners = partners_of.get(k)
         if partners is None:
-            units.append(OrderUnit(d.id, page, d.category, (d.box,), (d.id,)))
+            box = d.box
+            units.append(OrderUnit(d.id, page, d.category, (box,), (d.id,), box))
             continue
         members = sorted([d, *partners], key=lambda m: (m.box.y0, m.box.x0, m.id))
-        units.append(
-            OrderUnit(
-                unit_id=d.id,
-                page_index=page,
-                category=d.category,
-                boxes=tuple(m.box for m in members),
-                member_ids=tuple(m.id for m in members),
-            )
-        )
+        boxes = tuple(m.box for m in members)
+        units.append(OrderUnit(d.id, page, d.category, boxes,
+                               tuple(m.id for m in members), hull_of(boxes)))
     return units
 
 
@@ -124,11 +117,16 @@ def xy_cut(
     can cause: on boxes with x0 <= x1 and y0 <= y1, both sides of a gap
     between merged projections hold a unit.
 
-    The units are sorted once per axis by (start, end). Each node inherits
-    its share of both orders by a stable filter, so a node costs one merge
-    scan per axis and the filters, linear in its units. Nodes wait on an
-    explicit stack: no recursion, so a cut as deep as the page has units is
-    no error. region is not read; only the benchmark passes it.
+    The units are sorted once per axis, at the root, by (start, end). Each
+    node inherits its share of both orders by a stable filter, so a node
+    costs one merge scan per axis and the filters, linear in its units. On
+    finite coordinates every sort, the leaves' by (y0, x0, unit_id) too, is
+    one stable C-level pass per key (_sorted_by), with no key tuple or
+    Python key function. A page with a coordinate that is not finite sorts
+    tuples instead, as a NaN compares false and the passes could order it
+    differently. Nodes wait on an explicit stack: no recursion, so a cut as
+    deep as the page has units is no error. region is not read; only the
+    benchmark passes it.
     """
     min_gap = (cfg or EngineConfig()).min_gap
     n = len(units)
@@ -145,16 +143,28 @@ def xy_cut(
     cy = [(h.y0 + h.y1) / 2.0 for h in hulls]
     ids = [u.unit_id for u in units]
 
+    # A sum is finite only when each term is (or it overflows: then the
+    # tuple sorts run for nothing).
+    finite = isfinite(sum(x0) + sum(y0) + sum(x1) + sum(y1))
+    if finite:
+        xs = _sorted_by(range(n), x0, x1)
+        ys = _sorted_by(range(n), y0, y1)
+    else:
+        xs = [i for *_, i in sorted(zip(x0, x1, range(n)))]
+        ys = [i for *_, i in sorted(zip(y0, y1, range(n)))]
+
     def leaf(members: list[int]) -> Leaf:
-        # i last: a stable sort of the units in input order, as ids may repeat
-        members = sorted(members, key=lambda i: (y0[i], x0[i], ids[i], i))
-        return Leaf(tuple(ids[i] for i in members))
+        # by (y0, x0, id, i): i last, as ids may repeat
+        if finite:
+            members = _sorted_by(members, y0, x0, ids)
+        else:
+            members = sorted(members, key=lambda i: (y0[i], x0[i], ids[i], i))
+        return Leaf(tuple(map(ids.__getitem__, members)))
 
     # nodes[k] is a Leaf, or (HCut or VCut, coordinate, first, second) with
     # the children's indices, which are always larger than k.
     nodes: list = [None]
-    stack = [(0, [i for *_, i in sorted(zip(x0, x1, range(n)))],
-              [i for *_, i in sorted(zip(y0, y1, range(n)))])]
+    stack = [(0, xs, ys)]
     while stack:
         k, xs, ys = stack.pop()
         h = _widest_gap(ys, y0, y1, min_gap)
@@ -187,6 +197,16 @@ def xy_cut(
             kind, at, a, b = node
             nodes[k] = kind(at, (nodes[a], nodes[b]))
     return nodes[0]
+
+
+def _sorted_by(indices, *keys: list) -> list[int]:
+    """The indices i sorted by (keys[0][i], keys[1][i], ..., i), as a sort
+    on those tuples would order them where no key is NaN: one stable pass
+    per key, the last key first, from ascending indices."""
+    order = sorted(indices)
+    for key in reversed(keys):
+        order.sort(key=key.__getitem__)
+    return order
 
 
 def _widest_gap(
@@ -242,6 +262,10 @@ def gap_tree_order(units: list[OrderUnit], cfg: EngineConfig | None = None) -> l
     box with y1 < y0), or whose work would pass a budget linear in its
     units, is sorted as a graph instead.
 
+    A cut leaf (xy_cut, order_units) comes in key order already: one linear
+    check confirms it, and units in any other order are sorted into it.
+    Keys are built as tuples only for the graph.
+
     That sort releases a unit once every predecessor is placed, so on an
     acyclic graph its order depends only on the graph's transitive closure
     (the placed units are always closed under predecessors). It therefore
@@ -258,17 +282,35 @@ def gap_tree_order(units: list[OrderUnit], cfg: EngineConfig | None = None) -> l
     if len(units) <= 1:
         return [u.unit_id for u in units]
 
-    units = sorted(units, key=lambda u: u.hull.y0)
     hulls = [u.hull for u in units]
-    # Unit ids are unique, so the key is a total order and the heap pops
-    # exactly what a re-sorted ready list would.
-    key_of = [(h.y0, h.x0, u.unit_id, i) for i, (u, h) in enumerate(zip(units, hulls))]
-    order = _merge_order(hulls, key_of, cfg)
+    if not _in_key_order(units, hulls):
+        # On finite coordinates the key order; else the y0 order, in which
+        # the graph's keys have always been taken, as a NaN orders no sort.
+        finite = all(map(isfinite, chain.from_iterable((h.x0, h.y0) for h in hulls)))
+        units = sorted(units, key=(lambda u: (u.hull.y0, u.hull.x0, u.unit_id)) if finite
+                       else (lambda u: u.hull.y0))
+        hulls = [u.hull for u in units]
+    order = _merge_order(hulls, cfg)
     if order is None:
+        # Unit ids are unique, so the key is a total order and the heap pops
+        # exactly what a re-sorted ready list would.
+        key_of = [(h.y0, h.x0, u.unit_id, i) for i, (u, h) in enumerate(zip(units, hulls))]
         order = _heap_order(_precedence_edges(hulls, cfg), key_of, break_cycles=False)
-    if order is None:
-        order = _heap_order(_precedence_edges(hulls, cfg, prune=False), key_of, break_cycles=True)
+        if order is None:
+            order = _heap_order(_precedence_edges(hulls, cfg, prune=False), key_of,
+                                break_cycles=True)
     return [units[i].unit_id for i in order]
+
+
+def _in_key_order(units: list[OrderUnit], hulls: list[BoundingBox]) -> bool:
+    """Whether the units ascend by (y0, x0, unit_id). Then no y0 is NaN, and
+    a stable sort by y0 leaves them as they are. Only units that share a y0
+    with their predecessor are compared past it."""
+    ys = [h.y0 for h in hulls]
+    if not all(map(le, ys, islice(ys, 1, None))):
+        return False
+    return all((hulls[k - 1].x0, units[k - 1].unit_id) <= (hulls[k].x0, units[k].unit_id)
+               for k in compress(range(1, len(ys)), map(eq, ys, islice(ys, 1, None))))
 
 
 # A leaf goes to the graph when the merge would take more than this many
@@ -282,11 +324,10 @@ _STEPS_PER_UNIT = 16
 _HELD_BACK = 8
 
 
-def _merge_order(
-    hulls: list[BoundingBox], key_of: list[tuple], cfg: EngineConfig
-) -> list[int] | None:
+def _merge_order(hulls: list[BoundingBox], cfg: EngineConfig) -> list[int] | None:
     """_heap_order's order on the full rule's edges, as a merge of the key
-    order; None for a leaf this cannot serve or that passes a cap.
+    order, in which hulls come; None for a leaf this cannot serve or that
+    passes a cap.
 
     The walk visits the units in key order. The unit at its head is placed at
     once unless an unplaced unit precedes it by the rule; then it is held
@@ -315,25 +356,20 @@ def _merge_order(
     """
     if not cfg.v_overlap > 0:
         return None
-    # ys is sorted in y0 order and in key order alike. ends[i] is where the
-    # units starting at or past hull i's y1 begin (past its y0 when it has
-    # no height), so its window runs from just after it to there in either
-    # order. A unit costs one step plus its window, ends[i] - i in y0 order;
-    # the sum only grows, so it is checked as it is taken.
     n = len(hulls)
-    ys = [h.y0 for h in hulls]
-    ends = []
-    budget = _STEPS_PER_UNIT * n
-    for i, h in enumerate(hulls):
-        end = bisect_left(ys, h.y1) if h.y1 > h.y0 else bisect_right(ys, h.y0)
-        budget -= end - i
-        if budget < 0:
-            return None
-        ends.append(end)
-    # Positions in key order from here on, so the heap holds plain ints.
-    walk = [k[3] for k in sorted(key_of)]
-    geo = [(h.x0, h.y0, h.x1, h.y1, h.width, h.height) for h in map(hulls.__getitem__, walk)]
-    if not all(map(isfinite, chain.from_iterable(geo))) or any(g[3] < g[1] for g in geo):
+    geo = [(h.x0, h.y0, h.x1, h.y1, h.x1 - h.x0, h.y1 - h.y0) for h in hulls]
+    if not all(map(isfinite, chain.from_iterable(geo))):
+        return None
+    # The key order is a y0 order. ends[i] is where the units starting at or
+    # past hull i's y1 begin (past its y0 when it has no height), so its
+    # window runs from just after it to there. A unit costs one step plus
+    # its window, ends[i] - i, which sum to sum(ends) - n*(n-1)/2.
+    ys = [g[1] for g in geo]
+    if any(g[3] < g[1] for g in geo):
+        return None
+    ends = [bisect_left(ys, g[3]) if g[3] > g[1] else bisect_right(ys, g[1]) for g in geo]
+    budget = _STEPS_PER_UNIT * n - (sum(ends) - n * (n - 1) // 2)
+    if budget < 0:
         return None
     h_overlap, v_overlap, align_tol = cfg.h_overlap, cfg.v_overlap, cfg.align_tol
     placed = [False] * n
@@ -356,19 +392,24 @@ def _merge_order(
                     return None
             bx0, by0, bx1, by1, bw, bh = geo[v]
             preds = []
-            for u in chain(held, range(head, ends[walk[v]])):
+            window = range(head, ends[v])
+            for u in chain(held, window) if held else window:
                 ax0, ay0, ax1, ay1, aw, ah = geo[u]
-                # the rule's test of u before v, inlined as in _precedence_edges
-                min_w = bw if bw < aw else aw
-                if not (ay1 <= by0 and min_w > 0 and
-                        ((bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)) / min_w
-                        >= h_overlap):
-                    min_h = bh if bh < ah else ah
-                    if not (min_h > 0 and bx0 - ax0 >= align_tol and
-                            ((by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)) / min_h
-                            >= v_overlap):
+                # the rule's test of u before v, as in _precedence_edges, each
+                # half from its cheapest comparison: u fully above v with
+                # enough horizontal overlap, or both in one band with u
+                # starting clearly further left
+                if ay1 <= by0:
+                    min_w = bw if bw < aw else aw
+                    if min_w > 0 and ((bx1 if bx1 < ax1 else ax1)
+                                      - (bx0 if bx0 > ax0 else ax0)) / min_w >= h_overlap:
+                        preds.append(u)
                         continue
-                preds.append(u)
+                if bx0 - ax0 >= align_tol:
+                    min_h = bh if bh < ah else ah
+                    if min_h > 0 and ((by1 if by1 < ay1 else ay1)
+                                      - (by0 if by0 > ay0 else ay0)) / min_h >= v_overlap:
+                        preds.append(u)
             if preds:
                 if len(held) == _HELD_BACK:
                     return None
@@ -381,8 +422,8 @@ def _merge_order(
             held = [u for u in held if not placed[u]]
             v = held[0]
         placed[v] = True
-        order.append(walk[v])
-        for w in waiters.pop(v, ()):
+        order.append(v)
+        for w in waiters.pop(v, ()) if waiters else ():
             if not placed[w]:
                 waiting[w] -= 1
                 if not waiting[w]:

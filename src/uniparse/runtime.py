@@ -9,8 +9,10 @@ no virtual clock: the layout stage charges layout_ms_per_page, whatever the
 layout took. Layout and planning read neither the mode, the worker count nor
 the descriptor table, so compare_modes and simulate_scaling plan each document
 once and keep only its DispatchPlan; all their runs share the plans and one
-MockBackend. They return only metrics, so their runs assemble no document;
-with strict=True they raise from the recorded TaskFailures.
+MockBackend. They return only metrics, so their runs assemble no document,
+and the plan is made from the page trees alone (engine.page_trees), without
+the reading order that only assembly reads. With strict=True they raise
+from the recorded TaskFailures.
 
 A virtual (discrete-event) clock drives one driver over the document stream.
 Every mode runs the same stage workers (preprocess, layout, dispatch, gather,
@@ -68,7 +70,7 @@ from enum import Enum
 from typing import Callable, Iterator, Mapping
 
 from .config import EngineConfig
-from .dispatch import Batch, DispatchPlan, TaskFailure, batch_stack
+from .dispatch import Batch, DispatchPlan, TaskFailure, batch_stack, plan_document
 from .docmodel import DocumentIR
 from .engine import (
     PageAnalysis,
@@ -77,6 +79,7 @@ from .engine import (
     assemble_document,
     call_batch,
     form_batches,
+    page_trees,
 )
 from .experts import DocumentStore, ExpertDescriptor, MockBackend, default_descriptors
 from .formats import ParsedDocument
@@ -374,8 +377,9 @@ def run_pipeline(
 
 
 def _plan_docs(docs: list[DocumentIR], engine: EngineConfig) -> list[DispatchPlan]:
-    """Every document's dispatch plan, for a sweep's runs to share."""
-    return [analyze_and_plan(doc, engine)[1] for doc in docs]
+    """Every document's dispatch plan, for a sweep's runs to share: its page
+    trees and plan only, as a sweep assembles nothing."""
+    return [plan_document(doc, page_trees(doc, engine), engine) for doc in docs]
 
 
 def _simulate(

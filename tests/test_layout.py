@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 import workloads
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uniparse.config import EngineConfig
 from uniparse.docmodel import (
@@ -14,8 +15,13 @@ from uniparse.docmodel import (
     DuplicateId,
     SemanticCategory as C,
 )
+from uniparse import layout
 from uniparse.engine import process_document
 from uniparse.layout import (
+    ANCHOR_CATEGORIES,
+    COMPATIBLE_PARTNERS,
+    PARTNER_CATEGORIES,
+    RELATION_FOR,
     RelationKind,
     assign_children,
     build_layout_tree,
@@ -23,6 +29,7 @@ from uniparse.layout import (
     filter_functional,
     group_pairs,
     pair_groups,
+    tree_to_dict,
 )
 
 from conftest import box_lists, det, find, one_page_doc
@@ -217,6 +224,107 @@ def test_table_caption_is_title_relation():
     table = det("t1", (0.1, 0.12, 0.5, 0.3), C.TABLE)
     tree = _paired_tree([caption, table])
     assert (RelationKind.TITLE, "c1") in find(tree, "t1").group_links
+
+
+def all_pairs_pair_by_geometry(tree, hinted, cfg):
+    """Reference geometric pairing: every hint-less anchor scored against
+    every hint-less partner, then linked greedily as pair_groups does."""
+    top_level = tree.top_items()
+    anchors = [n for n in top_level if n.category in ANCHOR_CATEGORIES and n.id not in hinted]
+    partners = [n for n in top_level if n.category in PARTNER_CATEGORIES and n.id not in hinted]
+    candidates = []
+    for anchor in anchors:
+        for partner in partners:
+            if partner.category not in COMPATIBLE_PARTNERS[anchor.category]:
+                continue
+            dist = anchor.box.distance_to_point(*partner.box.center)
+            if dist > cfg.pair_distance:
+                continue
+            preferred = 0 if layout._is_preferred(partner, anchor) else 1
+            candidates.append((preferred, dist, anchor.id, partner.id, anchor, partner))
+    taken_partners, taken_slots = set(), set()
+    for _pref, _dist, anchor_id, partner_id, anchor, partner in sorted(
+            candidates, key=lambda c: c[:4]):
+        slot = (anchor_id, partner.category)
+        if partner_id in taken_partners or slot in taken_slots:
+            continue
+        taken_partners.add(partner_id)
+        taken_slots.add(slot)
+        layout._link(anchor, partner, RELATION_FOR[partner.category, anchor.category])
+
+
+# Few distinct coordinates: centers on a 1/16 grid fall exactly on the window
+# edges y0 - d, y1 + d, x0 - d and x1 + d for the dyadic distances below, at
+# distance exactly d. Now and then a coordinate is any float, or not finite.
+_SIXTEENTHS = st.integers(0, 16).map(lambda k: k / 16)
+_PAIRING_CATEGORIES = st.sampled_from(sorted(ANCHOR_CATEGORIES | PARTNER_CATEGORIES)
+                                      + [C.PARAGRAPH])
+
+
+@st.composite
+def pairing_pages(draw):
+    odd = st.one_of(st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+    coord = st.one_of(*[_SIXTEENTHS] * 8, odd)
+    size = st.sampled_from([0.0, 0.125, 0.25, 0.5])
+    detections = []
+    for k in range(draw(st.integers(0, 24))):
+        x0, y0 = draw(coord), draw(coord)
+        box = BoundingBox(x0, y0, x0 + draw(size), y0 + draw(size))
+        hint = draw(st.sampled_from([None, None, None, None, "g1", "g2"]))
+        detections.append(Detection(id=f"d{k:03d}", page_index=0, box=box,
+                                    category=draw(_PAIRING_CATEGORIES), confidence=0.9,
+                                    group_hint=hint))
+    return detections
+
+
+def _partner_at(category, center):
+    """An anchor (0.25, 0.25)-(0.5, 0.5) and a partner with this center."""
+    cx, cy = center
+    return [det("a", (0.25, 0.25, 0.5, 0.5), C.IMAGE if category is C.CAPTION else C.FORMULA),
+            det("p", (cx - 1 / 16, cy - 1 / 16, cx + 1 / 16, cy + 1 / 16), category)]
+
+
+# a partner exactly pair_distance below, above, left and right of its anchor
+@example(_partner_at(C.CAPTION, (0.375, 0.625)), 1 / 8)
+@example(_partner_at(C.CAPTION, (0.375, 0.125)), 1 / 8)
+@example(_partner_at(C.FORMULA_ID, (0.125, 0.375)), 1 / 8)
+@example(_partner_at(C.FORMULA_ID, (0.625, 0.375)), 1 / 8)
+@settings(max_examples=300, deadline=None)
+@given(pairing_pages(), st.sampled_from([0.0, 1 / 16, 0.08, 1 / 8, 0.5]))
+def test_geometric_pairing_matches_all_pairs_oracle(detections, distance):
+    cfg = EngineConfig(pair_distance=distance)
+    got = tree_to_dict(_paired_tree(detections, cfg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layout, "_pair_by_geometry", all_pairs_pair_by_geometry)
+        want = tree_to_dict(_paired_tree(detections, cfg))
+    assert got == want
+    if [d.id for d in detections] == ["a", "p"]:
+        assert got["roots"][0]["group_links"]
+
+
+def test_geometric_pairing_scores_only_nearby_partners(monkeypatch):
+    # 600 hint-less images and captions scattered on one page: all pairs
+    # would score 90,000 distances
+    rng = random.Random(3)
+    detections = []
+    for k in range(600):
+        x0, y0 = rng.uniform(0.0, 0.95), rng.uniform(0.0, 0.98)
+        detections.append(det(f"s{k:03d}", (x0, y0, x0 + 0.03, y0 + 0.01),
+                              C.IMAGE if k % 2 else C.CAPTION))
+    calls = 0
+    scored = BoundingBox.distance_to_point
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return scored(self, x, y)
+
+    cfg = EngineConfig()
+    monkeypatch.setattr(BoundingBox, "distance_to_point", counted)
+    got = tree_to_dict(_paired_tree(detections, cfg))
+    assert calls < 10_000
+    monkeypatch.setattr(layout, "_pair_by_geometry", all_pairs_pair_by_geometry)
+    assert tree_to_dict(_paired_tree(detections, cfg)) == got
 
 
 def test_filter_removes_header_keeps_divider():

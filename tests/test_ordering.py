@@ -43,12 +43,14 @@ from conftest import box_lists, det, flatten_cut, one_page_doc, reading_order, x
 
 
 def unit(uid, box, category=C.PARAGRAPH, page=0):
+    box = BoundingBox(*box)
     return OrderUnit(
         unit_id=uid,
         page_index=page,
         category=category,
-        boxes=(BoundingBox(*box),),
+        boxes=(box,),
         member_ids=(uid,),
+        hull=box,
     )
 
 
@@ -176,7 +178,7 @@ def all_pairs_gap_tree_order(units, cfg=None):
 
 def _units(draw, shapes):
     ids = draw(st.permutations(range(len(shapes))))
-    return [OrderUnit(f"u{k:03d}", 0, C.PARAGRAPH, (b,), (f"u{k:03d}",))
+    return [OrderUnit(f"u{k:03d}", 0, C.PARAGRAPH, (b,), (f"u{k:03d}",), b)
             for k, b in zip(ids, shapes)]
 
 
@@ -670,10 +672,8 @@ def test_graph_path_matches_oracle_on_window_boundaries(name):
 
 def merge_of(units, cfg):
     """_merge_order on a leaf, set up as gap_tree_order sets it up."""
-    units = sorted(units, key=lambda u: u.hull.y0)
-    hulls = [u.hull for u in units]
-    key_of = [(h.y0, h.x0, u.unit_id, i) for i, (u, h) in enumerate(zip(units, hulls))]
-    return ordering._merge_order(hulls, key_of, cfg)
+    units = sorted(units, key=lambda u: (u.hull.y0, u.hull.x0, u.unit_id))
+    return ordering._merge_order([u.hull for u in units], cfg)
 
 
 # Leaves the merge hands to the graph: boxes are (x0, y0, x1, y1).

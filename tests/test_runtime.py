@@ -8,6 +8,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
+import workloads
 from hypothesis import given, settings, strategies as st
 
 import uniparse.engine
@@ -630,16 +631,31 @@ SWEEPS = pytest.mark.parametrize("sweep", [
 def test_sweeps_lay_out_each_document_once(monkeypatch, sweep):
     docs, _ = gen_corpus(CorpusSpec(seed=5, n_docs=6, pages_min=1, pages_max=2))
     calls = Counter()
-    real_analyze_pages = uniparse.engine.analyze_pages
+    real_page_trees = uniparse.engine.page_trees
 
     def counting(doc, cfg=None):
         calls[doc.doc_id] += 1
-        return real_analyze_pages(doc, cfg)
+        return real_page_trees(doc, cfg)
 
-    # analyze_and_plan looks analyze_pages up in uniparse.engine
-    monkeypatch.setattr(uniparse.engine, "analyze_pages", counting)
+    # a sweep plans through runtime's page_trees; analyze_pages looks it up
+    # in uniparse.engine
+    monkeypatch.setattr(runtime, "page_trees", counting)
+    monkeypatch.setattr(uniparse.engine, "page_trees", counting)
     sweep(docs, PipelineConfig(engine=EngineConfig(), seed=0))
     assert calls == Counter(d.doc_id for d in docs)
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_sweep_plans_are_the_plans_of_a_parse(monkeypatch, name):
+    wl = workloads.build(name, 1)
+    ordered = []
+    monkeypatch.setattr(uniparse.engine, "order_units",
+                        lambda tree, cfg=None: ordered.append(tree) or [])
+    plans = runtime._plan_docs(wl.docs, wl.engine)
+    assert ordered == []  # a sweep orders no page
+    monkeypatch.undo()
+    assert plans == [analyze_and_plan(doc, wl.engine)[1] for doc in wl.docs]
+    assert sum(len(plan.tasks) for plan in plans) > 0
 
 
 @SWEEPS
