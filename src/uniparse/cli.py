@@ -6,15 +6,18 @@ Exit codes: 0 success, 1 operational error, 2 strict-mode failures,
 bench); parse is deterministic.
 
 parse goes on past an input that fails, to the last one. An input that fails
-to load is reported on stderr with its path; one that fails in strict mode
-is reported and gives 2. When both happen, 1 wins: it says that some input
-was not parsed at all.
+to load, or whose doc_id cannot name its output under --out (see
+_output_name_fault), is reported on stderr with its path; one that fails in
+strict mode is reported and gives 2. When both happen, 1 wins: it says that
+some input was not parsed at all. Every output file is written whole or not
+at all: to a temporary file beside it, then moved into place.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -166,6 +169,7 @@ def cmd_parse(args) -> int:
 def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
                   remote: RemoteBackend | None) -> int:
     exit_code = 0
+    taken: set[str] = set()  # doc_ids of the earlier inputs under out_dir
     for input_path in args.inputs:
         try:
             doc = load_document(input_path)
@@ -174,6 +178,13 @@ def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
             print(f"uniparse: error: {input_path}: {reason}", file=sys.stderr)
             exit_code = 1
             continue
+        if out_dir is not None:
+            reason = _output_name_fault(doc.doc_id, taken)
+            if reason is not None:
+                print(f"uniparse: error: {input_path}: {reason}", file=sys.stderr)
+                exit_code = 1
+                continue
+            taken.add(doc.doc_id)
         if args.emit == "layout":
             payload = canonical_json(
                 {"doc_id": doc.doc_id,
@@ -216,13 +227,54 @@ def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
     return exit_code
 
 
+# The longest doc_id, in UTF-8 bytes, that names an output file: with the
+# longest extension (".structured.json") the name stays within the 255 bytes
+# common file systems allow.
+MAX_OUTPUT_ID_BYTES = 200
+
+
+def _output_name_fault(doc_id: str, taken: set[str]) -> str | None:
+    """Why doc_id cannot name an output file under --out, or None. The name
+    stays in its directory: it is non-empty, bounded, encodable, holds no
+    path separator or NUL, and does not start with '.' (no '..', and no
+    hidden or temporary file). An id an earlier input of this call took
+    would replace that output, so it is refused too."""
+    if not doc_id:
+        return "doc_id is empty"
+    if doc_id.startswith("."):
+        return f"doc_id {doc_id!r} starts with '.'"
+    if any(c in doc_id for c in "/\\\0"):
+        return f"doc_id {doc_id!r} holds '/', '\\' or NUL"
+    try:
+        size = len(doc_id.encode("utf-8"))
+    except UnicodeEncodeError:
+        return f"doc_id {doc_id!r} is not valid Unicode"
+    if size > MAX_OUTPUT_ID_BYTES:
+        return f"doc_id is longer than {MAX_OUTPUT_ID_BYTES} bytes"
+    if doc_id in taken:
+        return f"doc_id {doc_id!r} repeats an earlier input's; that output is kept"
+    return None
+
+
 def _write_output(payload: str, args, out_dir: Path | None, doc_id: str, ext: str) -> None:
     if out_dir is not None:
-        (out_dir / f"{doc_id}.{ext}").write_text(payload, encoding="utf-8")
+        _write_whole(out_dir / f"{doc_id}.{ext}", payload)
     elif args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        _write_whole(Path(args.out), payload)
     else:
         sys.stdout.write(payload)
+
+
+def _write_whole(path: Path, payload: str) -> None:
+    """Write payload to a temporary file in path's directory and move it onto
+    path (os.replace), so a killed run leaves the old file or the new one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(payload, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _runtime_config(args) -> EngineConfig:

@@ -6,8 +6,9 @@ names a fallback config file for the CLI.
 
 A bad value is a ValueError naming the field when the config is built: each
 field must have its annotated type (an int is a float, a bool is not an int),
-every float must be finite, the counts must be at least 1, and max_retries,
-the waits and the modelled *_ms_per_* costs must not be negative.
+every float must be finite, the counts must be at least 1, max_retries,
+the waits and the modelled *_ms_per_* costs must not be negative, and
+v_overlap must be positive: units share a band only where they overlap.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ class EngineConfig:
             not_negative = f.name in _NOT_NEGATIVE or "_ms_per_" in f.name
             if not_negative and value < 0:
                 raise ValueError(f"{f.name} must not be negative, got {value!r}")
+            if f.name == "v_overlap" and not value > 0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
 
     def copy(self, **overrides) -> "EngineConfig":
         return dataclasses.replace(self, **overrides)

@@ -127,14 +127,6 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
 
-    def is_valid(self) -> bool:
-        coords = (self.x0, self.y0, self.x1, self.y1)
-        if not all(math.isfinite(v) for v in coords):
-            return False
-        if not all(0.0 <= v <= 1.0 for v in coords):
-            return False
-        return self.x0 < self.x1 and self.y0 < self.y1
-
     def intersection_area(self, other: BoundingBox) -> float:
         w = min(self.x1, other.x1) - max(self.x0, other.x0)
         h = min(self.y1, other.y1) - max(self.y0, other.y0)
@@ -212,6 +204,23 @@ class DocumentIR:
             yield from page.detections
 
 
+def box_violation(det: Detection, bounded: bool = True) -> SchemaViolation | None:
+    """The IR's rule on a detection's box, as the error validate_document
+    raises for it, or None when the box passes: `degenerate_box` unless
+    x0 < x1 and y0 < y1, else `box_bounds` for a coordinate that is not
+    finite or, when bounded, lies outside [0,1]. Layout asks it unbounded:
+    no layout or ordering rule needs the unit square."""
+    box = det.box
+    if box.x0 >= box.x1 or box.y0 >= box.y1:
+        return SchemaViolation("degenerate_box", f"detection {det.id} has a degenerate box")
+    coords = (box.x0, box.y0, box.x1, box.y1)
+    if bounded and not all(0.0 <= v <= 1.0 for v in coords):
+        return SchemaViolation("box_bounds", f"detection {det.id} box outside [0,1]")
+    if not all(map(math.isfinite, coords)):
+        return SchemaViolation("box_bounds", f"detection {det.id} box is not finite")
+    return None
+
+
 def validate_document(doc: DocumentIR) -> None:
     """The IR's semantic rules, checked in one pass: raise SchemaViolation,
     its `field` the rule's code, at the first broken rule.
@@ -240,13 +249,9 @@ def validate_document(doc: DocumentIR) -> None:
                     "page_index",
                     f"detection {det.id} claims page {det.page_index}, found on {page.page_index}",
                 )
-            box = det.box
-            if not box.is_valid():
-                if box.x0 >= box.x1 or box.y0 >= box.y1:
-                    raise SchemaViolation(
-                        "degenerate_box", f"detection {det.id} has a degenerate box"
-                    )
-                raise SchemaViolation("box_bounds", f"detection {det.id} box outside [0,1]")
+            violation = box_violation(det)
+            if violation is not None:
+                raise violation
             if not (0.0 <= det.confidence <= 1.0):
                 raise SchemaViolation(
                     "confidence", f"detection {det.id} confidence {det.confidence}"

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from operator import itemgetter
+from operator import attrgetter, itemgetter, lt
 
 from .config import EngineConfig
 from .docmodel import (
@@ -23,6 +23,7 @@ from .docmodel import (
     Detection,
     DuplicateId,
     SemanticCategory,
+    box_violation,
 )
 
 
@@ -68,6 +69,8 @@ _FORMULA_ID = SemanticCategory.FORMULA_ID
 _PAGE_NUMBER = SemanticCategory.PAGE_NUMBER
 _REMOVABLE = FUNCTIONAL_CATEGORIES | {_PAGE_NUMBER}
 _CAPTION_RELATION = RelationKind.CAPTION
+_BOX = attrgetter("box")
+_COORDS = tuple(map(attrgetter, ("x0", "y0", "x1", "y1")))
 
 # Which partner categories an anchor category accepts.
 COMPATIBLE_PARTNERS: dict[SemanticCategory, frozenset[SemanticCategory]] = {
@@ -150,15 +153,16 @@ def assign_children(
     bisect window of the y0-sorted parents, at most the tallest parent's
     height above the child. Every other parent has IoA 0, which qualifies
     only when ioa_threshold <= 0; then the smallest parent by (area, id)
-    stands for all of them.
+    stands for all of them. Boxes are finite with x0 < x1 and y0 < y1, as
+    build_layout_tree requires.
     """
     cfg = cfg or EngineConfig()
     threshold = cfg.ioa_threshold
     bottoms = [d for d in detections if d.category not in TOP_LAYER_CATEGORIES]
-    # Each solid parent's box, read once: (y0, y1, x0, x1, area, id, box),
-    # sorted by y0 alone, so equal y0s keep detection order.
+    # Each parent's box, read once: (y0, y1, x0, x1, area, id, box), sorted
+    # by y0 alone, so equal y0s keep detection order.
     rows = [(b.y0, b.y1, b.x0, b.x1, (b.x1 - b.x0) * (b.y1 - b.y0), d.id, b)
-            for d in bottoms for b in (d.box,) if b.x0 < b.x1 and b.y0 < b.y1]
+            for d in bottoms for b in (d.box,)]
     rows.sort(key=itemgetter(0))
     ys = [r[0] for r in rows]
     tallest = max([r[1] - r[0] for r in rows], default=0.0)
@@ -174,11 +178,9 @@ def assign_children(
             continue
         box = det.box
         x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
-        w, h = x1 - x0, y1 - y0
-        # box.area, whose max(0.0, .) keeps 0.0 for a NaN or a negative side
-        child_area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
+        child_area = (x1 - x0) * (y1 - y0)
         best: tuple[float, float, str] | None = None
-        if child_area > 0.0:
+        if child_area > 0.0:  # else a product that underflows: no IoA
             best = zero_ioa_best
             # The margin dwarfs rounding in y1 - height, so no overlap is missed.
             lo = bisect_left(ys, y0 - tallest - 1e-9 * (1.0 + abs(y0) + tallest))
@@ -203,8 +205,13 @@ def build_layout_tree(
 ) -> LayoutTree:
     """assign_children over one page's detections, assembled into a tree.
 
-    Nodes are keyed by detection id, so a page that repeats an id raises
-    DuplicateId, as validate_document does for an IR file.
+    A page in memory meets the IR's geometry as a loaded file does, so
+    layout and ordering have no rules for other boxes. Nodes are keyed by
+    detection id: a page that repeats an id raises DuplicateId, as
+    validate_document does for an IR file. A box with a coordinate that is
+    not finite, or without x0 < x1 and y0 < y1, raises validate_document's
+    SchemaViolation for it (box_violation, unbounded: the [0,1] bound is left
+    to the loader).
     """
     cfg = cfg or EngineConfig()
     nodes = {d.id: LayoutNode(d) for d in detections}
@@ -214,6 +221,16 @@ def build_layout_tree(
             if d.id in seen:
                 raise DuplicateId(d.id)
             seen.add(d.id)
+    # One C-level pass per column; a sum is finite only where each term is,
+    # or where it overflows: then the per-box rule finds no fault.
+    boxes = list(map(_BOX, detections))
+    x0, y0, x1, y1 = (list(map(get, boxes)) for get in _COORDS)
+    if not (isfinite(sum(x0) + sum(y0) + sum(x1) + sum(y1))
+            and all(map(lt, x0, x1)) and all(map(lt, y0, y1))):
+        for d in detections:
+            violation = box_violation(d, bounded=False)
+            if violation is not None:
+                raise violation
     parent_map, orphan_ids = assign_children(detections, cfg)
     tree = LayoutTree(page_index=page_index)
     for det in detections:
@@ -309,28 +326,22 @@ def _pair_by_geometry(tree: LayoutTree, hinted: set[str], cfg: EngineConfig) -> 
     # So each anchor takes the partners whose center y falls in that window
     # of a list sorted by center y, in their list order, and skips those
     # whose center x falls outside, both windows widened far above the
-    # rounding of either side: the candidates are exactly the all-pairs
-    # scan's. A coordinate that is not finite (in-memory IR is not
-    # validated) can make a NaN distance, which the exact test admits: such
-    # a page scans all pairs.
+    # rounding of either side: on the finite boxes layout admits, the
+    # candidates are exactly the all-pairs scan's.
     d = cfg.pair_distance
     centers = [n.box.center for n in partners]
     by_y = sorted(range(len(partners)), key=lambda k: centers[k][1])
     ys = [centers[k][1] for k in by_y]
-    finite = all(isfinite(v) for n in (*anchors, *partners) for v in n.box.as_list())
     candidates = []
     for anchor in anchors:
         compatible = COMPATIBLE_PARTNERS.get(anchor.category, frozenset())
         box = anchor.box
-        near = range(len(partners))
         reach = d + 1e-9 * (1.0 + abs(box.x0) + abs(box.x1) + abs(box.y0) + abs(box.y1) + abs(d))
-        if finite:
-            near = sorted(by_y[bisect_left(ys, box.y0 - reach):bisect_right(ys, box.y1 + reach)])
         left, right = box.x0 - reach, box.x1 + reach
-        for k in near:
+        for k in sorted(by_y[bisect_left(ys, box.y0 - reach):bisect_right(ys, box.y1 + reach)]):
             partner = partners[k]
             cx, cy = centers[k]
-            if partner.category not in compatible or finite and not left <= cx <= right:
+            if partner.category not in compatible or not left <= cx <= right:
                 continue
             dist = box.distance_to_point(cx, cy)
             if dist > d:

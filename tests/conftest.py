@@ -277,26 +277,29 @@ def small_corpus():
     return gen_corpus(spec)
 
 
-# Degenerate geometry for oracle comparisons (in-memory documents skip IR
-# validation). "grid" boxes take both corners from a coarse grid, so shared
-# edges (a.y1 == b.y0, a.x1 == b.x0) and zero widths or heights are common;
-# "free" corners give inverted boxes too.
+# Geometry for oracle comparisons: the boxes layout admits, finite with
+# x0 < x1 and y0 < y1 (build_layout_tree refuses any other). "grid" boxes take
+# both corners from a coarse grid, so shared edges (a.y1 == b.y0, a.x1 ==
+# b.x0) are common; "free" corners are any two distinct floats of [0, 1].
 GRID = [0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0]
 grid = st.sampled_from(GRID)
 coords = st.one_of(grid, st.floats(0.0, 1.0))
 
 
+def _span(draw, values):
+    return sorted(draw(st.lists(values, min_size=2, max_size=2, unique=True)))
+
+
 @st.composite
 def boxes(draw):
     shape = draw(st.sampled_from(["grid", "grid", "sized", "free"]))
-    if shape == "grid":
-        x0, x1 = sorted((draw(grid), draw(grid)))
-        y0, y1 = sorted((draw(grid), draw(grid)))
+    if shape != "sized":
+        values = grid if shape == "grid" else coords
+        (x0, x1), (y0, y1) = _span(draw, values), _span(draw, values)
         return BoundingBox(x0, y0, x1, y1)
-    if shape == "free":
-        return BoundingBox(draw(coords), draw(coords), draw(coords), draw(coords))
     x0, y0 = draw(coords), draw(coords)
-    return BoundingBox(x0, y0, x0 + draw(st.floats(0.0, 0.3)), y0 + draw(st.floats(0.0, 0.2)))
+    return BoundingBox(x0, y0, x0 + draw(st.floats(2.0 ** -10, 0.3)),
+                       y0 + draw(st.floats(2.0 ** -10, 0.2)))
 
 
 @st.composite

@@ -15,7 +15,13 @@ import pytest
 
 from uniparse.cli import main
 from uniparse.corpus import CorpusSpec, gen_corpus
-from uniparse.docmodel import BoundingBox, Detection, SemanticCategory, save_document
+from uniparse.docmodel import (
+    BoundingBox,
+    Detection,
+    SemanticCategory,
+    document_to_dict,
+    save_document,
+)
 
 from conftest import EchoServerThread, deeply_nested, one_page_doc
 
@@ -85,6 +91,62 @@ def test_parse_load_failure_wins_over_a_strict_failure(corpus_dir, tmp_path, mon
     assert err.count("strict mode: ") == 3 and err.count(f"{inputs[1]}: version") == 2
     for out in ("a", "b", "c"):
         assert sorted(_files(tmp_path / out)) == ["d002.structured.json"]
+
+
+@pytest.mark.parametrize("doc_id", [
+    pytest.param("../escaped", id="parent"), pytest.param("/tmp/absolute", id="absolute"),
+    pytest.param(".hidden", id="hidden"), pytest.param("..", id="dot-dot"),
+    pytest.param("a\\b", id="backslash"), pytest.param("nul\0id", id="nul"),
+    pytest.param("x" * 201, id="201-bytes"), pytest.param("\ud800", id="lone-surrogate"),
+])
+def test_parse_refuses_a_doc_id_that_cannot_name_an_output(doc_id, corpus_dir, tmp_path,
+                                                           capsys):
+    # An id of "../escaped" once wrote out/escaped.structured.json from --out
+    # out/sub, and exited 0.
+    bad = tmp_path / "bad.ir.json"
+    # ASCII JSON, which can carry a lone surrogate
+    bad.write_text(json.dumps(document_to_dict(one_page_doc([], doc_id=doc_id))), encoding="utf-8")
+    good = str(corpus_dir / "d000.ir.json")
+    out = tmp_path / "out" / "sub"
+    assert main(["parse", str(bad), good, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"uniparse: error: {bad}: doc_id ") and err.count("\n") == 1
+    assert sorted(_files(out)) == ["d000.structured.json"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["sub"]
+
+
+def test_parse_keeps_the_first_output_of_a_repeated_doc_id(corpus_dir, tmp_path, capsys):
+    # A second input with d000's id once replaced d000's output, and exited 0.
+    twin = tmp_path / "twin.ir.json"
+    data = json.loads((corpus_dir / "d001.ir.json").read_text(encoding="utf-8"))
+    twin.write_text(json.dumps({**data, "doc_id": "d000"}), encoding="utf-8")
+    first = str(corpus_dir / "d000.ir.json")
+    assert main(["parse", first, str(twin), str(corpus_dir / "d002.ir.json"),
+                 "--out", str(tmp_path / "both")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"uniparse: error: {twin}: doc_id 'd000' repeats") and err.count("\n") == 1
+    assert main(["parse", first, str(corpus_dir / "d002.ir.json"),
+                 "--out", str(tmp_path / "alone")]) == 0
+    assert _files(tmp_path / "both") == _files(tmp_path / "alone")
+
+
+def test_an_interrupted_parse_leaves_each_output_whole(corpus_dir, tmp_path, monkeypatch):
+    # A run killed while it wrote an output once left that output cut short.
+    out = tmp_path / "out"
+    inputs = [str(corpus_dir / f"d00{k}.ir.json") for k in range(3)]
+    assert main(["parse", *inputs, "--out", str(out)]) == 0
+    before = _files(out)
+    write_text = Path.write_text
+
+    def killed_halfway(self, data, *args, **kwargs):
+        write_text(self, data[:len(data) // 2], *args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_text", killed_halfway)
+    with pytest.raises(KeyboardInterrupt):
+        main(["parse", *inputs[1:], "--out", str(out)])
+    monkeypatch.undo()
+    assert _files(out) == before
 
 
 def test_parse_markdown_to_file(corpus_dir, tmp_path, capsys):
@@ -340,6 +402,16 @@ def test_degenerate_runtime_count_in_config_exits_1(text, field, tmp_path, capsy
     cfg.write_text(text, encoding="utf-8")
     assert main(["simulate", "--docs", "3", "--seed", "1", "--config", str(cfg)]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "0.0", "-0.5"])
+def test_a_non_positive_v_overlap_in_config_exits_1(value, tmp_path, capsys):
+    cfg = tmp_path / "f.json"
+    cfg.write_text(f'{{"v_overlap": {value}}}', encoding="utf-8")
+    assert main(["simulate", "--docs", "2", "--seed", "1", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("uniparse: error: v_overlap") and captured.err.count("\n") == 1
+    assert not captured.out
 
 
 @pytest.mark.parametrize("text, field", [

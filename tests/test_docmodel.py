@@ -17,6 +17,7 @@ from uniparse.docmodel import (
     DuplicateId,
     SchemaViolation,
     SemanticCategory,
+    box_violation,
     document_bytes,
     document_from_dict,
     document_to_dict,
@@ -374,8 +375,10 @@ def test_bounding_box_geometry():
     assert a.union(b).as_list() == [0.1, 0.1, 0.7, 0.4]
     assert a.distance_to_point(0.3, 0.2) == 0.0
     assert a.distance_to_point(0.5, 0.5) == pytest.approx(0.2)
-    assert not BoundingBox(0.1, 0.1, 0.1, 0.3).is_valid()
-    assert not BoundingBox(-0.1, 0.1, 0.5, 0.3).is_valid()
+    assert box_violation(det("d", (0.1, 0.1, 0.1, 0.3))).field == "degenerate_box"
+    assert box_violation(det("d", (-0.1, 0.1, 0.5, 0.3))).field == "box_bounds"
+    assert box_violation(det("d", (-0.1, 0.1, 0.5, 0.3)), bounded=False) is None
+    assert box_violation(det("d", (0.1, 0.1, 0.5, 0.3))) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import random
 import sys
+from unittest import mock
 
 import pytest
+import workloads
 
 from uniparse.config import EngineConfig
 from uniparse.docmodel import SemanticCategory as C
@@ -36,6 +38,11 @@ N = 200
 #                    before:      192,838 ->   380,238  (1.97)
 #   scattered images, captions    424,918 ->   830,372  (1.95)
 #                    before:    1,111,783 -> 3,718,149  (3.34)
+# and, for the shape added with the merge as the one gap fallback (the
+# precedence graph and the merge's work caps gone), at that commit and the
+# one before it:
+#   one-column dense page         154,519 ->   312,035  (2.02)
+#                    before:      163,848 ->   330,752  (2.02)
 # Other interpreter versions count differently; the ratio is what is gated.
 
 
@@ -88,11 +95,20 @@ def scattered_images_and_captions(n, rng, per_unit_height=200):
     return out
 
 
+def dense_column(n, rng):
+    """The dense workload's page in one column: n paragraphs, each box
+    overlapping its neighbours', so no cut splits them and the page is one
+    gap-fallback leaf of stacked units."""
+    with mock.patch.object(workloads, "_COLUMNS", 1):
+        return list(workloads._dense_page("column", n, rng, {}).pages[0].detections)
+
+
 def page_work(detections, cfg) -> int:
     return count_instructions(lambda: order_units(build_page_tree(0, detections, cfg), cfg))
 
 
-@pytest.mark.parametrize("shape", [paragraph_stack, grid, scattered_images_and_captions])
+@pytest.mark.parametrize("shape", [paragraph_stack, grid, scattered_images_and_captions,
+                                   dense_column])
 def test_page_work_grows_linearly(shape):
     cfg = EngineConfig()
     small, large = (page_work(shape(n, random.Random(n)), cfg) for n in (N, 2 * N))

@@ -5,15 +5,19 @@ import random
 
 import pytest
 import workloads
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from uniparse.config import EngineConfig
 from uniparse.docmodel import (
     TOP_LAYER_CATEGORIES,
     BoundingBox,
     Detection,
+    DocumentIR,
     DuplicateId,
+    PageIR,
+    SchemaViolation,
     SemanticCategory as C,
+    validate_document,
 )
 from uniparse import layout
 from uniparse.engine import process_document
@@ -255,7 +259,7 @@ def all_pairs_pair_by_geometry(tree, hinted, cfg):
 
 # Few distinct coordinates: centers on a 1/16 grid fall exactly on the window
 # edges y0 - d, y1 + d, x0 - d and x1 + d for the dyadic distances below, at
-# distance exactly d. Now and then a coordinate is any float, or not finite.
+# distance exactly d. Now and then a coordinate is any float of [0, 1].
 _SIXTEENTHS = st.integers(0, 16).map(lambda k: k / 16)
 _PAIRING_CATEGORIES = st.sampled_from(sorted(ANCHOR_CATEGORIES | PARTNER_CATEGORIES)
                                       + [C.PARAGRAPH])
@@ -263,9 +267,8 @@ _PAIRING_CATEGORIES = st.sampled_from(sorted(ANCHOR_CATEGORIES | PARTNER_CATEGOR
 
 @st.composite
 def pairing_pages(draw):
-    odd = st.one_of(st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf]))
-    coord = st.one_of(*[_SIXTEENTHS] * 8, odd)
-    size = st.sampled_from([0.0, 0.125, 0.25, 0.5])
+    coord = st.one_of(*[_SIXTEENTHS] * 8, st.floats(0.0, 1.0))
+    size = st.sampled_from([0.125, 0.25, 0.5])
     detections = []
     for k in range(draw(st.integers(0, 24))):
         x0, y0 = draw(coord), draw(coord)
@@ -421,6 +424,67 @@ def test_a_repeated_detection_id_is_refused():
     assert info.value.detection_id == "i2"
     with pytest.raises(DuplicateId):
         process_document(one_page_doc(twins))
+
+
+def _is_admitted(box):
+    return all(map(math.isfinite, box.as_list())) and box.x0 < box.x1 and box.y0 < box.y1
+
+
+@st.composite
+def documents_with_a_refused_box(draw):
+    """1-3 pages of boxes on a 1/16 grid, some with a coordinate that is
+    NaN or infinite, or with a zero or inverted span: at least one is one
+    that layout refuses. Every other rule of validate_document holds."""
+    corner = st.one_of(_SIXTEENTHS, st.sampled_from([math.nan, math.inf, -math.inf]))
+    categories = st.sampled_from([C.PARAGRAPH, C.IMAGE, C.CAPTION, C.FORMULA_INLINE, C.TABLE])
+    pages, k = [], 0
+    for page in range(draw(st.integers(1, 3))):
+        detections = []
+        for _ in range(draw(st.integers(0, 6))):
+            if draw(st.booleans()):
+                x0, y0 = draw(_SIXTEENTHS) * 0.75, draw(_SIXTEENTHS) * 0.75
+                box = BoundingBox(x0, y0, x0 + 0.25, y0 + 0.25)
+            else:
+                box = BoundingBox(draw(corner), draw(corner), draw(corner), draw(corner))
+            detections.append(Detection(id=f"d{k:03d}", page_index=page, box=box,
+                                        category=draw(categories), confidence=0.9))
+            k += 1
+        pages.append(PageIR(page, 612.0, 792.0, tuple(detections)))
+    assume(not all(_is_admitted(d.box) for p in pages for d in p.detections))
+    return DocumentIR(doc_id="doc", pages=tuple(pages))
+
+
+def _one_refused(box):
+    return one_page_doc([det("ok", (0.1, 0.1, 0.5, 0.2)), det("bad", box)])
+
+
+@example(_one_refused((0.5, 0.1, 0.5, 0.2)))  # zero width
+@example(_one_refused((0.1, 0.3, 0.5, 0.2)))  # inverted height
+@example(_one_refused((0.1, math.nan, 0.5, 0.2)))
+@example(_one_refused((0.1, 0.1, math.inf, 0.2)))
+@example(_one_refused((-math.inf, 0.1, 0.5, 0.2)))
+@settings(max_examples=200, deadline=None)
+@given(documents_with_a_refused_box())
+def test_layout_refuses_the_boxes_the_loader_refuses(doc):
+    # the loader's error for the first such box, in file order; layout names
+    # the same detection with the same code, on the same page
+    with pytest.raises(SchemaViolation) as loaded:
+        validate_document(doc)
+    want = loaded.value
+    assert want.field in ("degenerate_box", "box_bounds")
+    with pytest.raises(SchemaViolation) as processed:
+        process_document(doc)
+    for got in (processed.value, _first_page_refusal(doc)):
+        assert (got.field, got.reason.split()[1]) == (want.field, want.reason.split()[1])
+
+
+def _first_page_refusal(doc):
+    for page in doc.pages:
+        try:
+            build_page_tree(page.page_index, list(page.detections))
+        except SchemaViolation as exc:
+            return exc
+    raise AssertionError("no page was refused")
 
 
 def test_multi_anchor_hint_group_warns():
