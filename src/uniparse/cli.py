@@ -186,44 +186,45 @@ def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
                 continue
             taken.add(doc.doc_id)
         if args.emit == "layout":
-            payload = canonical_json(
+            payload, ext = canonical_json(
                 {"doc_id": doc.doc_id,
                  "pages": [tree_to_dict(a.tree) for a in analyze_pages(doc, cfg)]}
-            )
-            _write_output(payload, args, out_dir, doc.doc_id, "layout.json")
-            continue
-        if args.emit == "order":
+            ), "layout.json"
+        elif args.emit == "order":
             record = _emit_order_record(doc, cfg)
-            if args.out:
-                _write_output(canonical_json(record), args, out_dir, doc.doc_id, "pred.json")
-            else:
+            if not args.out:
                 for page in record["pages"]:
                     print(f"# page {page['page_index']}")
                     for unit_id in page["order"]:
                         print(unit_id)
-            continue
-
-        backend = remote if remote is not None else MockBackend(
-            DocumentStore([doc]), default_descriptors(max_batch=cfg.max_batch)
-        )
-        try:
-            result = process_document(
-                doc, cfg, backend, only_modality=args.only_modality, strict=args.strict
-            )
-        except StrictModeFailure as exc:
-            print(f"strict mode: {exc}", file=sys.stderr)
-            exit_code = exit_code or 2
-            continue
-        parsed = result.parsed
-        if args.fmt == "structured":
-            payload, ext = to_structured(parsed), "structured.json"
-        elif args.fmt == "markdown":
-            payload, ext = to_markdown(parsed), "md"
-        elif args.fmt == "html":
-            payload, ext = to_html(parsed), "html"
+                continue
+            payload, ext = canonical_json(record), "pred.json"
         else:
-            payload, ext = chunks_to_jsonl(chunk(parsed, args.max_tokens)), "chunks.jsonl"
-        _write_output(payload, args, out_dir, doc.doc_id, ext)
+            backend = remote if remote is not None else MockBackend(
+                DocumentStore([doc]), default_descriptors(max_batch=cfg.max_batch)
+            )
+            try:
+                result = process_document(
+                    doc, cfg, backend, only_modality=args.only_modality, strict=args.strict
+                )
+            except StrictModeFailure as exc:
+                print(f"strict mode: {exc}", file=sys.stderr)
+                exit_code = exit_code or 2
+                continue
+            parsed = result.parsed
+            if args.fmt == "structured":
+                payload, ext = to_structured(parsed), "structured.json"
+            elif args.fmt == "markdown":
+                payload, ext = to_markdown(parsed), "md"
+            elif args.fmt == "html":
+                payload, ext = to_html(parsed), "html"
+            else:
+                payload, ext = chunks_to_jsonl(chunk(parsed, args.max_tokens)), "chunks.jsonl"
+        try:
+            _write_output(payload, args, out_dir, doc.doc_id, ext)
+        except OSError as exc:  # the id stays taken, as after a written output
+            print(f"uniparse: error: {input_path}: {exc.strerror or exc}", file=sys.stderr)
+            exit_code = 1
     return exit_code
 
 

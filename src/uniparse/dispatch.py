@@ -98,6 +98,11 @@ class BatchReason(Enum):
 
 @dataclass
 class Batch:
+    """Tasks of one modality for one expert call. reason says why the batch
+    was cut: it was full, or its oldest task had waited the batch wait. Until
+    an expert starts it, the runtime may add its modality's queued tasks, up
+    to the batch size; attempt counts the calls it has failed retryably."""
+
     modality: str
     tasks: list[Task]
     reason: BatchReason

@@ -47,12 +47,19 @@ injection enabled, batching composition differs between modes, so tasks that
 exhaust retries can diverge; keep failure_rate at 0 when comparing outputs.
 
 Batch size, in every mode, is at most min(engine max_batch, the queue bound,
-the serving expert's max_batch in the run's descriptor table). No expert
-error aborts a run: a fatal or protocol error, a response that does not
-answer the batch's tasks in request order, or a retryable error that exhausts
-max_retries, becomes one TaskFailure per task of the batch in every mode. It
-counts in tasks_failed, and with strict=True the run raises StrictModeFailure
-once it has finished.
+the serving expert's max_batch in the run's descriptor table). A batch's
+contents are settled when an expert worker starts it: a first-attempt batch
+below that size first takes tasks from the head of its modality's queue, up
+to the size, and the modality's timer is re-armed for the new head. So a
+batch its timer cut while every worker was busy does not start at the fill
+it was cut at. A retried batch keeps its tasks. Only pipe mode has queued
+tasks when a batch starts; a whole-document step flushes its queues.
+
+No expert error aborts a run: a fatal or protocol error, a response that
+does not answer the batch's tasks in request order, or a retryable error that
+exhausts max_retries, becomes one TaskFailure per task of the batch in every
+mode. It counts in tasks_failed, and with strict=True the run raises
+StrictModeFailure once it has finished.
 
 The run charges one record per stage and per expert modality as it goes;
 finish derives idle time, bubble, utilization and throughput. A report is
@@ -305,15 +312,20 @@ class _Collector:
 
 class _ExpertPool:
     """Shared worker pool with per-modality replica caps and retry logic; each
-    modality's replicas and latency come from the backend's descriptor table."""
+    modality's replicas and latency come from the backend's descriptor table.
+    A worker that starts a first-attempt batch first hands it to top_up,
+    which may add its modality's queued tasks up to the batch size; a retried
+    batch keeps the tasks it failed with."""
 
     def __init__(self, sim, config: PipelineConfig, backend: MockBackend, collector: _Collector,
-                 on_task_done: Callable, on_drain: Callable[[], None], workers: int):
+                 on_task_done: Callable, on_drain: Callable[[], None],
+                 top_up: Callable[[Batch], None], workers: int):
         self.sim = sim
         self.config = config
         self.backend = backend
         self.collector = collector
         self.on_task_done = on_task_done
+        self.top_up = top_up
         # invoked whenever a batch leaves the ready queue (backpressure relief)
         self.on_drain = on_drain
         self.idle = workers  # expert workers not serving a batch
@@ -337,6 +349,8 @@ class _ExpertPool:
                 return
             self.idle -= 1
             batch = self.ready[modality].popleft()
+            if batch.attempt == 0:
+                self.top_up(batch)
             self.in_flight[modality] += 1
             descriptor = self.descriptors[modality]
             task_ids = tuple(t.task_id for t in batch.tasks)
@@ -496,6 +510,16 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
                 pool.offer(batch)
         arm_timer(modality)
 
+    def top_up(batch: Batch) -> None:
+        """A batch an expert starts below its size takes tasks from the head
+        of its modality's queue, up to the size. Only pipe mode has queued
+        tasks by then: a held step's flush empties every queue it fed."""
+        queue = task_queues[batch.modality]
+        room = min(batch_size[batch.modality] - len(batch.tasks), len(queue))
+        if room > 0:
+            batch.tasks.extend(queue.popleft()[0] for _ in range(room))
+            arm_timer(batch.modality)
+
     def arm_timer(modality: str) -> None:
         queue = task_queues[modality]
         if not queue:
@@ -571,7 +595,8 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
         ("preprocess", per_page(engine.preprocess_ms_per_page)),
         ("layout", per_page(engine.layout_ms_per_page)),
     ), split)
-    pool = _ExpertPool(sim, config, backend, collector, on_task_done, dispatch.wake, workers)
+    pool = _ExpertPool(sim, config, backend, collector, on_task_done, dispatch.wake, top_up,
+                       workers)
 
     def complete(job) -> None:
         if job.analyses is None:  # a sweep's shared plan: metrics only

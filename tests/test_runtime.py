@@ -329,6 +329,58 @@ def test_backpressure_stalls_producer_behind_slow_experts():
     assert [to_structured(p) for p in outs_tight] == [to_structured(p) for p in outs_wide]
 
 
+def recorded_calls(docs, config):
+    """Runs the documents; the task ids of each expert call, in call order."""
+    calls = []
+    real_process = MockBackend.process
+
+    def recording(self, modality, batch, attempt=0):
+        calls.append([t.task_id for t in batch])
+        return real_process(self, modality, batch, attempt)
+
+    with mock.patch.object(MockBackend, "process", recording):
+        outs, metrics = run_pipeline(docs, config)
+    return calls, outs, metrics
+
+
+def test_a_waiting_batch_takes_the_queued_tasks_when_the_worker_starts_it():
+    # One worker, batches of 4, a 5 ms wait, 0.2 ms dispatch steps, and a
+    # batch of n ocr tasks costs 6 + n ms. Document a's steps (a1-a5, ids
+    # ab0-ab4) end at 14.2 to 15.0: a1-a4 go as a full batch at 14.8 and run
+    # until 24.8, and a5's timer cuts [a5] at 20.0, which waits. Document b
+    # is laid out after a, so its steps end at 24.2, 24.4 and 24.6, and its
+    # timer would fire at 29.2. At 24.8 the worker starts [a5] with b1-b3
+    # added, until 34.8.
+    docs = [ocr_only_doc("a", 5), ocr_only_doc("b", 3)]
+    engine = bare_engine(workers=1, max_wait_ms=5.0)
+    experts = ocr_experts(base=6.0, per_item=1.0, replicas=1)
+    calls, _outs, metrics = recorded_calls(
+        docs, PipelineConfig(mode=Mode.PIPELINE_PARALLEL, engine=engine, experts=experts))
+    assert calls == [["a/ab0", "a/ab1", "a/ab2", "a/ab3"],
+                     ["a/ab4", "b/bb0", "b/bb1", "b/bb2"]]
+    # both documents reach gather at 34.8: a gathers until 37.05, b until
+    # 39.2, and each then takes 3 ms to consolidate and 3 ms to format
+    assert metrics.wall_ms == pytest.approx(46.05)
+    assert metrics.doc_latency_ms == pytest.approx({"a": 43.05, "b": 46.05})
+    assert metrics.tasks_dispatched == metrics.tasks_completed == 8
+
+
+def test_a_batch_takes_queued_tasks_only_up_to_the_queue_bound():
+    # As above, with a queue bound of 3 below both caps (4), so batches hold
+    # at most 3, and a batch of n costs 7.1 + n ms. a1-a3 run from 14.6 to
+    # 24.7, and [a4] is cut at 19.8. b1 and b2 queue at 24.2 and 24.4; b3's
+    # step is refused at 24.6, as [a4], b1 and b2 fill the bound. At 24.7
+    # the worker starts [a4] with b1 and b2 added, and b3 queues behind it.
+    docs = [ocr_only_doc("a", 4), ocr_only_doc("b", 3)]
+    engine = bare_engine(workers=1, max_wait_ms=5.0, queue_capacity=3)
+    experts = ocr_experts(base=7.1, per_item=1.0, replicas=1)
+    calls, _outs, metrics = recorded_calls(
+        docs, PipelineConfig(mode=Mode.PIPELINE_PARALLEL, engine=engine, experts=experts))
+    assert calls == [["a/ab0", "a/ab1", "a/ab2"], ["a/ab3", "b/bb0", "b/bb1"], ["b/bb2"]]
+    assert metrics.max_queue_depth == {"ocr": 3}  # a1-a3, before they are cut
+    assert metrics.tasks_dispatched == metrics.tasks_completed == 7
+
+
 def mixed_docs():
     # ocr-only documents long enough for full batches, plus a generated
     # document with several modalities
@@ -445,7 +497,7 @@ def test_tasks_conserved_under_random_failures_in_every_mode(seed, failure_rate,
     real_process = MockBackend.process
 
     def recording(self, modality, batch, attempt=0):
-        sizes.append((len(batch), self.descriptors[modality].max_batch))
+        sizes.append((len(batch), min(engine_cap, self.descriptors[modality].max_batch)))
         return real_process(self, modality, batch, attempt)
 
     with mock.patch.object(MockBackend, "process", recording):
@@ -455,6 +507,8 @@ def test_tasks_conserved_under_random_failures_in_every_mode(seed, failure_rate,
             assert [p.doc_id for p in outs] == [d.doc_id for d in docs]
             assert metrics.tasks_dispatched == planned
             assert metrics.tasks_dispatched == metrics.tasks_completed + metrics.tasks_failed
+    # the queue bound (64) is above both caps here; see the bounded pipe test
+    assert engine.queue_capacity > max(engine_cap, expert_cap)
     assert all(size <= cap for size, cap in sizes)
 
 

@@ -36,37 +36,38 @@ SEED = 11
 TABLES = {"default": {}, "capped": {"max_batch": 3, "replicas": 1}}
 
 # sha256 of the canonical JSON of [to_report(), doc_latency_ms] per table and
-# mode, and of the scaling report. The table digests were recorded before the
-# runtime's mid-run table replacement was deleted, which kept them. The
-# scaling digest was recorded before the held dispatch path was folded into
-# the streamed one, which kept it.
+# mode, and of the scaling report. The seq and par digests were recorded
+# before the runtime's mid-run table replacement was deleted, which kept them.
+# The pipe and scaling digests were re-recorded when a batch an expert starts
+# below its size began to take its modality's queued tasks.
 REPORT_DIGESTS = {
     "default": {
         Mode.SEQUENTIAL: "c699474e8e8921d8e13b8fd0e1730993e01074a930e59e74395d76bec82691ee",
         Mode.PARALLEL_GATHER: "e3ab8d3139fca5f5b331b75ebe758137faa5d0b7557f8348247d0e3f3f4be15a",
-        Mode.PIPELINE_PARALLEL: "e0f79da4ebf032e0a10cc5cd9fffd42567f512a657219929c53f7ef6476447ae",
+        Mode.PIPELINE_PARALLEL: "6f21f90c888ad016de5695e681536adc59624a482f3e2732c223428c52555611",
     },
     "capped": {
         Mode.SEQUENTIAL: "47f5e945e44c5609547b81a250471de4b37f333158bae312410c5b17bbf36cc5",
         Mode.PARALLEL_GATHER: "9993c33571233e3c14fcbb1be73d1156735a344bbddb1ceddbc0f53f6cb4337c",
-        Mode.PIPELINE_PARALLEL: "ce09569c0099bd589ebfae2364ebda46e555cd8d5abdc5d04053686a24bd632f",
+        Mode.PIPELINE_PARALLEL: "12df8abaa5bc8c29b21053474daeb4517e3edcbb1f61940767d8f10754d2d280",
     },
 }
-# The same, on the workload with task-less documents. Recorded while a
-# task-less document took no dispatch step in pipe mode.
+# The same, on the workload with task-less documents. The seq and par digests
+# were recorded while a task-less document took no dispatch step in pipe mode;
+# the pipe digests were re-recorded with the batch top-up.
 TASKLESS_DIGESTS = {
     "default": {
         Mode.SEQUENTIAL: "15a657af82b681ea335bfe1aeba540220ab5bec75e41fc411d1e04d80478f565",
         Mode.PARALLEL_GATHER: "694ad359400daa2adf61651c43b12d5be36d1d21288edfb8bbca5659c1724802",
-        Mode.PIPELINE_PARALLEL: "312fc6d45cf47fc47b903e613e16fb29a05ae564173e3b16c10590fd80d556e7",
+        Mode.PIPELINE_PARALLEL: "cacf4e4d5480d0fa85e73b9204edd3c5ef6e5205c96a057a3c2e470b505b3e24",
     },
     "capped": {
         Mode.SEQUENTIAL: "ea86b8942282a9efdf7a92a2429d8183f2b35673747c15e9401286d42ffc4e27",
         Mode.PARALLEL_GATHER: "e20c33a5b8d0bbc6ae233d3a7506ca299857f734e47b8529b28e847470a05920",
-        Mode.PIPELINE_PARALLEL: "e59b152838c2f46b1c125c353fa2f435996f90bcd603a81577800604117bfb48",
+        Mode.PIPELINE_PARALLEL: "79904be8b23d6e00d987357ce2d69e6008ce7a51fd443cda07aec4db6342249f",
     },
 }
-SCALING_DIGEST = "dbd87629960ee71ee53b0a7e176ed2133ff7d4594da9e3ae62c1685973fb039d"
+SCALING_DIGEST = "93007f388cd61329f435731c553740ddcdd777ff16440550938d22b982950e9a"
 
 
 def digest(obj) -> str:
