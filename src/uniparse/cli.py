@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .config import ENV_CONFIG_VAR, EngineConfig, UnknownConfigKey
+from .config import ENV_CONFIG_VAR, EngineConfig, read_fields
 from .docmodel import (
     DocumentIR,
     SchemaViolation,
@@ -31,14 +31,7 @@ from .docmodel import (
     save_document,
 )
 from .engine import StrictModeFailure, analyze_pages, process_document
-from .experts import (
-    MODALITIES,
-    DocumentStore,
-    ExpertError,
-    MockBackend,
-    RemoteBackend,
-    default_descriptors,
-)
+from .experts import MODALITIES, ExpertError, RemoteBackend
 from .formats import chunk, chunks_to_jsonl, to_html, to_markdown, to_structured
 from .layout import group_pairs, tree_to_dict
 from .payloads import DECODE_ERRORS
@@ -200,12 +193,9 @@ def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
                 continue
             payload, ext = canonical_json(record), "pred.json"
         else:
-            backend = remote if remote is not None else MockBackend(
-                DocumentStore([doc]), default_descriptors(max_batch=cfg.max_batch)
-            )
             try:
                 result = process_document(
-                    doc, cfg, backend, only_modality=args.only_modality, strict=args.strict
+                    doc, cfg, remote, only_modality=args.only_modality, strict=args.strict
                 )
             except StrictModeFailure as exc:
                 print(f"strict mode: {exc}", file=sys.stderr)
@@ -321,11 +311,10 @@ def cmd_bench(args) -> int:
 
 def cmd_gen_corpus(args) -> int:
     if args.spec:
+        fields = read_fields(corpus_mod.CorpusSpec, args.spec, corpus_mod.InvalidSpec)
         try:
-            spec = corpus_mod.CorpusSpec.from_dict(
-                json.loads(Path(args.spec).read_text(encoding="utf-8"))
-            )
-        except (ValueError, RecursionError) as exc:
+            spec = corpus_mod.CorpusSpec(**fields)
+        except corpus_mod.InvalidSpec as exc:
             raise corpus_mod.InvalidSpec(f"{args.spec}: {exc}") from exc
     else:
         spec = corpus_mod.CorpusSpec(
@@ -456,8 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     except StrictModeFailure as exc:
         print(f"uniparse: strict mode: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, SchemaViolation, UnknownConfigKey, corpus_mod.InvalidSpec,
-            ExpertError, ValueError, OSError) as exc:
+    except (SchemaViolation, ExpertError, ValueError, OSError) as exc:
         print(f"uniparse: error: {exc}", file=sys.stderr)
         return 1
 

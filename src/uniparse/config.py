@@ -1,32 +1,75 @@
-"""Engine configuration: every tunable threshold in one flat table.
+"""Engine configuration: every tunable threshold in one flat table, and the
+one field rule and one file reader of every configuration record.
 
 Config files are flat JSON objects whose keys are exactly the field names
 below. Unknown keys are rejected. The environment variable UNIPARSE_CONFIG
 names a fallback config file for the CLI.
 
-A bad value is a ValueError naming the field when the config is built: each
-field must have its annotated type (an int is a float, a bool is not an int),
-every float must be finite, the counts must be at least 1, max_retries,
-the waits and the modelled *_ms_per_* costs must not be negative, and
-v_overlap must be positive: units share a band only where they overlap.
+A bad value is a ValueError naming the field when the config is built, by
+check_fields: each field must have its annotated type (an int is a float, a
+bool is not an int), every float must be finite, the counts must be at least
+1, max_retries, the waits and the modelled *_ms_per_* costs must not be
+negative, and v_overlap must be positive: units share a band only where they
+overlap. The corpus spec, the expert descriptors and their latency models
+check their fields by the same rule.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 ENV_CONFIG_VAR = "UNIPARSE_CONFIG"
 
-# The types each field annotation admits, keyed by its text (annotations are postponed).
+# The types each field annotation admits, keyed by its text (annotations are
+# postponed); any other annotation names a class of the record's own module.
 _ADMITS = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,),
-           "bool | None": (bool, type(None))}
-_COUNTS = ("max_batch", "workers", "queue_capacity", "max_in_flight_docs")
-_NOT_NEGATIVE = ("max_retries", "max_wait_ms", "backoff_ms")  # and every *_ms_per_* cost
+           "bool | None": (bool, type(None)), "dict[str, float]": (dict,)}
+
+
+def check_fields(record, error: type[ValueError] = ValueError, *, counts=(), not_negative=(),
+                 positive=(), fractions=()) -> None:
+    """Raise error naming the first field of the dataclass record whose value
+    its annotation does not admit, a float field that is not finite (an int
+    too large for a float is not), or a value outside its range: counts at
+    least 1, not_negative at least 0, positive above 0, fractions in [0, 1]."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        admits = _ADMITS.get(f.type) or (vars(sys.modules[type(record).__module__])[f.type],)
+        if not isinstance(value, admits) or isinstance(value, bool) and bool not in admits:
+            raise error(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
+            raise error(f"{f.name} must be finite, got {value!r}")
+        if f.name in counts and value < 1:
+            raise error(f"{f.name} must be at least 1, got {value!r}")
+        if f.name in not_negative and value < 0:
+            raise error(f"{f.name} must not be negative, got {value!r}")
+        if f.name in positive and not value > 0:
+            raise error(f"{f.name} must be positive, got {value!r}")
+        if f.name in fractions and not 0 <= value <= 1:
+            raise error(f"{f.name} must be in [0, 1], got {value!r}")
+
+
+def read_fields(cls, path: str | Path, error: type[ValueError] = ValueError) -> dict:
+    """The flat JSON object in the file at path, as keyword arguments of the
+    dataclass cls. A file that is not JSON or is nested too deeply to decode,
+    a root that is not an object, and a key that names no field of cls each
+    raise error naming the file; the values are cls's to check."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: must be a JSON object")
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in names:
+            raise error(f"{path}: unknown key: {key!r}")
+    return data
 
 
 @dataclass
@@ -74,40 +117,16 @@ class EngineConfig:
     format_ms_per_doc: float = 3.0
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            admits = _ADMITS[f.type]
-            if not isinstance(value, admits) or isinstance(value, bool) and bool not in admits:
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.name in _COUNTS and value < 1:
-                raise ValueError(f"{f.name} must be at least 1, got {value!r}")
-            not_negative = f.name in _NOT_NEGATIVE or "_ms_per_" in f.name
-            if not_negative and value < 0:
-                raise ValueError(f"{f.name} must not be negative, got {value!r}")
-            if f.name == "v_overlap" and not value > 0:
-                raise ValueError(f"{f.name} must be positive, got {value!r}")
+        check_fields(self, counts=("max_batch", "workers", "queue_capacity", "max_in_flight_docs"),
+                     not_negative=("max_retries", "max_wait_ms", "backoff_ms", *_COSTS),
+                     positive=("v_overlap",))
 
     def copy(self, **overrides) -> "EngineConfig":
         return dataclasses.replace(self, **overrides)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EngineConfig":
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise UnknownConfigKey(sorted(unknown)[0])
-        return cls(**data)
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "EngineConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise UnknownConfigKey("<root>")
-        return cls.from_dict(data)
+        return cls(**read_fields(cls, path))
 
     @classmethod
     def from_env_or_default(cls, explicit_path: str | None = None) -> "EngineConfig":
@@ -124,7 +143,5 @@ class EngineConfig:
         return language_tag.lower().startswith(("zh", "ja"))
 
 
-class UnknownConfigKey(ValueError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"unknown config key: {key!r}")
+# The modelled CPU stage costs: not negative, like the waits.
+_COSTS = tuple(f.name for f in dataclasses.fields(EngineConfig) if "_ms_per_" in f.name)

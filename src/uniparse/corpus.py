@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
+from .config import check_fields
 from .docmodel import (
     BoundingBox,
     Detection,
@@ -50,47 +52,25 @@ class CorpusSpec:
     cross_page_split_prob: float = 0.0
     with_hints: bool = True
 
-    def validate(self) -> None:
-        for name in ("n_docs", "pages_min", "pages_max", "columns"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-        for name in ("merge_prob", "jitter_sigma", "substitution_prob", "cross_page_split_prob"):
-            value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise InvalidSpec(f"{name} must be a number, got {value!r}")
-            if name == "jitter_sigma":
-                if not (0 <= value < math.inf):
-                    raise InvalidSpec(f"jitter_sigma must be finite and >= 0, got {value!r}")
-            elif not (0.0 <= value <= 1.0):
-                raise InvalidSpec(f"{name} must be in [0, 1]")
-        if self.n_docs < 1 or self.pages_min < 1 or self.pages_max < self.pages_min:
-            raise InvalidSpec("bad document/page counts")
+    def __post_init__(self) -> None:
+        """The field rule of config.check_fields, then the cross-field rules;
+        a bad value raises InvalidSpec naming it."""
+        check_fields(self, InvalidSpec, counts=("n_docs", "pages_min", "pages_max"),
+                     not_negative=("jitter_sigma",),
+                     fractions=("merge_prob", "substitution_prob", "cross_page_split_prob"))
+        if self.pages_max < self.pages_min:
+            raise InvalidSpec(f"pages_max must be at least pages_min ({self.pages_min}), "
+                              f"got {self.pages_max}")
         if self.columns not in (1, 2, 3):
             raise InvalidSpec("columns must be 1, 2 or 3")
-        mix = self.modality_mix
-        if not (isinstance(mix, dict) and mix):
-            raise InvalidSpec("modality_mix must be an object of block kinds and weights")
-        unknown = [kind for kind in mix if kind not in DEFAULT_MIX]
+        unknown = [kind for kind in self.modality_mix if kind not in DEFAULT_MIX]
         if unknown:
             raise InvalidSpec(f"modality_mix names unknown block kinds: {unknown}")
-        weights = list(mix.values())
-        if not all(type(w) in (int, float) and 0 <= w < math.inf for w in weights):
+        weights = list(self.modality_mix.values())
+        if not all(type(w) in (int, float) and 0 <= w <= sys.float_info.max for w in weights):
             raise InvalidSpec("modality_mix weights must be finite numbers >= 0")
-        if not (0 < sum(weights) < math.inf):
+        if not 0 < sum(map(float, weights)) < math.inf:
             raise InvalidSpec("modality_mix weights must have a finite, positive sum")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusSpec":
-        """A validated spec from a decoded JSON object."""
-        if not isinstance(data, dict):
-            raise InvalidSpec("a spec must be a JSON object")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidSpec(f"unknown spec keys: {sorted(unknown)}")
-        spec = cls(**data)
-        spec.validate()
-        return spec
 
 
 DEFAULT_MIX: dict[str, float] = {
@@ -247,7 +227,6 @@ class _DocBuilder:
 
 def gen_corpus(spec: CorpusSpec) -> tuple[list[DocumentIR], GroundTruth]:
     """Generate a seeded synthetic corpus with its ground truth."""
-    spec.validate()
     docs = []
     truth = GroundTruth()
     for i in range(spec.n_docs):

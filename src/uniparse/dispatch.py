@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 from .config import EngineConfig
@@ -91,21 +90,14 @@ def placeholder_token(category: SemanticCategory, detection_id: str) -> str:
     return f"[[UPH:{PLACEHOLDER_KINDS[category]}:{detection_id}]]"
 
 
-class BatchReason(Enum):
-    FULL = "full"
-    TIMEOUT = "timeout"
-
-
 @dataclass
 class Batch:
-    """Tasks of one modality for one expert call. reason says why the batch
-    was cut: it was full, or its oldest task had waited the batch wait. Until
-    an expert starts it, the runtime may add its modality's queued tasks, up
-    to the batch size; attempt counts the calls it has failed retryably."""
+    """Tasks of one modality for one expert call. Until an expert starts it,
+    the runtime may add its modality's queued tasks, up to the batch size;
+    attempt counts the calls it has failed retryably."""
 
     modality: str
     tasks: list[Task]
-    reason: BatchReason
     attempt: int = 0
 
 

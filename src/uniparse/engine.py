@@ -12,7 +12,6 @@ from .config import EngineConfig
 from .consolidate import FlowItem, Partner, consolidate
 from .dispatch import (
     Batch,
-    BatchReason,
     DispatchPlan,
     GatherResult,
     Task,
@@ -27,6 +26,7 @@ from .experts import (
     ExpertResponse,
     MockBackend,
     RetryableExpertError,
+    default_descriptors,
 )
 from .formats import ParsedDocument
 from .layout import LayoutTree, build_page_tree
@@ -72,8 +72,8 @@ def analyze_and_plan(
 def form_batches(
     tasks: list[Task], max_batch: int, caps: dict[str, int] | None = None
 ) -> list[Batch]:
-    """FIFO per-modality batches, in sorted modality order; the trailing
-    partial flushes as a timeout. The one batch cutter, for the synchronous
+    """FIFO per-modality batches, in sorted modality order; the last of a
+    modality may be partial. The one batch cutter, for the synchronous
     path and the simulator alike.
 
     The effective batch size per modality never exceeds the serving expert's
@@ -87,9 +87,7 @@ def form_batches(
         queue = by_modality[modality]
         size = min(max_batch, caps.get(modality, max_batch)) if caps else max_batch
         for i in range(0, len(queue), size):
-            part = queue[i : i + size]
-            reason = BatchReason.FULL if len(part) == size else BatchReason.TIMEOUT
-            batches.append(Batch(modality, part, reason))
+            batches.append(Batch(modality, queue[i : i + size]))
     return batches
 
 
@@ -217,10 +215,12 @@ def process_document(
     only_modality: str | None = None,
     strict: bool = False,
 ) -> ProcessResult:
-    """The full pipeline for one document with a synchronous backend."""
+    """The full pipeline for one document with a synchronous backend: by
+    default the mock experts under the table `uniparse parse` and
+    PipelineConfig.resolved_experts use, capped at cfg.max_batch."""
     cfg = cfg or EngineConfig()
     if backend is None:
-        backend = MockBackend(DocumentStore([doc]))
+        backend = MockBackend(DocumentStore([doc]), default_descriptors(max_batch=cfg.max_batch))
     analyses, plan = analyze_and_plan(doc, cfg, only_modality)
     batches = form_batches(plan.tasks, cfg.max_batch, backend_batch_caps(backend))
     outcomes = run_batches(batches, backend, max_retries=cfg.max_retries)

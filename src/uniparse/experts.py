@@ -28,6 +28,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .config import check_fields
 from .docmodel import Detection, DocumentIR
 from .payloads import (
     DECODE_ERRORS,
@@ -75,6 +76,9 @@ class LatencyModel:
     per_item_ms: float = 2.0
     jitter_seed: int = 0
 
+    def __post_init__(self) -> None:
+        check_fields(self, not_negative=("base_ms", "per_item_ms"))
+
     def latency_ms(self, task_ids: tuple[str, ...], attempt: int = 0) -> float:
         """base + per-item cost, plus seeded jitter in [0, per_item_ms).
 
@@ -96,9 +100,7 @@ class ExpertDescriptor:
     failure_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1 or self.replicas < 1:
-            raise ValueError(f"{self.modality} expert max_batch and replicas must be at least 1, "
-                             f"got {self.max_batch} and {self.replicas}")
+        check_fields(self, counts=("max_batch", "replicas"), fractions=("failure_rate",))
 
 
 @dataclass(slots=True)

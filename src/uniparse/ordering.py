@@ -20,7 +20,6 @@ from .config import EngineConfig
 from .docmodel import (
     BoundingBox,
     Detection,
-    SemanticCategory,
     hull_of,
 )
 from .layout import LayoutTree
@@ -31,12 +30,9 @@ PAGE_REGION = BoundingBox(0.0, 0.0, 1.0, 1.0)
 @dataclass(slots=True)
 class OrderUnit:
     """One orderable unit: a standalone block, or a whole group collapsed.
-    hull is the hull of boxes: the box itself for a unit of one box."""
+    hull is the hull of its members' boxes: the box itself for a unit of one."""
 
     unit_id: str
-    page_index: int
-    category: SemanticCategory
-    boxes: tuple[BoundingBox, ...]
     member_ids: tuple[str, ...]
     hull: BoundingBox = field(repr=False, compare=False)
 
@@ -83,20 +79,17 @@ def group_cluster(tree: LayoutTree) -> list[OrderUnit]:
                 partners_of.setdefault(a, []).append(dets[k])
                 joined.add(k)
 
-    page = tree.page_index
     units: list[OrderUnit] = []
     for k, d in enumerate(dets):
         if k in joined:
             continue
         partners = partners_of.get(k)
         if partners is None:
-            box = d.box
-            units.append(OrderUnit(d.id, page, d.category, (box,), (d.id,), box))
+            units.append(OrderUnit(d.id, (d.id,), d.box))
             continue
         members = sorted([d, *partners], key=lambda m: (m.box.y0, m.box.x0, m.id))
-        boxes = tuple(m.box for m in members)
-        units.append(OrderUnit(d.id, page, d.category, boxes,
-                               tuple(m.id for m in members), hull_of(boxes)))
+        units.append(OrderUnit(d.id, tuple(m.id for m in members),
+                               hull_of([m.box for m in members])))
     return units
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from uniparse.cli import main
+from uniparse.config import EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import (
     BoundingBox,
@@ -74,7 +76,7 @@ def test_parse_goes_on_past_an_input_that_fails_to_load(corpus_dir, tmp_path, ca
 
 def test_parse_load_failure_wins_over_a_strict_failure(corpus_dir, tmp_path, monkeypatch,
                                                        capsys):
-    import uniparse.cli
+    import uniparse.engine
     from uniparse.experts import FatalExpertError, MockBackend
 
     class FailingD000(MockBackend):
@@ -83,7 +85,7 @@ def test_parse_load_failure_wins_over_a_strict_failure(corpus_dir, tmp_path, mon
                 raise FatalExpertError("injected")
             return MockBackend.process(self, modality, batch, attempt)
 
-    monkeypatch.setattr(uniparse.cli, "MockBackend", FailingD000)
+    monkeypatch.setattr(uniparse.engine, "MockBackend", FailingD000)
     inputs = _bad_middle_input(corpus_dir)
     assert main(["parse", inputs[0], inputs[2], "--strict", "--out", str(tmp_path / "a")]) == 2
     assert main(["parse", *inputs, "--strict", "--out", str(tmp_path / "b")]) == 1
@@ -424,6 +426,9 @@ def test_degenerate_runtime_count_exits_1(args, field, capsys):
     pytest.param('{"backoff_ms": -50}', "backoff_ms", id="backoff-negative"),
     pytest.param('{"max_retries": -1}', "max_retries", id="retries-negative"),
     pytest.param(deeply_nested(200_000), "cfg.json", id="nested-200000"),
+    pytest.param("[]", "cfg.json: must be a JSON object", id="array"),
+    pytest.param('{"max_wait_ms": 1' + "0" * 400 + "}", "max_wait_ms must be finite",
+                 id="wait-int-too-large"),
 ])
 def test_degenerate_runtime_count_in_config_exits_1(text, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -445,6 +450,7 @@ def test_a_non_positive_v_overlap_in_config_exits_1(value, tmp_path, capsys):
 @pytest.mark.parametrize("text, field", [
     pytest.param('{"n_docs": "3"}', "n_docs", id="n_docs-str"),
     pytest.param("[]", "spec.json", id="array"),
+    pytest.param('{"seed": 1, "bogus": 2}', "bogus", id="unknown-key"),
     pytest.param('{"columns": 2.0}', "columns", id="columns-float"),
     pytest.param(deeply_nested(200_000), "spec.json", id="nested-200000"),
     pytest.param('{"modality_mix": {"bogus": 1.0}, "n_docs": 1}', "bogus", id="mix-unknown-kind"),
@@ -453,6 +459,10 @@ def test_a_non_positive_v_overlap_in_config_exits_1(value, tmp_path, capsys):
     pytest.param('{"modality_mix": {"paragraph": Infinity}}', "modality_mix", id="mix-infinite"),
     pytest.param('{"modality_mix": {"paragraph": 1e308, "table": 1e308}}', "modality_mix",
                  id="mix-sum-overflows"),
+    pytest.param('{"modality_mix": {"paragraph": 1' + "0" * 400 + "}}", "modality_mix",
+                 id="mix-int-too-large"),
+    pytest.param('{"modality_mix": {"paragraph": 1' + "0" * 308 + ', "table": 1' + "0" * 308
+                 + "}}", "modality_mix", id="mix-int-sum-overflows"),
     pytest.param('{"jitter_sigma": NaN}', "jitter_sigma", id="jitter-nan"),
     pytest.param('{"jitter_sigma": 1e999}', "jitter_sigma", id="jitter-inf"),
 ])
@@ -463,6 +473,38 @@ def test_bad_corpus_spec_exits_1(text, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"uniparse: error: {spec}: ") and err.count("\n") == 1
     assert field in err
+
+
+# JSON values each field annotation excludes: a string, null, a list, true
+# for a number and a fraction for an integer
+_EXCLUDED = {
+    "float": ['"1"', "null", "[1]", "true"],
+    "int": ['"1"', "null", "[1]", "true", "1.5"],
+    "bool": ['"false"', "null", "[1]", "0"],
+    "str": ["null", "[1]", "5", "true"],
+    "bool | None": ['"false"', "[1]", "0"],
+    "dict[str, float]": ['"x"', "null", "[1]", "true"],
+}
+_RECORD_FIELDS = [
+    pytest.param(command, f, id=f"{command}-{f.name}")
+    for command, record in (("simulate", EngineConfig), ("gen-corpus", CorpusSpec))
+    for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize("command, field", _RECORD_FIELDS)
+def test_a_record_file_value_its_annotation_excludes_exits_1(command, field, tmp_path, capsys):
+    path, out = tmp_path / "record.json", tmp_path / "out"
+    if command == "simulate":
+        args, start = ["simulate", "--docs", "2", "--config", str(path)], "uniparse: error: "
+    else:
+        args = ["gen-corpus", "--spec", str(path), "--out", str(out)]
+        start = f"uniparse: error: {path}: "
+    for value in _EXCLUDED[field.type]:
+        path.write_text(f'{{"{field.name}": {value}}}', encoding="utf-8")
+        assert main(args) == 1, value
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{start}{field.name} must be {field.type}, got ")
+        assert captured.err.count("\n") == 1 and not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("jitter", ["nan", "inf", "-0.1"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 from contextlib import closing
@@ -127,6 +128,40 @@ def test_mock_failure_is_whole_batch_and_deterministic():
         backend.process("ocr", batch, attempt=0)
     with pytest.raises(RetryableExpertError):
         backend.process("ocr", batch, attempt=1)
+
+
+@pytest.mark.parametrize("record, fields, name", [
+    pytest.param(ExpertDescriptor, {"max_batch": 2.5}, "max_batch", id="max_batch-float"),
+    pytest.param(ExpertDescriptor, {"replicas": 1.5}, "replicas", id="replicas-float"),
+    pytest.param(ExpertDescriptor, {"failure_rate": math.nan}, "failure_rate",
+                 id="failure_rate-nan"),
+    pytest.param(ExpertDescriptor, {"failure_rate": 1.5}, "failure_rate", id="failure_rate-1.5"),
+    pytest.param(ExpertDescriptor, {"latency": 5}, "latency", id="latency-int"),
+    pytest.param(LatencyModel, {"base_ms": math.nan}, "base_ms", id="base_ms-nan"),
+    pytest.param(LatencyModel, {"base_ms": -1.0}, "base_ms", id="base_ms-negative"),
+])
+def test_a_descriptor_or_latency_model_refuses_a_bad_field(record, fields, name):
+    if record is ExpertDescriptor:
+        fields = {"modality": "ocr", **fields}
+    with pytest.raises(ValueError, match=f"^{name} "):
+        record(**fields)
+
+
+def test_the_default_experts_batch_up_to_the_configs_max_batch(monkeypatch):
+    # as under `uniparse parse` and PipelineConfig.resolved_experts: the
+    # default table caps no modality below cfg.max_batch
+    sizes = []
+    process = MockBackend.process
+
+    def recording(self, modality, batch, attempt=0):
+        sizes.append(len(batch))
+        return process(self, modality, batch, attempt)
+
+    monkeypatch.setattr(MockBackend, "process", recording)
+    doc = one_page_doc([det(f"p{i:02d}", (0.1, 0.02 * i + 0.01, 0.9, 0.02 * i + 0.025),
+                            truth_text=f"line {i}") for i in range(40)])
+    process_document(doc, EngineConfig(max_batch=32))
+    assert sizes == [32, 8]
 
 
 def test_mock_rejects_oversize_and_misrouted_batches():

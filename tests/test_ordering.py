@@ -45,16 +45,8 @@ from uniparse.payloads import Caption
 from conftest import box_lists, det, flatten_cut, one_page_doc, reading_order, xy_cut_oracle
 
 
-def unit(uid, box, category=C.PARAGRAPH, page=0):
-    box = BoundingBox(*box)
-    return OrderUnit(
-        unit_id=uid,
-        page_index=page,
-        category=category,
-        boxes=(box,),
-        member_ids=(uid,),
-        hull=box,
-    )
+def unit(uid, box):
+    return OrderUnit(unit_id=uid, member_ids=(uid,), hull=BoundingBox(*box))
 
 
 # --- independent oracles -----------------------------------------------------
@@ -181,7 +173,7 @@ def all_pairs_gap_tree_order(units, cfg=None):
 
 def _units(draw, shapes):
     ids = draw(st.permutations(range(len(shapes))))
-    return [OrderUnit(f"u{k:03d}", 0, C.PARAGRAPH, (b,), (f"u{k:03d}",), b)
+    return [OrderUnit(f"u{k:03d}", (f"u{k:03d}",), b)
             for k, b in zip(ids, shapes)]
 
 
@@ -272,7 +264,7 @@ def test_group_cluster_links_to_children_ties_and_two_partners():
     assert [(u.unit_id, u.member_ids) for u in units] == [
         ("p1", ("p1",)), ("b1", ("b2", "b1")), ("t9", ("c1", "f1", "t9"))]
     assert units[1].hull.as_list() == [0.1, 0.1, 0.9, 0.2]
-    assert units[2].category is C.TABLE
+    assert units[2].hull.as_list() == [0.1, 0.4, 0.9, 0.8]
 
 
 @settings(max_examples=40, deadline=None)
@@ -515,7 +507,7 @@ def test_l_shaped_wrap_order():
     cfg = EngineConfig()
     # paragraph left of a figure, then a full-width paragraph below both
     para_left = unit("pl", (0.10, 0.10, 0.44, 0.50))
-    figure = unit("fg", (0.50, 0.10, 0.90, 0.50), C.FIGURE)
+    figure = unit("fg", (0.50, 0.10, 0.90, 0.50))
     para_full = unit("pf", (0.10, 0.55, 0.90, 0.80))
     units = [para_full, figure, para_left]
     got = gap_tree_order(units, cfg=cfg)
