@@ -30,7 +30,7 @@ from .docmodel import (
     load_document,
     save_document,
 )
-from .engine import StrictModeFailure, analyze_pages, process_document
+from .engine import StrictModeFailure, analyze_pages, page_trees, process_document
 from .experts import MODALITIES, ExpertError, RemoteBackend
 from .formats import chunk, chunks_to_jsonl, to_html, to_markdown, to_structured
 from .layout import group_pairs, tree_to_dict
@@ -180,8 +180,7 @@ def _parse_inputs(args, cfg: EngineConfig, out_dir: Path | None,
             taken.add(doc.doc_id)
         if args.emit == "layout":
             payload, ext = canonical_json(
-                {"doc_id": doc.doc_id,
-                 "pages": [tree_to_dict(a.tree) for a in analyze_pages(doc, cfg)]}
+                {"doc_id": doc.doc_id, "pages": list(map(tree_to_dict, page_trees(doc, cfg)))}
             ), "layout.json"
         elif args.emit == "order":
             record = _emit_order_record(doc, cfg)

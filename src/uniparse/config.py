@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,22 +37,23 @@ def check_fields(record, error: type[ValueError] = ValueError, *, counts=(), not
     """Raise error naming the first field of the dataclass record whose value
     its annotation does not admit, a float field that is not finite (an int
     too large for a float is not), or a value outside its range: counts at
-    least 1, not_negative at least 0, positive above 0, fractions in [0, 1]."""
+    least 1, not_negative at least 0, positive above 0, fractions in [0, 1].
+    The value is shown through reprlib.repr, so the line stays short."""
     for f in dataclasses.fields(record):
         value = getattr(record, f.name)
         admits = _ADMITS.get(f.type) or (vars(sys.modules[type(record).__module__])[f.type],)
         if not isinstance(value, admits) or isinstance(value, bool) and bool not in admits:
-            raise error(f"{f.name} must be {f.type}, got {value!r}")
+            raise error(f"{f.name} must be {f.type}, got {reprlib.repr(value)}")
         if f.type == "float" and not abs(value) <= sys.float_info.max:
-            raise error(f"{f.name} must be finite, got {value!r}")
+            raise error(f"{f.name} must be finite, got {reprlib.repr(value)}")
         if f.name in counts and value < 1:
-            raise error(f"{f.name} must be at least 1, got {value!r}")
+            raise error(f"{f.name} must be at least 1, got {reprlib.repr(value)}")
         if f.name in not_negative and value < 0:
-            raise error(f"{f.name} must not be negative, got {value!r}")
+            raise error(f"{f.name} must not be negative, got {reprlib.repr(value)}")
         if f.name in positive and not value > 0:
-            raise error(f"{f.name} must be positive, got {value!r}")
+            raise error(f"{f.name} must be positive, got {reprlib.repr(value)}")
         if f.name in fractions and not 0 <= value <= 1:
-            raise error(f"{f.name} must be in [0, 1], got {value!r}")
+            raise error(f"{f.name} must be in [0, 1], got {reprlib.repr(value)}")
 
 
 def read_fields(cls, path: str | Path, error: type[ValueError] = ValueError) -> dict:
@@ -126,7 +128,12 @@ class EngineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EngineConfig":
-        return cls(**read_fields(cls, path))
+        """The config in the file at path; a field error ends naming the file."""
+        fields = read_fields(cls, path)
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (in {path})") from None
 
     @classmethod
     def from_env_or_default(cls, explicit_path: str | None = None) -> "EngineConfig":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -207,16 +208,17 @@ class DocumentIR:
 def box_violation(det: Detection, bounded: bool = True) -> SchemaViolation | None:
     """The IR's rule on a detection's box, as the error validate_document
     raises for it, or None when the box passes: `degenerate_box` unless
-    x0 < x1 and y0 < y1, else `box_bounds` for a coordinate that is not
-    finite or, when bounded, lies outside [0,1]. Layout asks it unbounded:
-    no layout or ordering rule needs the unit square."""
+    x0 < x1 and y0 < y1, else `box_bounds` for a coordinate beyond float
+    range (infinite, NaN, or an int too large for a float) or, when bounded,
+    outside [0,1]. Layout asks it unbounded: no layout or ordering rule needs
+    the unit square."""
     box = det.box
     if box.x0 >= box.x1 or box.y0 >= box.y1:
         return SchemaViolation("degenerate_box", f"detection {det.id} has a degenerate box")
     coords = (box.x0, box.y0, box.x1, box.y1)
     if bounded and not all(0.0 <= v <= 1.0 for v in coords):
         return SchemaViolation("box_bounds", f"detection {det.id} box outside [0,1]")
-    if not all(map(math.isfinite, coords)):
+    if not all(abs(v) <= sys.float_info.max for v in coords):
         return SchemaViolation("box_bounds", f"detection {det.id} box is not finite")
     return None
 

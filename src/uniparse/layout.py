@@ -222,11 +222,15 @@ def build_layout_tree(
                 raise DuplicateId(d.id)
             seen.add(d.id)
     # One C-level pass per column; a sum is finite only where each term is,
-    # or where it overflows: then the per-box rule finds no fault.
+    # or where it overflows (an int beyond float range raises): then the
+    # per-box rule decides.
     boxes = list(map(_BOX, detections))
     x0, y0, x1, y1 = (list(map(get, boxes)) for get in _COORDS)
-    if not (isfinite(sum(x0) + sum(y0) + sum(x1) + sum(y1))
-            and all(map(lt, x0, x1)) and all(map(lt, y0, y1))):
+    try:
+        finite = isfinite(sum(x0) + sum(y0) + sum(x1) + sum(y1))
+    except OverflowError:
+        finite = False
+    if not (finite and all(map(lt, x0, x1)) and all(map(lt, y0, y1))):
         for d in detections:
             violation = box_violation(d, bounded=False)
             if violation is not None:

@@ -19,8 +19,13 @@ Every mode runs the same stage workers (preprocess, layout, dispatch, gather,
 consolidate, format), feeds the same per-modality task queues, cuts batches
 the same way (dispatch.batch_stack says which queued tasks are due,
 engine.form_batches cuts them) for the same expert pool, and (in
-run_pipeline) finishes documents with engine.assemble_document. The mode sets
-five values:
+run_pipeline) finishes documents with engine.assemble_document. The pool is
+the driver's own state beside its task queues: per modality the formed
+batches no worker has started and the batches in flight, and the idle
+workers. Its steps are the driver's closures: a formed batch is offered to
+the ready queue, a free worker starts the modality balance picks (capped by
+its replicas), and a served batch lands its outcomes or is re-offered after
+its backoff. The mode sets five values:
 
     value                    pipe                par       seq
     documents in flight      max_in_flight_docs  1         1
@@ -310,73 +315,6 @@ class _Collector:
         )
 
 
-class _ExpertPool:
-    """Shared worker pool with per-modality replica caps and retry logic; each
-    modality's replicas and latency come from the backend's descriptor table.
-    A worker that starts a first-attempt batch first hands it to top_up,
-    which may add its modality's queued tasks up to the batch size; a retried
-    batch keeps the tasks it failed with."""
-
-    def __init__(self, sim, config: PipelineConfig, backend: MockBackend, collector: _Collector,
-                 on_task_done: Callable, on_drain: Callable[[], None],
-                 top_up: Callable[[Batch], None], workers: int):
-        self.sim = sim
-        self.config = config
-        self.backend = backend
-        self.collector = collector
-        self.on_task_done = on_task_done
-        self.top_up = top_up
-        # invoked whenever a batch leaves the ready queue (backpressure relief)
-        self.on_drain = on_drain
-        self.idle = workers  # expert workers not serving a batch
-        self.descriptors = backend.descriptors
-        self.replicas = {m: d.replicas for m, d in self.descriptors.items()}
-        self.in_flight: dict[str, int] = {m: 0 for m in self.descriptors}
-        self.ready: dict[str, deque] = {m: deque() for m in self.descriptors}
-
-    def ready_tasks(self, modality: str) -> int:
-        return sum(len(b.tasks) for b in self.ready.get(modality, ()))
-
-    def offer(self, batch: Batch) -> None:
-        self.ready[batch.modality].append(batch)
-        self.kick()
-
-    def kick(self) -> None:
-        while self.idle:
-            depths = {m: len(q) for m, q in self.ready.items()}
-            modality = balance(depths, self.replicas, self.in_flight)
-            if modality is None:
-                return
-            self.idle -= 1
-            batch = self.ready[modality].popleft()
-            if batch.attempt == 0:
-                self.top_up(batch)
-            self.in_flight[modality] += 1
-            descriptor = self.descriptors[modality]
-            task_ids = tuple(t.task_id for t in batch.tasks)
-            latency = descriptor.latency.latency_ms(task_ids, batch.attempt)
-            self.collector.charge_expert(modality, latency, len(batch.tasks))
-            outcomes = call_batch(self.backend, batch, batch.attempt,
-                                  self.config.engine.max_retries)
-            self.sim.after(latency, lambda b=batch, o=outcomes: self._complete(b, o))
-            self.on_drain()
-
-    def _complete(self, batch: Batch, outcomes) -> None:
-        self.idle += 1
-        self.in_flight[batch.modality] -= 1
-        if outcomes is None:
-            self.collector.record_retry(batch.modality)
-            retry = dataclasses.replace(batch, attempt=batch.attempt + 1)
-            backoff = self.config.engine.backoff_ms * (2 ** batch.attempt)
-            self.sim.after(backoff, lambda b=retry: self.offer(b))
-        else:
-            for task in batch.tasks:
-                outcome = outcomes[task.task_id]
-                self.collector.record_outcome(outcome)
-                self.on_task_done(task, outcome)
-        self.kick()
-
-
 # ---------------------------------------------------------------------------
 # run_pipeline
 # ---------------------------------------------------------------------------
@@ -483,21 +421,20 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
     collector = _Collector(workers)
 
     cap = engine.max_batch if queue_bound is None else min(engine.max_batch, queue_bound)
-    batch_size = {m: min(cap, d.max_batch) for m, d in backend.descriptors.items()}
+    descriptors = backend.descriptors
+    batch_size = {m: min(cap, d.max_batch) for m, d in descriptors.items()}
+    replicas = {m: d.replicas for m, d in descriptors.items()}
     jobs_by_doc: dict[str, _DocJob] = {}  # the documents in flight
     admission = deque(jobs)
 
     # per modality, FIFO of (task, enqueued_at)
-    task_queues: dict[str, deque] = {m: deque() for m in backend.descriptors}
+    task_queues: dict[str, deque] = {m: deque() for m in descriptors}
     timer_armed: dict[str, float] = {}
-
-    def on_task_done(task, outcome) -> None:
-        # An outcome lands in a later event than the step that queued its
-        # task, so the last outcome comes after the document's last step.
-        job = jobs_by_doc[task.doc_id]
-        job.outcomes[task.task_id] = outcome
-        if len(job.outcomes) == len(job.plan.tasks):
-            finish_doc(job)
+    # the expert pool: per modality, formed batches no worker has started
+    # and batches being served; the workers serving none
+    ready: dict[str, deque] = {m: deque() for m in descriptors}
+    in_flight = {m: 0 for m in descriptors}
+    idle = workers
 
     # --- batching: batch_stack says what is due, form_batches cuts it -------
 
@@ -507,18 +444,8 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
         due = batch_stack(queue, sim.now, size, max_wait_ms)
         if due:
             for batch in form_batches([queue.popleft()[0] for _ in range(due)], size):
-                pool.offer(batch)
+                offer(batch)
         arm_timer(modality)
-
-    def top_up(batch: Batch) -> None:
-        """A batch an expert starts below its size takes tasks from the head
-        of its modality's queue, up to the size. Only pipe mode has queued
-        tasks by then: a held step's flush empties every queue it fed."""
-        queue = task_queues[batch.modality]
-        room = min(batch_size[batch.modality] - len(batch.tasks), len(queue))
-        if room > 0:
-            batch.tasks.extend(queue.popleft()[0] for _ in range(room))
-            arm_timer(batch.modality)
 
     def arm_timer(modality: str) -> None:
         queue = task_queues[modality]
@@ -536,6 +463,58 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
             try_form(modality)
 
         sim.at(deadline, fire)
+
+    # --- expert pool: balance picks the modality a free worker serves --------
+
+    def offer(batch: Batch) -> None:
+        ready[batch.modality].append(batch)
+        kick()
+
+    def kick() -> None:
+        nonlocal idle
+        while idle:
+            modality = balance({m: len(q) for m, q in ready.items()}, replicas, in_flight)
+            if modality is None:
+                return
+            idle -= 1
+            batch = ready[modality].popleft()
+            queue = task_queues[modality]
+            # A first-attempt batch below its size takes tasks from the head
+            # of its modality's queue, up to the size; a retried batch keeps
+            # its tasks. Only pipe mode has queued tasks by then: a held
+            # step's flush empties every queue it fed.
+            room = min(batch_size[modality] - len(batch.tasks), len(queue))
+            if batch.attempt == 0 and room > 0:
+                batch.tasks.extend(queue.popleft()[0] for _ in range(room))
+                arm_timer(modality)
+            in_flight[modality] += 1
+            task_ids = tuple(t.task_id for t in batch.tasks)
+            latency = descriptors[modality].latency.latency_ms(task_ids, batch.attempt)
+            collector.charge_expert(modality, latency, len(batch.tasks))
+            outcomes = call_batch(backend, batch, batch.attempt, engine.max_retries)
+            sim.after(latency, lambda b=batch, o=outcomes: served(b, o))
+            dispatch.wake()  # a batch left the ready queue: backpressure relief
+
+    def served(batch: Batch, outcomes) -> None:
+        nonlocal idle
+        idle += 1
+        in_flight[batch.modality] -= 1
+        if outcomes is None:
+            collector.record_retry(batch.modality)
+            retry = dataclasses.replace(batch, attempt=batch.attempt + 1)
+            sim.after(engine.backoff_ms * (2 ** batch.attempt), lambda b=retry: offer(b))
+        else:
+            for task in batch.tasks:
+                outcome = outcomes[task.task_id]
+                collector.record_outcome(outcome)
+                # An outcome lands in a later event than the step that queued
+                # its task, so the last outcome comes after the document's
+                # last step.
+                job = jobs_by_doc[task.doc_id]
+                job.outcomes[task.task_id] = outcome
+                if len(job.outcomes) == len(job.plan.tasks):
+                    finish_doc(job)
+        kick()
 
     # --- stage workers ------------------------------------------------------
 
@@ -570,7 +549,7 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
             # batches) counts against the bound.
             (task,) = tasks
             queue = task_queues[task.modality]
-            if len(queue) + pool.ready_tasks(task.modality) >= queue_bound:
+            if len(queue) + sum(len(b.tasks) for b in ready[task.modality]) >= queue_bound:
                 return False
             queue.append((task, sim.now))
             collector.record_depth(task.modality, len(queue))
@@ -595,8 +574,6 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
         ("preprocess", per_page(engine.preprocess_ms_per_page)),
         ("layout", per_page(engine.layout_ms_per_page)),
     ), split)
-    pool = _ExpertPool(sim, config, backend, collector, on_task_done, dispatch.wake, top_up,
-                       workers)
 
     def complete(job) -> None:
         if job.analyses is None:  # a sweep's shared plan: metrics only
@@ -624,7 +601,7 @@ def _drive(jobs, config, backend) -> PipelineMetrics:
     # The closures above refer to one another, so only the cyclic collector
     # frees them. Release the backend, whose document store grows with the
     # corpus: what they leave is then the same few objects for any corpus.
-    pool.backend = None
+    backend = None
     pages = sum(len(job.doc.pages) for job in jobs)
     return collector.finish(config.mode, sim.now, len(jobs), pages)
 

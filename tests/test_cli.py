@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from uniparse.cli import main
-from uniparse.config import EngineConfig
+from uniparse.config import ENV_CONFIG_VAR, EngineConfig
 from uniparse.corpus import CorpusSpec, gen_corpus
 from uniparse.docmodel import (
     BoundingBox,
@@ -445,6 +445,41 @@ def test_a_non_positive_v_overlap_in_config_exits_1(value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("uniparse: error: v_overlap") and captured.err.count("\n") == 1
     assert not captured.out
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_a_config_field_error_names_its_file(via, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"v_overlap": 0}', encoding="utf-8")
+    if via == "flag":
+        args = ["simulate", "--docs", "2", "--config", str(cfg)]
+    else:
+        monkeypatch.setenv(ENV_CONFIG_VAR, str(cfg))
+        args = ["bench", "--docs", "2"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"uniparse: error: v_overlap must be positive, got 0 (in {cfg})\n"
+
+
+@pytest.mark.parametrize("command, text, start", [
+    pytest.param("simulate", '{"max_wait_ms": "' + "x" * 3000 + '"}',
+                 "max_wait_ms must be float, got ", id="config-long-str"),
+    pytest.param("simulate", '{"workers": -' + "9" * 400 + "}",
+                 "workers must be at least 1, got ", id="config-long-int"),
+    pytest.param("gen-corpus", '{"seed": "' + "x" * 3000 + '"}',
+                 "seed must be int, got ", id="spec-long-str"),
+])
+def test_a_refused_field_value_is_shown_bounded(command, text, start, tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_text(text, encoding="utf-8")
+    if command == "simulate":
+        args = ["simulate", "--docs", "2", "--config", str(path)]
+    else:
+        args = ["gen-corpus", "--spec", str(path), "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert start in err and err.count("\n") == 1
+    assert len(err) < 120 + len(str(path))
 
 
 @pytest.mark.parametrize("text, field", [

@@ -7,9 +7,10 @@ method or property of a package class K whose name no package module reads
 outside the method's own body: as a name, as an attribute of an object of
 unknown class, or as an attribute of K or a class inheriting from K (a read
 of C.m, or of self.m or cls.m inside class C, counts only for C and its
-bases). Test helpers and
-oracles belong in tests/; a name kept for a caller outside the package goes
-in ALLOWED with the reason.
+bases); and on a function nested in another that the enclosing function
+never reads outside the nested def's own body. Test helpers and oracles
+belong in tests/; a name kept for a caller outside the package goes in
+ALLOWED with the reason.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ def _bound_names(node: ast.Import | ast.ImportFrom) -> list[tuple[str, str]]:
     return [(a.asname or a.name, a.name) for a in node.names]
 
 
-def _loads(tree: ast.AST) -> set[str]:
-    """Names the code under tree reads."""
-    return {n.id for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+def _loads(tree: ast.AST) -> Counter:
+    """How often the code under tree reads each name."""
+    return Counter(n.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
 
 
 def _reads(tree: ast.AST, classes: set[str], owner: str | None = None) -> Counter:
@@ -69,6 +70,18 @@ def _reads(tree: ast.AST, classes: set[str], owner: str | None = None) -> Counte
 
     visit(tree, owner)
     return counts
+
+
+def _nested_defs(func: ast.FunctionDef | ast.AsyncFunctionDef):
+    """The functions defined in func's body, outside any further def, class
+    or lambda."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -153,6 +166,16 @@ def dead_code(sources: dict[str, str]) -> list[str]:
                 own = _reads(node, classes, cls.name)
                 if sum(reads[k, node.name] - own[k, node.name] for k in readers) <= 0:
                     findings.append(f"{mod}: {cls.name}.{node.name} is never used")
+    # a nested function lives while its enclosing function reads its name
+    # outside the nested def's own body
+    for mod, tree in trees.items():
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            counts = _loads(outer)
+            for inner in _nested_defs(outer):
+                if counts[inner.name] - _loads(inner)[inner.name] <= 0:
+                    findings.append(f"{mod}: {outer.name}.<locals>.{inner.name} is never used")
     return sorted(findings)
 
 
@@ -235,3 +258,31 @@ def test_guard_tells_apart_methods_of_one_name_on_two_classes():
         ),
     }
     assert dead_code(sources) == ["a: Truth.from_dict is never used"]
+
+
+def test_guard_reports_a_planted_unread_nested_function():
+    sources = {
+        "__init__": "from .a import live\n__all__ = ['live']\n",
+        "a": (
+            "def live(n):\n"
+            "    def called():\n        return 1\n\n"
+            "    def passed():\n        return 2\n\n"
+            "    def sibling_read():\n        return 3\n\n"
+            "    def reads_sibling():\n        return sibling_read()\n\n"
+            "    def unread():\n        return 4\n\n"
+            "    def recursive(k):\n        return recursive(k - 1) if k else 0\n\n"
+            "    if n:\n"
+            "        def branch():\n            return 5\n\n"
+            "    def outer():\n"
+            "        def inner_unread():\n            return 6\n\n"
+            "        def inner_read():\n            return 7\n\n"
+            "        return inner_read\n\n"
+            "    class Local:\n"
+            "        def method(self):\n            return 8\n\n"
+            "    return called(), map(passed, ()), reads_sibling, outer, Local().method\n"
+        ),
+    }
+    assert dead_code(sources) == ["a: live.<locals>.branch is never used",
+                                  "a: live.<locals>.recursive is never used",
+                                  "a: live.<locals>.unread is never used",
+                                  "a: outer.<locals>.inner_unread is never used"]

@@ -463,6 +463,10 @@ def _one_refused(box):
 @example(_one_refused((0.1, math.nan, 0.5, 0.2)))
 @example(_one_refused((0.1, 0.1, math.inf, 0.2)))
 @example(_one_refused((-math.inf, 0.1, 0.5, 0.2)))
+# an int beyond float range, which the loader refuses as outside [0,1]
+@example(_one_refused((0.1, 0.1, 10**400, 0.2)))
+@example(_one_refused((0, 0, 10**400, 1)))
+@example(_one_refused((-10**400, 0.1, 0.5, 0.2)))
 @settings(max_examples=200, deadline=None)
 @given(documents_with_a_refused_box())
 def test_layout_refuses_the_boxes_the_loader_refuses(doc):

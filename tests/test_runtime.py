@@ -116,6 +116,20 @@ def test_balance_respects_replica_cap():
     assert balance(depths, replicas, in_flight={"ocr": 2, "formula": 1}) is None
 
 
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_run_serves_no_more_batches_at_once_than_the_replica_cap(mode, replicas):
+    docs = [ocr_only_doc(f"d{i}", 12) for i in range(6)]
+    config = PipelineConfig(mode=mode, engine=bare_engine(workers=4),
+                            experts=ocr_experts(replicas=replicas))
+    _parsed, metrics = run_pipeline(docs, config)
+    assert [record.modality for record in metrics.per_expert] == ["ocr"]
+    for record in metrics.per_expert:
+        assert record.busy_ms <= metrics.wall_ms * replicas
+    (experts,) = (s for s in metrics.per_stage if s.stage == runtime.EXPERT_STAGE)
+    assert experts.busy_ms <= metrics.wall_ms * metrics.workers
+
+
 # --- hand-computed makespans (discrete-event oracle) ---------------------------
 
 
